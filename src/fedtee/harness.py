@@ -30,6 +30,12 @@ PHASE_SEND = "SendModeltoSGX"
 PHASE_AGG = "Aggregate"
 PHASE_CHAIN = "SendResulttoChain"
 
+# Leak scan: haystack bytes per block, and log2 of the prefix filter's size.
+SCAN_BLOCK = 1 << 20
+SCAN_TABLE_BITS = 20
+_HASH_MUL = np.uint64(0x9E3779B97F4A7C15)
+_HASH_SHIFT = np.uint64(64 - SCAN_TABLE_BITS)
+
 
 class RunFailed(Exception):
     pass
@@ -147,6 +153,73 @@ def oracle_run(config: RunConfig, subsets_by_round: list[list[int]] | None = Non
 
 def _plant(wv: model.WeightVector) -> None:
     wv.layers[0].values[:2] = np.frombuffer(SENTINEL, dtype="<f8")
+
+
+# ---------------------------------------------------------------------------
+# Leak scan
+# ---------------------------------------------------------------------------
+
+def count_needles(chunks, needles) -> dict[bytes, int]:
+    """Count every needle in ``b"".join(chunks)`` in one pass over the bytes.
+
+    Each count equals ``b"".join(chunks).count(needle)``: matches do not
+    overlap, and a match may cross chunk boundaries. The chunks are read in
+    blocks of ``SCAN_BLOCK`` bytes, each led by the last ``max_len - 1`` bytes
+    of the block before. Every 8-byte word of a block, at each of the 8
+    alignments, is hashed into a table marking the needles' 8-byte prefixes;
+    only words that hit a marked slot are compared byte for byte. So the cost
+    is linear in the haystack whatever the number of needles, and the filter
+    can cost time but never change a count.
+    """
+    counts = dict.fromkeys(needles, 0)
+    if any(len(n) < 8 for n in counts):
+        raise ValueError("leak-scan needles must be at least 8 bytes long")
+    if not counts:
+        return counts
+    by_prefix: dict[int, list[bytes]] = {}
+    for n in counts:
+        by_prefix.setdefault(int.from_bytes(n[:8], "little"), []).append(n)
+    table = np.zeros(1 << SCAN_TABLE_BITS, dtype=bool)
+    table[(np.fromiter(by_prefix, dtype=np.uint64) * _HASH_MUL) >> _HASH_SHIFT] = True
+    keep = max(map(len, counts)) - 1
+    free_from = dict.fromkeys(counts, 0)  # where each needle's next match may start
+
+    def blocks():
+        pending, have = [], 0
+        for chunk in chunks:
+            view = memoryview(chunk)
+            while len(view):
+                piece = view[: SCAN_BLOCK - have]
+                pending.append(piece)
+                have += len(piece)
+                view = view[len(piece):]
+                if have == SCAN_BLOCK:
+                    yield b"".join(pending)
+                    pending, have = [], 0
+        if have:
+            yield b"".join(pending)
+
+    carry, base = b"", 0  # base: offset of the current block's first byte
+    for block in blocks():
+        buf = carry + block
+        found = []
+        for align in range(min(8, len(buf) - 7)):
+            words = np.frombuffer(buf, dtype="<u8", count=(len(buf) - align) // 8, offset=align)
+            slots = ((words * _HASH_MUL) >> _HASH_SHIFT).view(np.int64)  # no cast to index
+            for i in np.flatnonzero(table[slots]):
+                pos = align + 8 * int(i)
+                for n in by_prefix.get(int(words[i]), ()):
+                    if buf.startswith(n, pos):
+                        found.append((base + pos, n))
+        # a match lying wholly in the carry was seen in the block before, and
+        # starts below free_from whether it was counted then or not
+        for pos, n in sorted(found):
+            if pos >= free_from[n]:
+                counts[n] += 1
+                free_from[n] = pos + len(n)
+        carry = buf[-keep:]
+        base += len(buf) - len(carry)
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +729,6 @@ class TaskRun:
 
     def scan_leaks(self) -> dict:
         """Count forbidden byte patterns outside enclave and client state."""
-        needles = {"sentinel": SENTINEL}
         keys = []
         if self.owner.msk is not None:
             keys.append(self.owner.msk.raw)
@@ -665,16 +737,17 @@ class TaskRun:
         keys.extend(k.raw for k in self.ssk_by_eid.values())
         if self.committee.vk is not None:
             keys.append(self.committee.vk.secret_scalar_bytes())
-        haystacks = {}
+        haystacks = []  # each one is scanned as the join of its chunks
         if self.tap is not None:
-            haystacks["taps"] = self.tap.raw_bytes()
-        for i, node in self.nodes.items():
-            haystacks[f"node:{i}"] = node.buffer_bytes()
-        haystacks["ledger"] = b"".join(c.payload for c in self.ledger.storage.values())
+            haystacks.append([raw for _, _, raw in self.tap.frames])
+        for node in self.nodes.values():
+            haystacks.append([node.buffer_bytes()])
+        haystacks.append([c.payload for c in self.ledger.storage.values()])
         hits = {"sentinel": 0, "keys": 0}
-        for hay in haystacks.values():
-            hits["sentinel"] += hay.count(needles["sentinel"])
-            hits["keys"] += sum(hay.count(k) for k in keys)
+        for chunks in haystacks:
+            counts = count_needles(chunks, [SENTINEL, *keys])
+            hits["sentinel"] += counts[SENTINEL]
+            hits["keys"] += sum(counts[k] for k in keys)
         return hits
 
     def verify(self) -> None:
@@ -682,11 +755,13 @@ class TaskRun:
         oracle = oracle_run(cfg, subsets_by_round=self.actual_subsets)
         checks = {}
         end_to_end = True
+        # bit-exact only on the dyadic grid, which the sentinel's value is not on
+        exact = cfg.int_mode and not cfg.sentinel
         for got, want in zip(self.report.round_models, oracle):
-            if cfg.int_mode:
+            if exact:
                 end_to_end &= got.bit_equal(want)
             else:
-                end_to_end &= got.allclose(want, abs_tol=1e-12)
+                end_to_end &= got.allclose(want, rel=1e-9, abs_tol=1e-12)
         checks["end_to_end_matches_oracle"] = "pass" if end_to_end else "FAIL"
 
         expected_accepts = sum(r["accepted"] for r in self.report.rounds)

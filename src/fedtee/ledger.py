@@ -156,7 +156,7 @@ class Ledger:
         if ident in self.storage:
             return Receipt("rejected", ident, "DuplicateIndex")
         if rec.expected_chunks is not None and not (0 <= chunk.index < rec.expected_chunks):
-            return Receipt("rejected", ident, "DuplicateIndex")  # index outside declared range
+            return Receipt("rejected", ident, "IndexOutOfRange")
         message = chunk_signing_bytes(chunk.taskid, chunk.round, chunk.index, chunk.payload)
         try:
             public = crypto.load_public_key(rec.vk_pk)

@@ -4,15 +4,19 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedtee import crypto, model
 from fedtee.cli import main as cli_main
-from fedtee.config import FaultEvent, MODEL_PRESETS, RunConfig, preset_layer_meta
+from fedtee.config import SENTINEL, FaultEvent, MODEL_PRESETS, RunConfig, preset_layer_meta
 from fedtee.harness import (
     PHASE_AGG,
     PHASE_CHAIN,
     PHASE_SEND,
+    SCAN_BLOCK,
     TaskRun,
+    count_needles,
     oracle_run,
     run_task,
     traffic_fedtee,
@@ -184,9 +188,87 @@ def test_leaky_stub_cipher_trips_the_detector(monkeypatch):
 
     monkeypatch.setattr(crypto, "ae_encrypt", leaky_encrypt)
     monkeypatch.setattr(crypto, "ae_decrypt", leaky_decrypt)
-    report = run_task(small_config(sentinel=True, taps=True, rounds=1))
-    assert report.verification["confidentiality_sentinel_hits"].startswith("FAIL")
+    run = TaskRun(small_config(sentinel=True, taps=True, rounds=1))
+    report = run.run()
     assert not report.ok
+
+    # brute-force recount over the same haystacks the scan reads
+    keys = [run.owner.msk.raw, run.committee.vk.secret_scalar_bytes()]
+    keys += [k.raw for c in run.clients.values() for k in c.ssk_by_enclave.values()]
+    keys += [k.raw for k in run.ssk_by_eid.values()]
+    haystacks = [run.tap.raw_bytes(), b"".join(c.payload for c in run.ledger.storage.values())]
+    haystacks += [node.buffer_bytes() for node in run.nodes.values()]
+    sentinel_hits = sum(hay.count(SENTINEL) for hay in haystacks)
+    key_hits = sum(hay.count(k) for hay in haystacks for k in keys)
+    assert sentinel_hits > 0 and key_hits > 0
+    assert report.verification["confidentiality_sentinel_hits"] == f"FAIL ({sentinel_hits} hits)"
+    assert report.verification["confidentiality_key_hits"] == f"FAIL ({key_hits} hits)"
+
+
+_FILLER = bytes(range(256)) * (SCAN_BLOCK // 256 + 1)
+
+
+@st.composite
+def needle_haystacks(draw):
+    """Needles planted near chunk edges and, at times, the scan's block edge."""
+    needles = draw(st.lists(st.binary(min_size=8, max_size=24), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        needles.append(b"ab" * 8)  # overlaps itself
+    if draw(st.booleans()):
+        needles.append(draw(st.sampled_from(needles)))  # listed twice
+    lead = draw(st.one_of(st.integers(0, 48), st.integers(SCAN_BLOCK - 48, SCAN_BLOCK + 8)))
+    pieces = draw(
+        st.lists(
+            st.one_of(
+                st.binary(max_size=12),
+                st.builds(lambda n, k: n * k, st.sampled_from(needles), st.integers(1, 3)),
+                st.builds(lambda n, k: n[:k], st.sampled_from(needles), st.integers(1, 23)),
+                st.just(b"a"),
+            ),
+            max_size=12,
+        )
+    )
+    hay = _FILLER[:lead] + b"".join(pieces)
+    # cuts land near the needles; a repeated cut makes an empty chunk
+    cuts = sorted(draw(st.lists(st.integers(max(0, lead - 16), len(hay)), max_size=8)))
+    chunks = [hay[a:b] for a, b in zip([0, *cuts], [*cuts, len(hay)])]
+    return chunks, needles
+
+
+@given(needle_haystacks())
+@settings(max_examples=120, deadline=None)
+def test_count_needles_equals_bytes_count(case):
+    chunks, needles = case
+    joined = b"".join(chunks)
+    counts = count_needles(chunks, needles)
+    for n in needles:
+        assert counts[n] == joined.count(n)
+
+
+def test_count_needles_finds_a_needle_across_the_block_edge():
+    needle = bytes(range(231, 199, -1))  # descending, so never in the filler
+    for before_edge in range(1, len(needle)):
+        chunks = [_FILLER[: SCAN_BLOCK - before_edge], needle[:5], needle[5:]]
+        assert count_needles(chunks, [needle, needle[:8]]) == {needle: 1, needle[:8]: 1}
+
+
+def test_count_needles_rejects_short_needles():
+    with pytest.raises(ValueError):
+        count_needles([b"x" * 32], [b"x" * 16, b"1234567"])
+
+
+@pytest.mark.parametrize("int_mode", [False, True])
+def test_sentinel_partitioned_sums_match_oracle(int_mode):
+    """Partitioned sums of the sentinel's huge element may differ from the
+    oracle's sequential sum by an ulp; only the dyadic grid is bit-exact."""
+    cfg = RunConfig(
+        n_clients=30, n_nodes=4, rounds=3, participation=1.0, strategy="clientmax",
+        layers={0: 512, 1: 512}, epc_budget=85_000, sentinel=True, seed=0,
+        int_mode=int_mode,
+    )
+    report = run_task(cfg)
+    assert report.verification["end_to_end_matches_oracle"] == "pass"
+    assert report.ok
 
 
 def test_failover_phases_reported_exactly_when_recovery_happened():

@@ -118,6 +118,15 @@ def test_duplicate_index_rejected_write_once():
     assert len(led.storage) == 1
 
 
+def test_index_outside_declared_range_rejected_with_own_reason():
+    ctx, chunks = signed_round()
+    led = _prepared_ledger(ctx, chunks[:-1])
+    receipt = led.upload_global_model("node:0", chunks[-1])
+    assert not receipt.accepted
+    assert receipt.reason == "IndexOutOfRange"
+    assert not led.storage
+
+
 def test_wrong_round_rejected():
     ctx, chunks = signed_round()
     led = _prepared_ledger(ctx, chunks)
