@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from random import Random
 
 from . import crypto, model
@@ -63,16 +63,15 @@ class TaskSpec:
 
 @dataclass
 class Slot:
-    """One partition's fixed shape; node/eid are filled at install time and
-    change on failover."""
+    """One partition's fixed shape; the chunk run is laid out per round, and
+    node/eid are filled at install time and change on failover."""
 
     index: int
     combine_group: int
     serial: bool
     layer_range: tuple[int, ...]
-    subset_size: int
-    chunk_base: int
-    n_chunks: int
+    chunk_base: int = 0
+    n_chunks: int = 0
     node: int | None = None
     eid: int | None = None
 
@@ -87,12 +86,17 @@ class RoundConf:
 
 @dataclass
 class Conf:
-    """The complete schedule: fixed slots plus the per-round assignments."""
+    """The complete schedule: fixed slots plus the per-round assignments.
+
+    It is the one form of the schedule: the committee plans it, and clients
+    and nodes receive it through :meth:`to_bytes` / :meth:`from_bytes`.
+    """
 
     taskid: bytes
+    measurement: bytes  # of the enclave program clients must attest
     slots: list[Slot]
     rounds: dict[int, RoundConf]
-    expected_chunks_per_round: int
+    expected_chunks_per_round: int = 0
 
     def subset(self, round_index: int, slot_index: int) -> tuple[int, ...]:
         return self.rounds[round_index].subsets[slot_index]
@@ -101,35 +105,58 @@ class Conf:
         rc = self.rounds[round_index]
         return [s for s in self.slots if client in rc.subsets[s.index]]
 
-    def to_json(self) -> str:
+    def lay_out_chunks(
+        self, round_index: int, model_meta: dict[int, int], tx_capacity: int
+    ) -> bool:
+        """Give each slot a contiguous run of chunk indices, in slot order from
+        zero, sized for this round's subsets; True if any run changed."""
+        aad_len = len(crypto.output_aad(self.taskid, 0, 0))
+        chunk_base = 0
+        changed = False
+        for slot in self.slots:
+            counts = [model_meta[i] for i in slot.layer_range]
+            payload = model.encoded_partial_size(len(self.subset(round_index, slot.index)), counts)
+            n_chunks = -(-envelope_encoded_size(aad_len, payload) // tx_capacity)
+            if (slot.chunk_base, slot.n_chunks) != (chunk_base, n_chunks):
+                slot.chunk_base, slot.n_chunks = chunk_base, n_chunks
+                changed = True
+            chunk_base += n_chunks
+        self.expected_chunks_per_round = chunk_base
+        return changed
+
+    def to_bytes(self) -> bytes:
+        """Compact JSON: each slot's fields once, then per round (in order)
+        only the participants and the subsets in slot order."""
         return json.dumps(
             {
                 "taskid": self.taskid.hex(),
+                "measurement": self.measurement.hex(),
                 "expected_chunks_per_round": self.expected_chunks_per_round,
-                "slots": [
-                    {
-                        "index": s.index,
-                        "combine_group": s.combine_group,
-                        "serial": s.serial,
-                        "layer_range": list(s.layer_range),
-                        "subset_size": s.subset_size,
-                        "chunk_base": s.chunk_base,
-                        "n_chunks": s.n_chunks,
-                        "node": s.node,
-                        "eid": s.eid,
-                    }
-                    for s in self.slots
+                "slots": [asdict(s) for s in self.slots],
+                "rounds": [
+                    [rc.participants, [rc.subsets[s.index] for s in self.slots]]
+                    for _, rc in sorted(self.rounds.items())
                 ],
-                "rounds": {
-                    str(r): {
-                        "participants": list(rc.participants),
-                        "subsets": {str(i): list(v) for i, v in rc.subsets.items()},
-                    }
-                    for r, rc in self.rounds.items()
-                },
             },
-            sort_keys=True,
-            indent=2,
+            separators=(",", ":"),
+        ).encode()
+
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "Conf":
+        obj = json.loads(data)
+        slots = [Slot(**{**s, "layer_range": tuple(s["layer_range"])}) for s in obj["slots"]]
+        rounds = {
+            r: RoundConf(
+                r, tuple(participants), {s.index: tuple(c) for s, c in zip(slots, subsets)}
+            )
+            for r, (participants, subsets) in enumerate(obj["rounds"])
+        }
+        return cls(
+            taskid=bytes.fromhex(obj["taskid"]),
+            measurement=bytes.fromhex(obj["measurement"]),
+            slots=slots,
+            rounds=rounds,
+            expected_chunks_per_round=obj["expected_chunks_per_round"],
         )
 
 
@@ -288,30 +315,17 @@ def schedule(
     if len(shapes) > len(alive):
         raise InsufficientNodes(f"plan needs {len(shapes)} nodes, {len(alive)} alive")
 
-    aad_len = len(crypto.output_aad(spec.taskid, 0, 0))
-    slots: list[Slot] = []
-    chunk_base = 0
     nodes_sorted = sorted(alive)
-    for idx, shape in enumerate(shapes):
-        start, size = shape["block"]
-        counts = [spec.model_meta[i] for i in shape["layer_range"]]
-        payload = model.encoded_partial_size(size, counts)
-        env_size = envelope_encoded_size(aad_len, payload)
-        n_chunks = -(-env_size // tx_capacity)
-        slots.append(
-            Slot(
-                index=idx,
-                combine_group=shape["combine_group"],
-                serial=shape["serial"],
-                layer_range=shape["layer_range"],
-                subset_size=size,
-                chunk_base=chunk_base,
-                n_chunks=n_chunks,
-                node=nodes_sorted[idx],
-            )
+    slots = [
+        Slot(
+            index=idx,
+            combine_group=shape["combine_group"],
+            serial=shape["serial"],
+            layer_range=shape["layer_range"],
+            node=nodes_sorted[idx],
         )
-        chunk_base += n_chunks
-
+        for idx, shape in enumerate(shapes)
+    ]
     rounds = {}
     for r, participants in participants_by_round.items():
         ordered = sorted(participants)
@@ -321,12 +335,11 @@ def schedule(
             subsets[slot.index] = tuple(ordered[start : start + size])
         rounds[r] = RoundConf(round=r, participants=participants, subsets=subsets)
 
-    return Conf(
-        taskid=spec.taskid,
-        slots=slots,
-        rounds=rounds,
-        expected_chunks_per_round=chunk_base,
+    conf = Conf(
+        taskid=spec.taskid, measurement=spec.program.measurement, slots=slots, rounds=rounds
     )
+    conf.lay_out_chunks(0, spec.model_meta, tx_capacity)
+    return conf
 
 
 def exact_cover_holds(conf: Conf, model_meta: dict[int, int], round_index: int) -> bool:

@@ -359,21 +359,6 @@ def ra_key_exchange(
     return crypto.derive_session_key(priv, enclave_point, initiator, eid, expected_measurement)
 
 
-def estimate_enclave_bytes(
-    n_clients: int,
-    layer_range: tuple[int, ...],
-    model_meta: dict[int, int],
-    taskid_len: int = 16,
-) -> int:
-    """Protected memory needed to hold one batch for ``layer_range``.
-
-    ``model_meta`` maps layer index to element count; every update costs its
-    elements at 8 bytes each plus the canonical header.
-    """
-    counts = [model_meta[i] for i in layer_range]
-    return n_clients * model.encoded_update_size(taskid_len, counts)
-
-
 def _make_module_allocator():
     counter = {"next": 1}
 

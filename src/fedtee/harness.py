@@ -263,7 +263,6 @@ class TaskRun:
         self.tap = self.router.add_tap() if (config.taps or config.sentinel) else None
         self.killed: set[int] = set()
         self.conf: Conf | None = None
-        self.conf_json: dict | None = None
         self.ssk_by_eid: dict[int, crypto.SymKey] = {}
         self.report = RunReport(config_json=config.to_json())
         self.actual_subsets: list[list[int]] = []
@@ -413,27 +412,6 @@ class TaskRun:
             MessageKind.RoundDeliver,
         )
 
-    def _refresh_layout(self, round_index: int) -> bool:
-        """Recompute chunk bases from this round's subset sizes; True if changed."""
-        cfg = self.cfg
-        meta = cfg.model_meta()
-        aad_len = len(crypto.output_aad(cfg.taskid_bytes, 0, 0))
-        rc = self.conf.rounds[round_index]
-        chunk_base = 0
-        changed = False
-        for slot in self.conf.slots:
-            counts = [meta[i] for i in slot.layer_range]
-            payload = model.encoded_partial_size(len(rc.subsets[slot.index]), counts)
-            env_size = crypto.envelope_encoded_size(aad_len, payload)
-            n_chunks = -(-env_size // cfg.tx_capacity)
-            if slot.chunk_base != chunk_base or slot.n_chunks != n_chunks:
-                slot.chunk_base = chunk_base
-                slot.n_chunks = n_chunks
-                changed = True
-            chunk_base += n_chunks
-        self.conf.expected_chunks_per_round = chunk_base
-        return changed
-
     def _key_deliver(self, node_party, eid, purpose, env, kind) -> None:
         _, reply, _ = self.router.call(
             "committee", node_party, kind,
@@ -456,38 +434,8 @@ class TaskRun:
             f"node:{slot.node}", slot.eid, transport.KEY_PURPOSE_ROUND, env, MessageKind.RoundDeliver
         )
 
-    def _conf_as_json(self) -> dict:
-        conf = self.conf
-        rounds = {}
-        for r, rc in conf.rounds.items():
-            rounds[str(r)] = {
-                "participants": list(rc.participants),
-                "slots": [
-                    {
-                        "index": s.index,
-                        "node": s.node,
-                        "eid": s.eid,
-                        "layer_range": list(s.layer_range),
-                        "chunk_base": s.chunk_base,
-                        "n_chunks": s.n_chunks,
-                        "combine_group": s.combine_group,
-                        "serial": s.serial,
-                        "subset": list(rc.subsets[s.index]),
-                    }
-                    for s in conf.slots
-                ],
-            }
-        return {
-            "type": "conf",
-            "taskid": self.cfg.taskid_bytes.hex(),
-            "measurement": self.program.measurement.hex(),
-            "expected_chunks_per_round": conf.expected_chunks_per_round,
-            "rounds": rounds,
-        }
-
     def _deliver_conf(self) -> None:
-        self.conf_json = self._conf_as_json()
-        body = json.dumps(self.conf_json).encode()
+        body = self.conf.to_bytes()
         for uid in self.clients:
             self.router.call("committee", f"client:{uid}", MessageKind.ConfDeliver, body)
         for i, node in self.nodes.items():
@@ -550,17 +498,7 @@ class TaskRun:
             if resend:
                 self._deliver_conf()
                 for uid in subset:
-                    self.router.call(
-                        "committee", f"client:{uid}", MessageKind.ResendRequest,
-                        json.dumps(
-                            {
-                                "slot": slot.index,
-                                "node": slot.node,
-                                "eid": slot.eid,
-                                "round": round_index,
-                            }
-                        ).encode(),
-                    )
+                    self._request_resend(uid, slot, round_index)
                     connect_ms += self.cfg.cost.connect_ms_per_attestation
             else:
                 connect_ms += self.cfg.cost.connect_ms_per_attestation * len(subset)
@@ -599,19 +537,18 @@ class TaskRun:
                 )
                 for uid in uids:
                     try:
-                        self.router.call(
-                            "committee", f"client:{uid}", MessageKind.ResendRequest,
-                            json.dumps(
-                                {
-                                    "slot": slot.index,
-                                    "node": slot.node,
-                                    "eid": slot.eid,
-                                    "round": round_index,
-                                }
-                            ).encode(),
-                        )
+                        self._request_resend(uid, slot, round_index)
                     except transport.DeliveryDropped:
                         pass
+
+    def _request_resend(self, uid: int, slot, round_index: int) -> None:
+        """Ask a client to re-send its cached slice to the slot's enclave."""
+        self.router.call(
+            "committee", f"client:{uid}", MessageKind.ResendRequest,
+            json.dumps(
+                {"slot": slot.index, "node": slot.node, "eid": slot.eid, "round": round_index}
+            ).encode(),
+        )
 
     def _replan_excluding(self, round_index: int, missing: dict[int, list[int]]) -> None:
         """Drop the stragglers from this round's plan and rebuild the layout."""
@@ -624,7 +561,7 @@ class TaskRun:
                 raise RunFailed(f"partition {slot.index} lost all clients to stragglers")
             rc.subsets[slot.index] = subset
         rc.participants = tuple(u for u in rc.participants if u not in excluded)
-        self._refresh_layout(round_index)
+        self.conf.lay_out_chunks(round_index, cfg.model_meta(), cfg.tx_capacity)
         for slot in self.conf.slots:
             self._deliver_partition(slot)
         self.ledger.set_expected_chunks(
@@ -644,7 +581,7 @@ class TaskRun:
         self._apply_kills(round_index, "between")
         self._detect_and_failover(round_index, resend=False)
 
-        if self._refresh_layout(round_index):
+        if self.conf.lay_out_chunks(round_index, cfg.model_meta(), cfg.tx_capacity):
             for slot in self.conf.slots:
                 self._deliver_partition(slot)
             self._deliver_conf()
@@ -707,7 +644,7 @@ class TaskRun:
 
         for uid in sorted(self.clients):
             self.clients[uid].client_get_global(round_index)
-        global_model = self.owner.get_global_model(self.conf_json, round_index)
+        global_model = self.owner.get_global_model(self.conf, round_index)
         self.report.round_models.append(global_model)
         self.report.round_model_digests.append(global_model.digest())
 
@@ -754,14 +691,7 @@ class TaskRun:
         cfg = self.cfg
         oracle = oracle_run(cfg, subsets_by_round=self.actual_subsets)
         checks = {}
-        end_to_end = True
-        # bit-exact only on the dyadic grid, which the sentinel's value is not on
-        exact = cfg.int_mode and not cfg.sentinel
-        for got, want in zip(self.report.round_models, oracle):
-            if exact:
-                end_to_end &= got.bit_equal(want)
-            else:
-                end_to_end &= got.allclose(want, rel=1e-9, abs_tol=1e-12)
+        end_to_end = matches_oracle(self.report, oracle)
         checks["end_to_end_matches_oracle"] = "pass" if end_to_end else "FAIL"
 
         expected_accepts = sum(r["accepted"] for r in self.report.rounds)
@@ -799,13 +729,23 @@ def run_task(config: RunConfig) -> RunReport:
     return TaskRun(config).run()
 
 
+def matches_oracle(report: RunReport, oracle_models) -> bool:
+    """Every round's model against the oracle's, with no round missing.
+
+    Bit-exact only on the dyadic grid: int mode without the sentinel, whose
+    value is off the grid. Otherwise within 1e-9 relative (1e-12 absolute).
+    """
+    cfg = RunConfig.from_json(report.config_json)
+    exact = cfg.int_mode and not cfg.sentinel
+    return len(oracle_models) == len(report.round_models) and all(
+        got.bit_equal(want) if exact else got.allclose(want, rel=1e-9, abs_tol=1e-12)
+        for got, want in zip(report.round_models, oracle_models)
+    )
+
+
 def verify_report(report: RunReport, oracle_models) -> dict:
     """Standalone acceptance summary against an external oracle run."""
     checks = dict(report.verification)
-    matches = len(oracle_models) == len(report.round_models) and all(
-        got.allclose(want, abs_tol=1e-12) or got.bit_equal(want)
-        for got, want in zip(report.round_models, oracle_models)
-    )
-    checks["external_oracle"] = "pass" if matches else "FAIL"
+    checks["external_oracle"] = "pass" if matches_oracle(report, oracle_models) else "FAIL"
     checks["all"] = "pass" if all(v == "pass" for v in checks.values()) else "FAIL"
     return checks

@@ -192,11 +192,3 @@ class Ledger:
     def current_round(self, taskid: bytes) -> int:
         with self._lock:
             return self._record(taskid).round
-
-    # -- incentive stubs ----------------------------------------------------
-
-    def reward(self, party: str, amount: int = 0) -> None:
-        self.events.append(LedgerEvent("reward", {"party": party, "amount": amount}))
-
-    def penalize(self, party: str, amount: int = 0) -> None:
-        self.events.append(LedgerEvent("penalty", {"party": party, "amount": amount}))

@@ -153,13 +153,41 @@ def encoded_update_size(taskid_len: int, layer_elem_counts: list[int] | tuple[in
     )
 
 
-def encode_model(u: LocalUpdate) -> bytes:
-    parts = [struct.pack(">H", len(u.taskid)), u.taskid]
-    parts.append(struct.pack(">QQQI", u.round, u.client, u.dataset_size, len(u.weights.layers)))
-    for l in u.weights.layers:
+def _with_layers(parts: list[bytes], wv: WeightVector) -> bytes:
+    """``parts`` followed by layer_count(u32 BE) and every layer."""
+    parts.append(struct.pack(">I", len(wv.layers)))
+    for l in wv.layers:
         parts.append(struct.pack(">IQ", l.index, len(l.values)))
         parts.append(l.values.astype("<f8").tobytes())
     return b"".join(parts)
+
+
+def _read_layers(data: bytes, off: int) -> WeightVector:
+    """The layer count and layers starting at ``off``, which must end ``data``."""
+    (n_layers,) = struct.unpack_from(">I", data, off)
+    off += 4
+    layers = []
+    prev = -1
+    for _ in range(n_layers):
+        idx, count = struct.unpack_from(">IQ", data, off)
+        off += _LAYER_HEADER
+        if idx <= prev:
+            raise MalformedModel("layer indices not strictly increasing")
+        prev = idx
+        end = off + 8 * count
+        if end > len(data):
+            raise MalformedModel("element count exceeds available bytes")
+        layers.append(Layer(idx, np.frombuffer(data[off:end], dtype="<f8").astype(np.float64)))
+        off = end
+    if off != len(data):
+        raise MalformedModel("trailing bytes after last layer")
+    return WeightVector(layers)
+
+
+def encode_model(u: LocalUpdate) -> bytes:
+    parts = [struct.pack(">H", len(u.taskid)), u.taskid]
+    parts.append(struct.pack(">QQQ", u.round, u.client, u.dataset_size))
+    return _with_layers(parts, u.weights)
 
 
 def decode_model(data: bytes) -> LocalUpdate:
@@ -170,28 +198,13 @@ def decode_model(data: bytes) -> LocalUpdate:
         if len(taskid) != tid_len:
             raise MalformedModel("truncated taskid")
         off += tid_len
-        round_index, client, dataset_size, n_layers = struct.unpack_from(">QQQI", data, off)
-        off += 28
-        layers = []
-        prev = -1
-        for _ in range(n_layers):
-            idx, count = struct.unpack_from(">IQ", data, off)
-            off += _LAYER_HEADER
-            if idx <= prev:
-                raise MalformedModel("layer indices not strictly increasing")
-            prev = idx
-            end = off + 8 * count
-            if end > len(data):
-                raise MalformedModel("element count exceeds available bytes")
-            layers.append(Layer(idx, np.frombuffer(data[off:end], dtype="<f8").astype(np.float64)))
-            off = end
-        if off != len(data):
-            raise MalformedModel("trailing bytes after last layer")
-        if dataset_size < 1:
-            raise MalformedModel("dataset_size must be >= 1")
-        return LocalUpdate(taskid, client, round_index, WeightVector(layers), dataset_size)
+        round_index, client, dataset_size = struct.unpack_from(">QQQ", data, off)
+        weights = _read_layers(data, off + 24)
     except struct.error as exc:
         raise MalformedModel("truncated header") from exc
+    if dataset_size < 1:
+        raise MalformedModel("dataset_size must be >= 1")
+    return LocalUpdate(taskid, client, round_index, weights, dataset_size)
 
 
 # Partial: weight_sum(u64 BE) + client_count(u32 BE) + client ids (u64 BE, asc)
@@ -203,46 +216,23 @@ def encoded_partial_size(n_clients: int, layer_elem_counts: list[int] | tuple[in
 
 def encode_partial(p: PartialAggregate) -> bytes:
     parts = [struct.pack(">QI", p.weight_sum, len(p.client_set))]
-    for cid in p.client_set:
-        parts.append(struct.pack(">Q", cid))
-    parts.append(struct.pack(">I", len(p.scaled_sum.layers)))
-    for l in p.scaled_sum.layers:
-        parts.append(struct.pack(">IQ", l.index, len(l.values)))
-        parts.append(l.values.astype("<f8").tobytes())
-    return b"".join(parts)
+    parts.extend(struct.pack(">Q", cid) for cid in p.client_set)
+    return _with_layers(parts, p.scaled_sum)
 
 
 def decode_partial(data: bytes) -> PartialAggregate:
     try:
         weight_sum, n_clients = struct.unpack_from(">QI", data, 0)
-        off = 12
-        clients = []
-        for _ in range(n_clients):
-            (cid,) = struct.unpack_from(">Q", data, off)
-            clients.append(cid)
-            off += 8
-        (n_layers,) = struct.unpack_from(">I", data, off)
-        off += 4
-        layers = []
-        for _ in range(n_layers):
-            idx, count = struct.unpack_from(">IQ", data, off)
-            off += _LAYER_HEADER
-            end = off + 8 * count
-            if end > len(data):
-                raise MalformedModel("element count exceeds available bytes")
-            layers.append(Layer(idx, np.frombuffer(data[off:end], dtype="<f8").astype(np.float64)))
-            off = end
-        if off != len(data):
-            raise MalformedModel("trailing bytes after partial aggregate")
-        wv = WeightVector(layers)
-        return PartialAggregate(
-            scaled_sum=wv,
-            weight_sum=weight_sum,
-            layer_range=tuple(l.index for l in layers),
-            client_set=tuple(clients),
-        )
+        clients = struct.unpack_from(f">{n_clients}Q", data, 12)
+        wv = _read_layers(data, 12 + 8 * n_clients)
     except struct.error as exc:
         raise MalformedModel("truncated partial aggregate") from exc
+    return PartialAggregate(
+        scaled_sum=wv,
+        weight_sum=weight_sum,
+        layer_range=tuple(l.index for l in wv.layers),
+        client_set=clients,
+    )
 
 
 # ---------------------------------------------------------------------------

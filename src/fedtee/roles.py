@@ -17,6 +17,7 @@ from random import Random
 import numpy as np
 
 from . import crypto, model, transport
+from .committee import Conf, Slot
 from .crypto import AuthFailure, Envelope, MeasurementMismatch, SymKey
 from .enclave import EnclaveProgram, SgxHost, SignedChunk
 from .ledger import Ledger, LedgerIncomplete, LedgerNotFound
@@ -78,7 +79,7 @@ class Node:
         self.eid_by_task: dict[bytes, int] = {}
         # (taskid, round) -> sender -> (env_m, env_k); ciphertext only
         self.pending: dict[tuple[bytes, int], dict[int, tuple[Envelope, Envelope]]] = {}
-        self.expected: dict[bytes, dict] = {}  # taskid -> slot info from the schedule
+        self.confs: dict[bytes, Conf] = {}  # taskid -> the committee's schedule
         self.last_output = None
         self.tamper_next = False  # fault injection: forge one chunk before uploading
         self.tamper_install = False  # fault injection: install altered program code
@@ -97,8 +98,8 @@ class Node:
             if kind == MessageKind.ModelEnvelope:
                 return self._handle_model_envelope(payload)
             if kind == MessageKind.ConfDeliver:
-                obj = json.loads(payload.decode())
-                self.expected[bytes.fromhex(obj["taskid"])] = obj
+                conf = Conf.from_bytes(payload)
+                self.confs[conf.taskid] = conf
                 return _ok()
             if kind == MessageKind.Ping:
                 return _ok()
@@ -143,33 +144,33 @@ class Node:
 
     # -- driven by the orchestrator ------------------------------------------
 
-    def _my_slot(self, taskid: bytes, round_index: int) -> dict | None:
-        info = self.expected.get(taskid)
-        if info is None:
+    def _my_slot(self, taskid: bytes, round_index: int) -> tuple[Slot, tuple[int, ...]] | None:
+        """This node's slot in the task's schedule and the round's subset for it."""
+        conf = self.confs.get(taskid)
+        if conf is None:
             return None
-        for slot in info["rounds"][str(round_index)]["slots"]:
-            if slot["node"] == self.node_id:
-                return slot
+        for slot in conf.slots:
+            if slot.node == self.node_id:
+                return slot, conf.subset(round_index, slot.index)
         return None
 
     def missing_senders(self, taskid: bytes, round_index: int) -> list[int]:
-        slot = self._my_slot(taskid, round_index)
-        if slot is None:
+        mine = self._my_slot(taskid, round_index)
+        if mine is None:
             return []
         box = self.pending.get((taskid, round_index), {})
-        return sorted(c for c in slot["subset"] if c not in box)
+        return sorted(c for c in mine[1] if c not in box)
 
     def compute(self, taskid: bytes, round_index: int) -> dict:
         """Resume the enclave over the collected batch and upload every chunk.
 
         Returns receipts plus the byte counts the timing model charges.
         """
-        slot = self._my_slot(taskid, round_index)
+        slot, subset = self._my_slot(taskid, round_index)
         eid = self.eid_by_task[taskid]
-        layer_range = tuple(slot["layer_range"])
         box = self.pending.get((taskid, round_index), {})
-        inputs = [(box[c][0], box[c][1], c) for c in sorted(slot["subset"])]
-        output = self.host.resume(eid, inputs, layer_range)
+        inputs = [(box[c][0], box[c][1], c) for c in sorted(subset)]
+        output = self.host.resume(eid, inputs, slot.layer_range)
         self.last_output = output
         receipts = []
         uploaded = 0
@@ -300,7 +301,7 @@ class Client:
         self.round = 0
         self.taskid: bytes | None = None
         self.measurement: bytes | None = None
-        self.conf: dict | None = None
+        self.conf: Conf | None = None
         self.ssk_by_enclave: dict[int, SymKey] = {}
         # slot index -> (node, eid, encoded plaintext slice); re-encrypted on failover
         self.cached_payloads: dict[int, tuple[int, int, bytes]] = {}
@@ -315,16 +316,15 @@ class Client:
         try:
             if kind == MessageKind.KeyDeliver:
                 return self._handle_msk_delivery(src, payload)
+            if kind == MessageKind.InitModel:
+                update = model.decode_model(payload)
+                self.taskid = update.taskid
+                self.m_glob = update.weights
+                return _ok()
             if kind == MessageKind.ConfDeliver:
-                obj = json.loads(payload.decode())
-                if obj.get("type") == "m_init":
-                    self.taskid = bytes.fromhex(obj["taskid"])
-                    update = model.decode_model(bytes.fromhex(obj["model"]))
-                    self.m_glob = update.weights
-                else:
-                    self.conf = obj
-                    self.taskid = bytes.fromhex(obj["taskid"])
-                    self.measurement = bytes.fromhex(obj["measurement"])
+                self.conf = Conf.from_bytes(payload)
+                self.taskid = self.conf.taskid
+                self.measurement = self.conf.measurement
                 return _ok()
             if kind == MessageKind.ResendRequest:
                 obj = json.loads(payload.decode())
@@ -394,22 +394,18 @@ class Client:
         update = self.train(round_index)
         self.cached_payloads.clear()
         arrivals = []
-        for slot in self.conf["rounds"][str(round_index)]["slots"]:
-            if self.uid not in slot["subset"]:
-                continue
+        for slot in self.conf.slots_for_client(round_index, self.uid):
             sliced = model.LocalUpdate(
                 taskid=self.taskid,
                 client=self.uid,
                 round=round_index,
-                weights=update.weights.slice_layers(tuple(slot["layer_range"])),
+                weights=update.weights.slice_layers(slot.layer_range),
                 dataset_size=update.dataset_size,
             )
             encoded = model.encode_model(sliced)
-            self.cached_payloads[slot["index"]] = (slot["node"], slot["eid"], encoded)
+            self.cached_payloads[slot.index] = (slot.node, slot.eid, encoded)
             try:
-                arrivals.append(
-                    self._encrypt_and_send(slot["node"], slot["eid"], round_index, encoded)
-                )
+                arrivals.append(self._encrypt_and_send(slot.node, slot.eid, round_index, encoded))
             except transport.DeliveryDropped:
                 pass  # the straggler path re-sends from cache
         return arrivals
@@ -444,16 +440,14 @@ class Client:
     def client_get_global(self, round_index: int) -> model.WeightVector:
         """Read the round's chunks, reassemble, decrypt, combine, advance."""
         chunks = read_round_chunks(self.router, self.party, self.taskid, round_index)
-        got = decode_round_chunks(self.conf, self.taskid, self.msk, chunks, round_index)
+        got = decode_round_chunks(self.conf, self.msk, chunks, round_index)
         self.m_glob = got
         self.round = round_index + 1
         self.cached_payloads.clear()
         return got
 
 
-def decode_round_chunks(
-    conf: dict, taskid: bytes, msk: SymKey, chunks, round_index: int
-) -> model.WeightVector:
+def decode_round_chunks(conf: Conf, msk: SymKey, chunks, round_index: int) -> model.WeightVector:
     """Reassemble per-slot ciphertexts, decrypt under the master key, merge.
 
     Slots are consumed in ascending partition index, which is the combination
@@ -461,16 +455,15 @@ def decode_round_chunks(
     """
     by_index = {c.index: c for c in chunks}
     parts = []
-    round_slots = conf["rounds"][str(round_index)]["slots"]
-    for slot in sorted(round_slots, key=lambda s: s["index"]):
-        base, n = slot["chunk_base"], slot["n_chunks"]
+    for slot in sorted(conf.slots, key=lambda s: s.index):
+        base, n = slot.chunk_base, slot.n_chunks
         try:
             blob = b"".join(by_index[base + i].payload for i in range(n))
         except KeyError as exc:
             raise Incomplete(f"round {round_index} missing chunk {exc}") from exc
         env = Envelope.from_bytes(blob)
-        if env.aad != crypto.output_aad(taskid, round_index, base):
-            raise AuthFailure(f"slot {slot['index']} output bound to a different context")
+        if env.aad != crypto.output_aad(conf.taskid, round_index, base):
+            raise AuthFailure(f"slot {slot.index} output bound to a different context")
         payload = crypto.ae_decrypt(msk, env)
         parts.append(model.decode_partial(payload))
     return model.combine_partials(parts)
@@ -504,7 +497,6 @@ class TaskOwner:
         self.msk: SymKey | None = None
         self.taskid: bytes | None = None
         self.m_init: model.WeightVector | None = None
-        self.conf: dict | None = None
         self.phase = "created"
         router.register(self.party, handler=lambda s, k, p: _ok())
 
@@ -513,14 +505,9 @@ class TaskOwner:
         self.taskid = taskid
         self.m_init = m_init
         self.ledger.create_task(0, taskid)
-        carrier = model.LocalUpdate(taskid, 0, 0, m_init, 1)
-        body = json.dumps(
-            {"type": "m_init", "taskid": taskid.hex(), "model": model.encode_model(carrier).hex()}
-        ).encode()
+        body = model.encode_model(model.LocalUpdate(taskid, 0, 0, m_init, 1))
         for uid in clients:
-            _, reply, _ = self.router.call(
-                self.party, f"client:{uid}", MessageKind.ConfDeliver, body
-            )
+            _, reply, _ = self.router.call(self.party, f"client:{uid}", MessageKind.InitModel, body)
             _check_reply(reply)
         self.phase = "running"
 
@@ -558,7 +545,7 @@ class TaskOwner:
         )
         _check_reply(reply)
 
-    def get_global_model(self, conf: dict, round_index: int) -> model.WeightVector:
+    def get_global_model(self, conf: Conf, round_index: int) -> model.WeightVector:
         """Same read path as a client; the owner holds the master key too."""
         chunks = read_round_chunks(self.router, self.party, self.taskid, round_index)
-        return decode_round_chunks(conf, self.taskid, self.msk, chunks, round_index)
+        return decode_round_chunks(conf, self.msk, chunks, round_index)

@@ -3,13 +3,11 @@
 Frames are length-prefixed (u32 BE length, u8 tag, payload). The in-process
 router gives reliable, ordered, at-most-once delivery per channel and doubles
 as an RPC fabric; taps observe every frame's raw bytes without altering
-delivery, which is what the confidentiality checks hook into. A socket-based
-variant carries the same frames over a stream.
+delivery, which is what the confidentiality checks hook into.
 """
 
 from __future__ import annotations
 
-import socket
 import struct
 from collections import deque
 from dataclasses import dataclass, field
@@ -37,7 +35,7 @@ class MessageKind(IntEnum):
     LedgerRead = 10
     LedgerReply = 11
     Heartbeat = 12
-    FailoverCmd = 13
+    InitModel = 13
     ResendRequest = 14
     Ack = 15
     Ping = 16
@@ -137,9 +135,6 @@ class Router:
             self._unreachable.add(party)
         else:
             self._unreachable.discard(party)
-
-    def is_registered(self, party: str) -> bool:
-        return party in self._mailboxes
 
     def add_tap(self, src: str | None = None, dest: str | None = None) -> Tap:
         tap = Tap(src=src, dest=dest)
@@ -355,42 +350,3 @@ def pack_heartbeat(node, timestamp_ms) -> bytes:
 def unpack_heartbeat(data: bytes):
     node, timestamp_ms = struct.unpack(">Qd", data)
     return node, timestamp_ms
-
-
-# ---------------------------------------------------------------------------
-# Socket variant
-# ---------------------------------------------------------------------------
-
-class SocketChannel:
-    """Frames over a connected stream socket; blocking, one reader + one writer."""
-
-    def __init__(self, sock: socket.socket) -> None:
-        self._sock = sock
-
-    def send_frame(self, kind: MessageKind, payload: bytes) -> None:
-        self._sock.sendall(Frame(kind, payload).to_bytes())
-
-    def recv_frame(self) -> Frame:
-        header = self._recv_exact(5)
-        length, tag = struct.unpack(">IB", header)
-        payload = self._recv_exact(length)
-        return Frame(MessageKind(tag), payload)
-
-    def _recv_exact(self, n: int) -> bytes:
-        chunks = []
-        remaining = n
-        while remaining:
-            chunk = self._sock.recv(min(remaining, 1 << 20))
-            if not chunk:
-                raise ConnectionError("peer closed during frame")
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks)
-
-    def close(self) -> None:
-        self._sock.close()
-
-
-def socket_pair() -> tuple[SocketChannel, SocketChannel]:
-    a, b = socket.socketpair()
-    return SocketChannel(a), SocketChannel(b)

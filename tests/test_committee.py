@@ -7,11 +7,13 @@ from fedtee import model
 from fedtee.committee import (
     CapacityInfeasible,
     Committee,
+    Conf,
     HeartbeatMonitor,
     InsufficientNodes,
     NoNodes,
     NoSpareNodes,
     TaskSpec,
+    _per_client_bytes,
     exact_cover_holds,
     schedule,
     select_participants,
@@ -186,7 +188,8 @@ def test_schedule_deterministic_given_seed():
     spec = make_spec(n_clients=10, participation=0.4)
     a = schedule(spec, alive=[0, 1, 2, 3], epc_budget=1 << 30, tx_capacity=1 << 20, seed=7)
     b = schedule(spec, alive=[0, 1, 2, 3], epc_budget=1 << 30, tx_capacity=1 << 20, seed=7)
-    assert a.to_json() == b.to_json()
+    assert a.to_bytes() == b.to_bytes()
+    assert Conf.from_bytes(a.to_bytes()) == a
 
 
 def test_nodes_assigned_lowest_id_first():
@@ -206,6 +209,11 @@ def test_resnet18_partition_count_matches_packing_bound():
     conf = schedule(spec, alive=list(range(64)), epc_budget=budget, tx_capacity=2 << 20, seed=0)
 
     per_client = model.encoded_update_size(len(TASKID), list(meta.values())) + 16
+    assert _per_client_bytes(list(meta.values()), len(TASKID)) == per_client
+    # the whole model as one range: one client fits the budget, two do not
+    one = _per_client_bytes([11_180_000], 16)
+    assert abs(one - 89.44e6) < 1e5
+    assert one <= budget < 2 * one
     total_bytes = 50 * per_client
     lower_bound = -(-total_bytes // budget)  # exhaustive packing floor
     assert len(conf.slots) == lower_bound

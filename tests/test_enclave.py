@@ -15,6 +15,7 @@ from conftest import (
     simple_update,
 )
 from fedtee import crypto, enclave, model
+from fedtee.committee import _per_client_bytes
 from fedtee.crypto import AuthFailure, Envelope, MeasurementMismatch
 from fedtee.enclave import (
     CapacityExceeded,
@@ -24,7 +25,6 @@ from fedtee.enclave import (
     RoundMismatch,
     SgxHost,
     chunk_signing_bytes,
-    estimate_enclave_bytes,
     make_eid_allocator,
     ra_key_exchange,
 )
@@ -238,20 +238,26 @@ def test_paging_mode_accepts_oversized_batch_and_reports_overflow():
 # ---------------------------------------------------------------------------
 # Capacity estimation
 # ---------------------------------------------------------------------------
+# The planner's per-client cost is the one capacity formula; these tests hold
+# it to the bytes the enclave itself counts against its budget on resume.
 
 def test_estimate_small_example():
-    meta = {0: 1000}
-    header = model.encoded_update_size(16, [1000]) - 8 * 1000
-    assert estimate_enclave_bytes(4, (0,), meta) == 4 * 8 * 1000 + 4 * header
+    clients = (1, 2, 3, 4)
+    ctx = provision_enclave(clients=clients, layer_range=(0,))
+    updates = [simple_update(c, [np.zeros(1_000)]) for c in clients]
+    out = ctx["host"].resume(ctx["eid"], client_inputs(ctx, updates), (0,))
+    header = model.encoded_update_size(len(TASKID), [1000]) - 8 * 1000
+    need = 4 * _per_client_bytes([1000], len(TASKID))
+    assert need == 4 * 8 * 1000 + 4 * header + 4 * crypto.KEY_BYTES
+    assert out.plain_input_bytes == need
+    assert out.paged_bytes == 0
 
 
 def test_estimate_resnet18_single_client_fits_128mib():
-    meta = {0: 11_180_000}  # full model as one range
-    need = estimate_enclave_bytes(1, (0,), meta)
+    need = _per_client_bytes([11_180_000], 16)  # full model as one range
     assert abs(need - 89.44e6) < 1e5  # ~89.4 MB
     assert need <= 128 * 1024 * 1024
 
 
 def test_estimate_resnet18_two_clients_requires_split():
-    meta = {0: 11_180_000}
-    assert estimate_enclave_bytes(2, (0,), meta) > 128 * 1024 * 1024
+    assert 2 * _per_client_bytes([11_180_000], 16) > 128 * 1024 * 1024

@@ -164,6 +164,17 @@ def test_verify_report_against_external_oracle():
     checks = verify_report(report, oracle)
     assert checks["external_oracle"] == "pass"
     assert checks["all"] == "pass"
+    assert verify_report(report, oracle[:-1])["external_oracle"] == "FAIL"
+
+
+def test_verify_fails_when_a_round_model_is_missing():
+    run = TaskRun(small_config(int_mode=True))
+    report = run.run()
+    assert report.verification["end_to_end_matches_oracle"] == "pass"
+    report.round_models.pop()
+    run.verify()
+    assert report.verification["end_to_end_matches_oracle"] == "FAIL"
+    assert not report.ok
 
 
 def test_sentinel_clean_run_passes_confidentiality():
@@ -269,6 +280,7 @@ def test_sentinel_partitioned_sums_match_oracle(int_mode):
     report = run_task(cfg)
     assert report.verification["end_to_end_matches_oracle"] == "pass"
     assert report.ok
+    assert verify_report(report, oracle_run(cfg))["all"] == "pass"
 
 
 def test_failover_phases_reported_exactly_when_recovery_happened():

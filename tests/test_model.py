@@ -108,6 +108,12 @@ def test_non_increasing_layer_indices_rejected():
     blob[second_header : second_header + 4] = (0).to_bytes(4, "big")
     with pytest.raises(MalformedModel):
         decode_model(bytes(blob))
+    blob = bytearray(model.encode_partial(partial_aggregate([u], (0, 1))))
+    # the partial's layers follow weight_sum, one client id and the layer count
+    second_header = 8 + 4 + 8 + 4 + (4 + 8) + 8
+    blob[second_header : second_header + 4] = (0).to_bytes(4, "big")
+    with pytest.raises(MalformedModel):
+        model.decode_partial(bytes(blob))
 
 
 # ---------------------------------------------------------------------------

@@ -82,7 +82,7 @@ def test_excluded_client_cannot_decrypt_round_output():
 
     chunks = read_round_chunks(run.router, "owner", run.cfg.taskid_bytes, 0)
     with pytest.raises(crypto.AuthFailure):
-        decode_round_chunks(run.conf_json, run.cfg.taskid_bytes, intruder_key, chunks, 0)
+        decode_round_chunks(run.conf, intruder_key, chunks, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +149,7 @@ def test_owner_and_clients_decode_identical_global_model():
     run = TaskRun(small_config())
     run.setup()
     run.run_round(0)
-    owner_view = run.owner.get_global_model(run.conf_json, 0)
+    owner_view = run.owner.get_global_model(run.conf, 0)
     for c in run.clients.values():
         assert c.m_glob.bit_equal(owner_view)
 
@@ -164,7 +164,6 @@ def test_node_reports_missing_senders():
     )
     run = TaskRun(cfg)
     run.setup()
-    run._refresh_layout(0)
     for slot in run.conf.slots:
         run._arm_slot(slot, 0)
     for uid in sorted(run.clients):
@@ -187,7 +186,6 @@ def test_client_read_of_half_uploaded_round_is_incomplete():
 
     run = TaskRun(small_config())
     run.setup()
-    run._refresh_layout(0)
     # declare more chunks than will arrive so round 0 stays open
     run.ledger.set_expected_chunks(
         "committee", run.cfg.taskid_bytes, run.conf.expected_chunks_per_round + 1
@@ -218,7 +216,6 @@ def test_node_buffers_expose_only_ciphertext():
     cfg = small_config(sentinel=True)
     run = TaskRun(cfg)
     run.setup()
-    run._refresh_layout(0)
     for slot in run.conf.slots:
         run._arm_slot(slot, 0)
     for uid in sorted(run.clients):

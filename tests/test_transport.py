@@ -1,8 +1,6 @@
-"""Framing, loopback router, taps, fault rules, and the socket variant."""
+"""Framing, loopback router, taps, and fault rules."""
 
-import hashlib
 import os
-import threading
 
 import pytest
 
@@ -15,7 +13,6 @@ from fedtee.transport import (
     MessageKind,
     Router,
     UnknownParty,
-    socket_pair,
 )
 
 
@@ -149,24 +146,3 @@ def test_chunk_upload_codec():
     blob = transport.pack_chunk_upload(b"tid", 3, 9, b"chunk-payload", b"sig-bytes")
     taskid, rnd, idx, payload, sig = transport.unpack_chunk_upload(blob)
     assert (taskid, rnd, idx, payload, sig) == (b"tid", 3, 9, b"chunk-payload", b"sig-bytes")
-
-
-def test_socket_variant_roundtrips_large_payload_intact():
-    a, b = socket_pair()
-    payload = os.urandom(100 * 1024 * 1024)  # 100 MB
-    digest = hashlib.sha256(payload).hexdigest()
-    received = {}
-
-    def echo():
-        frame = b.recv_frame()
-        b.send_frame(frame.kind, frame.payload)
-
-    t = threading.Thread(target=echo)
-    t.start()
-    a.send_frame(MessageKind.ModelEnvelope, payload)
-    back = a.recv_frame()
-    t.join()
-    a.close()
-    b.close()
-    assert back.kind == MessageKind.ModelEnvelope
-    assert hashlib.sha256(back.payload).hexdigest() == digest
