@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .config import RunConfig, load_fault_schedule
 from .harness import run_task
@@ -25,18 +26,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    config = RunConfig.from_file(args.config) if args.config else RunConfig()
-    if args.mode is not None:
-        config.strategy = args.mode
-    if args.chain is not None:
-        config.chain = args.chain
-    if args.int_mode:
-        config.int_mode = True
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.faults:
-        config.faults = load_fault_schedule(args.faults)
+    """Exit 0 if every check passed, 1 if one failed, 2 on a bad config."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        overrides = {
+            "strategy": args.mode,
+            "chain": args.chain,
+            "int_mode": args.int_mode,
+            "seed": args.seed,
+            "faults": load_fault_schedule(args.faults) if args.faults else None,
+        }
+        config = RunConfig.from_file(args.config) if args.config else RunConfig()
+        config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
+    except (OSError, ValueError, TypeError) as exc:
+        parser.error(f"bad config: {exc}")
 
     report = run_task(config)
     for line in report.summary_lines():

@@ -1,11 +1,12 @@
-"""Trusted coordinator: task parsing, partition planning, keys, failover.
+"""The committee party: task parsing, partition planning, keys, failover.
 
 The committee receives a task, selects the per-round participants, splits the
 (layer x client) grid into partitions that respect the enclave memory budget,
-assigns partitions to alive nodes, provisions signing keys, and watches
-heartbeats so a dead node's partitions migrate to spares without stalling the
-task. Planning is deterministic: one seed, one spec, and one alive set always
-produce the same schedule.
+assigns partitions to alive nodes, attests and provisions each enclave, sends
+the schedule to every party, and watches heartbeats so a dead node's
+partitions migrate to spares without stalling the task. Planning is
+deterministic: one seed, one spec, and one alive set always produce the same
+schedule.
 """
 
 from __future__ import annotations
@@ -16,9 +17,16 @@ import struct
 from dataclasses import asdict, dataclass, field
 from random import Random
 
-from . import crypto, model
+from . import crypto, enclave, model, transport
 from .crypto import envelope_encoded_size
-from .enclave import EnclaveProgram
+from .enclave import EnclaveProgram, PartitionConf
+from .transport import MessageKind
+
+PARTY = "committee"
+
+
+class RunFailed(Exception):
+    """The task cannot go on; the run ends in a failed report."""
 
 
 class NoNodes(Exception):
@@ -33,11 +41,23 @@ class CapacityInfeasible(Exception):
     """Even one (layer, client) cell exceeds the enclave budget."""
 
 
-class NoSpareNodes(Exception):
+class NoSpareNodes(RunFailed):
     """Failover needed but no unused alive node remains; task is stalled."""
 
 
 STRATEGIES = ("single", "clientmax", "layermax")
+
+
+def check_task_shape(rounds: int, participation: float, strategy: str, model_meta) -> None:
+    """Reject a task shape no schedule can serve (shared by TaskSpec and RunConfig)."""
+    if rounds < 1:
+        raise ValueError("rounds must be >= 1")
+    if not (0.0 < participation <= 1.0):
+        raise ValueError("participation must be in (0, 1]")
+    if not model_meta:
+        raise ValueError("model_meta must be non-empty")
+    if strategy not in STRATEGIES:
+        raise ValueError(f"strategy must be one of {STRATEGIES}")
 
 
 @dataclass
@@ -51,14 +71,7 @@ class TaskSpec:
     strategy: str = "single"
 
     def __post_init__(self) -> None:
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
-        if not (0.0 < self.participation <= 1.0):
-            raise ValueError("participation must be in (0, 1]")
-        if not self.model_meta:
-            raise ValueError("model_meta must be non-empty")
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"strategy must be one of {STRATEGIES}")
+        check_task_shape(self.rounds, self.participation, self.strategy, self.model_meta)
 
 
 @dataclass
@@ -342,20 +355,6 @@ def schedule(
     return conf
 
 
-def exact_cover_holds(conf: Conf, model_meta: dict[int, int], round_index: int) -> bool:
-    """Enumerate the (layer, client) grid and check it is covered exactly once."""
-    rc = conf.rounds[round_index]
-    seen: set[tuple[int, int]] = set()
-    for slot in conf.slots:
-        for layer in slot.layer_range:
-            for client in rc.subsets[slot.index]:
-                if (layer, client) in seen:
-                    return False
-                seen.add((layer, client))
-    expected = {(l, c) for l in model_meta for c in rc.participants}
-    return seen == expected
-
-
 # ---------------------------------------------------------------------------
 # Heartbeat monitor
 # ---------------------------------------------------------------------------
@@ -391,44 +390,71 @@ class HeartbeatMonitor:
         return sorted(newly)
 
 
+
+
+# Per key-delivery purpose: the AAD label the enclave checks, and the frame kind.
+_KEY_DELIVERIES = {
+    transport.KEY_PURPOSE_SK: (b"sk_vk", MessageKind.KeyDeliver),
+    transport.KEY_PURPOSE_PARTITION: (b"partition", MessageKind.RoundDeliver),
+    transport.KEY_PURPOSE_ROUND: (b"round", MessageKind.RoundDeliver),
+}
+
+
 class Committee:
-    """Live coordinator state for a single task."""
+    """The committee party for a single task.
+
+    It sends every frame whose source is ``"committee"``. Built without a
+    router it only plans and watches heartbeats.
+    """
 
     def __init__(
-        self,
-        seed: int,
-        interval_ms: float = 500.0,
-        threshold: int = 3,
-        uniform_random: bool = False,
+        self, seed: int, interval_ms: float = 500.0, threshold: int = 3,
+        uniform_random: bool = False, router: transport.Router | None = None, ledger=None,
     ) -> None:
         self.seed = seed
         self.rng = Random(derive_seed(seed, "committee"))
         self.monitor = HeartbeatMonitor(interval_ms=interval_ms, threshold=threshold)
         self.uniform_random = uniform_random
+        self.router = router
+        self.ledger = ledger
         self.registered: list[int] = []
         self.alive: list[int] = []
         self.spec: TaskSpec | None = None
         self.conf: Conf | None = None
         self.vk: crypto.SigKeyPair | None = None
+        self.ssk_by_eid: dict[int, crypto.SymKey] = {}
+        self.gone: set[int] = set()  # nodes it no longer contacts
+        self.events: list[str] = []
         self.stalled = False
+        if router is not None:
+            router.register(PARTY, handler=lambda s, k, p: (MessageKind.Ack, b"{\"ok\": true}"))
 
     def setup(self, nodes: list[int], responding: set[int] | None = None) -> list[int]:
         """Register nodes and keep the ones answering the initial ping."""
         if not nodes:
             raise NoNodes("no nodes registered")
+        if responding is None and self.router is not None:
+            responding = {n for n in nodes if self._answers_ping(n)}
         self.registered = sorted(nodes)
         self.alive = sorted(n for n in nodes if responding is None or n in responding)
         if not self.alive:
             raise NoNodes("no node answered the initial ping")
-        now = 0.0
         for n in self.alive:
-            self.monitor.beat(n, now)
+            self.monitor.beat(n, 0.0)
         return list(self.alive)
+
+    def _answers_ping(self, node: int) -> bool:
+        try:
+            self.router.call(PARTY, f"node:{node}", MessageKind.Ping, b"")
+        except transport.DeliveryDropped:
+            return False
+        return True
 
     def accept_task(
         self, spec: TaskSpec, epc_budget: int, tx_capacity: int, paging: bool = False
     ) -> Conf:
         self.spec = spec
+        self.epc_budget, self.tx_capacity, self.paging = epc_budget, tx_capacity, paging
         self.conf = schedule(
             spec, self.alive, epc_budget, tx_capacity, self.seed, paging, self.uniform_random
         )
@@ -437,8 +463,147 @@ class Committee:
         )
         return self.conf
 
-    def heartbeat(self, node: int, timestamp: float) -> None:
-        self.monitor.beat(node, timestamp)
+    # -- provisioning ------------------------------------------------------------
+
+    def provision(self) -> None:
+        """Publish the verification key, install every partition, and send
+        the schedule to every party."""
+        self.ledger.upload_pk(PARTY, self.spec.taskid, self.vk.public_bytes())
+        for slot in self.conf.slots:
+            self.install(slot)
+        self.deliver_conf()
+
+    def install(self, slot: Slot, arm_round: int | None = None) -> None:
+        """Provision one partition; a node failing attestation is cut off and
+        the partition moves to the lowest spare node."""
+        while True:
+            try:
+                self._install(slot, arm_round)
+                return
+            except crypto.MeasurementMismatch:
+                bad = slot.node
+                self.mark_dead(bad)
+                self.cut_off(bad)
+                self.events.append(
+                    f"provisioning: node {bad} failed attestation, partition {slot.index} replaced"
+                )
+                slot.node, slot.eid = self._spare(slot), None
+
+    def _install(self, slot: Slot, arm_round: int | None) -> None:
+        """Install, attest, and provision one partition's enclave."""
+        spec = self.spec
+        _, reply, _ = self.router.call(
+            PARTY, f"node:{slot.node}", MessageKind.InstallProg,
+            json.dumps(
+                {
+                    "taskid": spec.taskid.hex(),
+                    "code_id": spec.program.code_id.hex(),
+                    "hook": spec.program.aggregation_hook,
+                    "epc_budget": self.epc_budget,
+                    "paging": self.paging,
+                    "rng_seed": derive_seed(self.seed, f"enclave:{slot.index}:{slot.node}"),
+                }
+            ).encode(),
+        )
+        obj = json.loads(reply.decode())
+        if not obj.get("ok"):
+            raise RunFailed(f"install failed on node {slot.node}: {obj}")
+        slot.eid = int(obj["eid"])
+        self.ssk_by_eid[slot.eid] = enclave.attest(
+            self.router, PARTY, slot.node, spec.taskid, slot.eid, spec.program.measurement,
+            self.rng,
+        )
+        self._key_deliver(slot, transport.KEY_PURPOSE_SK, self.vk.secret_scalar_bytes())
+        self._deliver_partition(slot)
+        if arm_round is not None:
+            self._arm(slot, arm_round)
+
+    def _deliver_partition(self, slot: Slot) -> None:
+        part = PartitionConf(slot.layer_range, (), slot.chunk_base, self.tx_capacity)
+        self._key_deliver(slot, transport.KEY_PURPOSE_PARTITION, part.to_json_bytes())
+
+    def _arm(self, slot: Slot, round_index: int) -> None:
+        taskid = self.spec.taskid
+        plain = struct.pack(">H", len(taskid)) + taskid + struct.pack(">Q", round_index)
+        self._key_deliver(slot, transport.KEY_PURPOSE_ROUND, plain)
+
+    def _key_deliver(self, slot: Slot, purpose: int, plain: bytes) -> None:
+        """Seal ``plain`` under the slot enclave's session key and deliver it."""
+        label, kind = _KEY_DELIVERIES[purpose]
+        taskid = self.spec.taskid
+        env = crypto.ae_encrypt(
+            self.ssk_by_eid[slot.eid], crypto.keydeliver_aad(taskid, label), plain, rng=self.rng
+        )
+        _, reply, _ = self.router.call(
+            PARTY, f"node:{slot.node}", kind,
+            transport.pack_key_deliver(taskid, slot.eid, purpose, env),
+        )
+        obj = json.loads(reply.decode())
+        if not obj.get("ok"):
+            raise RunFailed(f"key delivery failed: {obj}")
+
+    def deliver_conf(self) -> None:
+        body = self.conf.to_bytes()
+        for uid in self.spec.clients:
+            self.router.call(PARTY, f"client:{uid}", MessageKind.ConfDeliver, body)
+        for node in self.registered:
+            if node not in self.gone:
+                try:
+                    self.router.call(PARTY, f"node:{node}", MessageKind.ConfDeliver, body)
+                except transport.DeliveryDropped:
+                    pass
+
+    # -- rounds ----------------------------------------------------------------------
+
+    def open_round(self, round_index: int) -> None:
+        """Lay out the round's chunks and arm every partition's enclave for it."""
+        self._lay_out(round_index)
+        for slot in self.conf.slots:
+            self._arm(slot, round_index)
+
+    def _lay_out(self, round_index: int, republish: bool = False) -> None:
+        """Lay out the round's chunk runs; when they changed (or on
+        ``republish``) send them to the enclaves and the schedule to all."""
+        spec = self.spec
+        if self.conf.lay_out_chunks(round_index, spec.model_meta, self.tx_capacity) or republish:
+            for slot in self.conf.slots:
+                self._deliver_partition(slot)
+            self.deliver_conf()
+        self.ledger.set_expected_chunks(PARTY, spec.taskid, self.conf.expected_chunks_per_round)
+
+    def request_resend(self, uid: int, slot: Slot, round_index: int) -> None:
+        """Ask a client to re-send its cached slice to the slot's enclave."""
+        self.router.call(
+            PARTY, f"client:{uid}", MessageKind.ResendRequest,
+            json.dumps(
+                {"slot": slot.index, "node": slot.node, "eid": slot.eid, "round": round_index}
+            ).encode(),
+        )
+
+    def replan_excluding(self, round_index: int, excluded: list[int]) -> None:
+        """Drop the stragglers from this round's plan and publish the new layout."""
+        rc = self.conf.rounds[round_index]
+        for slot in self.conf.slots:
+            subset = tuple(u for u in rc.subsets[slot.index] if u not in excluded)
+            if not subset:
+                raise RunFailed(f"partition {slot.index} lost all clients to stragglers")
+            rc.subsets[slot.index] = subset
+        rc.participants = tuple(u for u in rc.participants if u not in excluded)
+        self._lay_out(round_index, republish=True)
+
+    # -- failover ----------------------------------------------------------------------
+
+    def read_heartbeats(self) -> None:
+        """Drain the mailbox into the heartbeat monitor."""
+        while (msg := self.router.recv(PARTY)) is not None:
+            _, kind, payload, _ = msg
+            if kind == MessageKind.Heartbeat:
+                self.monitor.beat(*transport.unpack_heartbeat(payload))
+
+    def cut_off(self, node: int) -> None:
+        """Stop contacting ``node``, which is off the network from now on."""
+        self.gone.add(node)
+        self.router.set_unreachable(f"node:{node}")
 
     def monitor_tick(self, now: float) -> list[FailoverAction]:
         """Detect deaths and plan partition migration to spare nodes.
@@ -453,21 +618,40 @@ class Committee:
         actions: list[FailoverAction] = []
         if self.conf is None:
             return actions
-        occupied = {s.node for s in self.conf.slots if s.node is not None}
         for dead in newly_dead:
             for slot in self.conf.slots:
-                if slot.node != dead:
-                    continue
-                spares = [n for n in self.alive if n not in occupied]
-                if not spares:
-                    self.stalled = True
-                    raise NoSpareNodes(f"no spare node for partition {slot.index}")
-                new_node = min(spares)
-                occupied.add(new_node)
-                actions.append(FailoverAction(dead, slot.index, new_node))
-                slot.node = new_node
-                slot.eid = None  # fresh install pending
+                if slot.node == dead:
+                    slot.node, slot.eid = self._spare(slot), None  # fresh install pending
+                    actions.append(FailoverAction(dead, slot.index, slot.node))
         return actions
+
+    def _spare(self, slot: Slot) -> int:
+        """The lowest alive node that holds no other partition."""
+        occupied = {s.node for s in self.conf.slots if s is not slot}
+        spares = [n for n in self.alive if n not in occupied]
+        if not spares:
+            self.stalled = True
+            raise NoSpareNodes(f"no spare node for partition {slot.index}")
+        return min(spares)
+
+    def move_partitions(
+        self, actions: list[FailoverAction], round_index: int, resend: bool
+    ) -> None:
+        """Reinstall each moved partition armed for the round; with ``resend``
+        its clients re-send their cached slices to the new enclave."""
+        for action in actions:
+            slot = self.conf.slots[action.slot_index]
+            self.install(slot, arm_round=round_index)
+            if resend:
+                self.deliver_conf()
+                for uid in self.conf.subset(round_index, slot.index):
+                    self.request_resend(uid, slot, round_index)
+            self.events.append(
+                f"round {round_index}: partition {slot.index} moved "
+                f"{action.dead_node} -> {slot.node}"
+            )
+        if not resend:
+            self.deliver_conf()
 
     def mark_dead(self, node: int) -> None:
         """Administrative death (e.g. attestation failure during provisioning)."""

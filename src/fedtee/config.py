@@ -16,6 +16,9 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import model
+from .committee import check_task_shape
+from .ledger import CHAIN_PRESETS
+from .transport import MessageKind
 
 
 @dataclass(frozen=True)
@@ -58,9 +61,17 @@ class CostModel:
     straggler_timeout_ms: float = 100.0
 
 
+FAULT_KINDS = ("kill_node", "drop", "tamper_chunk", "tamper_install")
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ValueError(message)
+
+
 @dataclass
 class FaultEvent:
-    kind: str  # "kill_node" | "drop" | "tamper_chunk"
+    kind: str  # one of FAULT_KINDS
     round: int = 0
     phase: str = "between"  # kill point: "between" rounds or mid-round "collect"
     node: int | None = None
@@ -68,6 +79,17 @@ class FaultEvent:
     src: str | None = None
     dest: str | None = None
     count: int = 1
+
+    def check(self, n_nodes: int) -> None:
+        """Reject a fault naming a kind, node, phase or message the run lacks."""
+        _require(self.kind in FAULT_KINDS, f"unknown fault kind {self.kind!r}")
+        if self.kind in ("kill_node", "tamper_install"):
+            _require(self.node in range(n_nodes), f"{self.kind}: no node {self.node!r}")
+        if self.kind == "kill_node":
+            _require(self.phase in ("between", "collect"), f"unknown kill phase {self.phase!r}")
+        if self.kind == "drop":
+            kinds = (None, *MessageKind.__members__)
+            _require(self.message_kind in kinds, f"unknown message kind {self.message_kind!r}")
 
 
 @dataclass
@@ -100,8 +122,16 @@ class RunConfig:
     faults: list[FaultEvent] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if isinstance(self.layers, dict):
-            self.layers = {int(k): int(v) for k, v in self.layers.items()}
+        """Reject a config no run can serve, so it fails here and not mid-run."""
+        self.layers = {int(k): int(v) for k, v in self.layers.items()}
+        preset, policy = self.model_preset, self.straggler_policy
+        _require(preset in (None, *MODEL_PRESETS), f"unknown model_preset {preset!r}")
+        check_task_shape(self.rounds, self.participation, self.strategy, self.model_meta())
+        _require(self.chain in CHAIN_PRESETS, f"unknown chain {self.chain!r}")
+        _require(self.tx_capacity >= 1, "tx_capacity must be >= 1")
+        _require(policy in ("wait-all", "exclude"), f"unknown straggler_policy {policy!r}")
+        for ev in self.faults:
+            ev.check(self.n_nodes)
 
     @property
     def taskid_bytes(self) -> bytes:
@@ -155,3 +185,11 @@ def initial_model(config: RunConfig) -> model.WeightVector:
 # Planted in every synthetic local update when leak detection is on: two
 # adjacent float64 elements whose little-endian bytes form this pattern.
 SENTINEL = bytes.fromhex("deadbeefcafef00d" "0ddf0efac2b3a1d0")
+
+
+def plant_sentinel(wv: model.WeightVector) -> None:
+    """Write SENTINEL over the first two elements of layer 0."""
+    first = wv.layers[0].values
+    if len(first) < 2:
+        raise ValueError("layer 0 too small to carry the sentinel")
+    first[:2] = np.frombuffer(SENTINEL, dtype="<f8")

@@ -96,9 +96,6 @@ class Envelope:
             raise ValueError("trailing bytes after envelope")
         return env
 
-    def encoded_size(self) -> int:
-        return NONCE_BYTES + 2 + len(self.aad) + 4 + len(self.ciphertext) + TAG_BYTES
-
 
 def parse_envelope_at(data: bytes, off: int) -> tuple[Envelope, int]:
     """Parse one wire-encoded envelope starting at ``off``; returns (env, end)."""

@@ -12,12 +12,13 @@ transaction-sized chunks, and signs each chunk.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import struct
 from dataclasses import dataclass, field
 from random import Random
 
-from . import crypto, model
+from . import crypto, model, transport
 from .crypto import AuthFailure, Envelope, MeasurementMismatch, SymKey
 
 DEFAULT_EPC_BUDGET = 128 * 1024 * 1024  # common protected-memory ceiling
@@ -138,9 +139,9 @@ class EnclaveInstance:
 class SgxHost:
     """The trusted-hardware interface one node exposes to the outside world."""
 
-    def __init__(self, eid_allocator=None) -> None:
+    def __init__(self, eid_allocator) -> None:
         self.instances: dict[int, EnclaveInstance] = {}
-        self._alloc = eid_allocator or _module_eids
+        self._alloc = eid_allocator
 
     def install(
         self,
@@ -338,41 +339,29 @@ def _aad_round(aad: bytes) -> int:
     return round_index
 
 
-def ra_key_exchange(
-    initiator: str,
-    host: SgxHost,
-    eid: int,
-    expected_measurement: bytes,
-    rng: Random,
+def attest(
+    router: transport.Router, initiator: str, node: int, taskid: bytes, eid: int,
+    expected_measurement: bytes, rng: Random,
 ) -> SymKey:
-    """Initiator side of the attestation handshake against a local host.
+    """Initiator side of the attestation handshake with enclave ``eid`` on ``node``.
 
     Raises MeasurementMismatch when the installed program hash is not the one
     the initiator expected; this is how a tampered enclave is rejected.
     """
     priv, point = crypto.ecdh_keypair(rng)
-    enclave_point, quoted = host.ra_respond(eid, initiator, point)
+    _, reply, _ = router.call(
+        initiator, f"node:{node}", transport.MessageKind.RaHandshake1,
+        transport.pack_ra1(taskid, eid, initiator, point),
+    )
+    enclave_point, quoted = transport.unpack_ra2(reply)
     if quoted != expected_measurement:
         raise MeasurementMismatch(
-            f"enclave {eid} quotes {quoted.hex()[:16]}…, expected {expected_measurement.hex()[:16]}…"
+            f"enclave {eid} on node {node} quotes {quoted.hex()[:16]}…, "
+            f"expected {expected_measurement.hex()[:16]}…"
         )
     return crypto.derive_session_key(priv, enclave_point, initiator, eid, expected_measurement)
 
 
-def _make_module_allocator():
-    counter = {"next": 1}
-
-    def alloc() -> int:
-        eid = counter["next"]
-        counter["next"] += 1
-        return eid
-
-    return alloc
-
-
-_module_eids = _make_module_allocator()
-
-
 def make_eid_allocator():
     """Fresh allocator so one run's enclave ids are reproducible."""
-    return _make_module_allocator()
+    return itertools.count(1).__next__

@@ -1,4 +1,4 @@
-"""Full-task orchestration: provisioning, rounds, failover, metrics, checks.
+"""Full-task orchestration: wiring, faults, rounds, metrics, checks.
 
 One :func:`run_task` call executes all three protocol phases for every round
 on a virtual clock, collects per-phase timings and traffic, and finishes with
@@ -11,17 +11,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-import struct
 from dataclasses import dataclass, field
-from random import Random
 
 import numpy as np
 
 from . import committee as committee_mod
-from . import crypto, model, transport
-from .committee import Committee, Conf, FailoverAction, NoSpareNodes, TaskSpec
-from .config import SENTINEL, RunConfig, initial_model
-from .enclave import EnclaveProgram, PartitionConf, make_eid_allocator
+from . import model, transport
+from .committee import Committee, FailoverAction, NoSpareNodes, RunFailed, TaskSpec
+from .config import SENTINEL, RunConfig, initial_model, plant_sentinel
+from .enclave import EnclaveProgram, make_eid_allocator
 from .ledger import CHAIN_PRESETS, Ledger, apply_chain_model
 from .roles import Client, LedgerParty, Node, TaskOwner
 from .transport import MessageKind, Router
@@ -35,10 +33,6 @@ SCAN_BLOCK = 1 << 20
 SCAN_TABLE_BITS = 20
 _HASH_MUL = np.uint64(0x9E3779B97F4A7C15)
 _HASH_SHIFT = np.uint64(64 - SCAN_TABLE_BITS)
-
-
-class RunFailed(Exception):
-    pass
 
 
 @dataclass
@@ -144,15 +138,11 @@ def oracle_run(config: RunConfig, subsets_by_round: list[list[int]] | None = Non
                 int_mode=config.int_mode,
             )
             if config.sentinel:
-                _plant(u.weights)
+                plant_sentinel(u.weights)
             updates.append(u)
         m = model.fedavg(updates)
         out.append(m)
     return out
-
-
-def _plant(wv: model.WeightVector) -> None:
-    wv.layers[0].values[:2] = np.frombuffer(SENTINEL, dtype="<f8")
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +217,12 @@ def count_needles(chunks, needles) -> dict[bytes, int]:
 # ---------------------------------------------------------------------------
 
 class TaskRun:
-    """Wires one task end to end over the in-process transport."""
+    """Wires one task end to end over the in-process transport.
+
+    The committee party sends its own frames; this class injects the faults,
+    keeps the virtual clock and cost model, drives the rounds, and checks the
+    result against the oracle.
+    """
 
     def __init__(self, config: RunConfig):
         self.cfg = config
@@ -240,9 +235,9 @@ class TaskRun:
             interval_ms=config.heartbeat_interval_ms,
             threshold=config.failover_threshold,
             uniform_random=config.uniform_random_participants,
+            router=self.router,
+            ledger=self.ledger,
         )
-        self.router.register("committee", handler=lambda s, k, p: (MessageKind.Ack, b"{\"ok\": true}"))
-        self.rng = Random(config.seed ^ 0x5EED)
         eid_alloc = make_eid_allocator()
         self.nodes = {i: Node(i, self.router, eid_alloc) for i in range(config.n_nodes)}
         self.clients = {}
@@ -250,8 +245,7 @@ class TaskRun:
             c = Client(uid, self.router, config.seed)
             c.int_mode = config.int_mode
             c.perturb = config.perturb
-            if config.sentinel:
-                c.sentinel = SENTINEL
+            c.sentinel = config.sentinel
             self.clients[uid] = c
         self.owner = TaskOwner(self.router, self.ledger, config.seed)
         if config.bandwidth_bytes_per_ms:
@@ -261,10 +255,8 @@ class TaskRun:
                     self.router.shape_channel(f"client:{uid}", f"node:{i}", shaping)
         self.program = EnclaveProgram(b"fedavg-aggregation-contract-v1", "fedavg")
         self.tap = self.router.add_tap() if (config.taps or config.sentinel) else None
-        self.killed: set[int] = set()
-        self.conf: Conf | None = None
-        self.ssk_by_eid: dict[int, crypto.SymKey] = {}
-        self.report = RunReport(config_json=config.to_json())
+        # the committee logs into the report's event list as it acts
+        self.report = RunReport(config_json=config.to_json(), events=self.committee.events)
         self.actual_subsets: list[list[int]] = []
         self._kills = {}
         for ev in config.faults:
@@ -279,26 +271,15 @@ class TaskRun:
                         count=ev.count,
                     )
                 )
-        self.tamper_rounds = {
-            ev.round for ev in config.faults if ev.kind == "tamper_chunk"
-        }
-        for ev in config.faults:
-            if ev.kind == "tamper_install":
+            elif ev.kind == "tamper_install":
                 self.nodes[ev.node].tamper_install = True
+        self.tamper_rounds = {ev.round for ev in config.faults if ev.kind == "tamper_chunk"}
 
     # -- setup ---------------------------------------------------------------
 
     def setup(self) -> None:
         cfg = self.cfg
-        responding = set()
-        for i in self.nodes:
-            try:
-                self.router.call("committee", f"node:{i}", MessageKind.Ping, b"")
-                responding.add(i)
-            except transport.DeliveryDropped:
-                pass
-        self.committee.setup(sorted(self.nodes), responding)
-
+        self.committee.setup(sorted(self.nodes))
         spec = TaskSpec(
             taskid=cfg.taskid_bytes,
             clients=sorted(self.clients),
@@ -313,213 +294,60 @@ class TaskRun:
             "owner", "committee", MessageKind.SubmitTask,
             json.dumps({"taskid": cfg.taskid_bytes.hex()}).encode(),
         )
-        self.conf = self.committee.accept_task(spec, cfg.epc_budget, cfg.tx_capacity, cfg.paging)
+        self.committee.accept_task(spec, cfg.epc_budget, cfg.tx_capacity, cfg.paging)
         self.owner.owner_key_exchange(sorted(self.clients))
-
-        self.ledger.upload_pk("committee", cfg.taskid_bytes, self.committee.vk.public_bytes())
-        for slot in self.conf.slots:
-            self._install_slot_with_failover(slot)
-        self._deliver_conf()
-
-    def _install_slot_with_failover(self, slot, arm_round: int | None = None) -> None:
-        """Provision one partition; a node failing attestation is marked dead
-        and the partition migrates to the lowest spare node."""
-        while True:
-            try:
-                self._install_slot(slot, arm_round)
-                return
-            except crypto.MeasurementMismatch:
-                bad = slot.node
-                self.committee.mark_dead(bad)
-                self.killed.add(bad)
-                self.router.set_unreachable(f"node:{bad}")
-                self.report.events.append(
-                    f"provisioning: node {bad} failed attestation, partition {slot.index} replaced"
-                )
-                occupied = {s.node for s in self.conf.slots if s is not slot}
-                spares = [n for n in self.committee.alive if n not in occupied]
-                if not spares:
-                    self.report.stalled = True
-                    raise RunFailed(f"no spare node after attestation failure on {bad}")
-                slot.node = min(spares)
-                slot.eid = None
-
-    def _install_slot(self, slot, arm_round: int | None = None) -> None:
-        """Install, attest, and provision one partition's enclave."""
-        cfg = self.cfg
-        node_party = f"node:{slot.node}"
-        _, reply, _ = self.router.call(
-            "committee", node_party, MessageKind.InstallProg,
-            json.dumps(
-                {
-                    "taskid": cfg.taskid_bytes.hex(),
-                    "code_id": self.program.code_id.hex(),
-                    "hook": self.program.aggregation_hook,
-                    "epc_budget": cfg.epc_budget,
-                    "paging": cfg.paging,
-                    "rng_seed": committee_mod.derive_seed(cfg.seed, f"enclave:{slot.index}:{slot.node}"),
-                }
-            ).encode(),
-        )
-        obj = json.loads(reply.decode())
-        if not obj.get("ok"):
-            raise RunFailed(f"install failed on node {slot.node}: {obj}")
-        eid = int(obj["eid"])
-        slot.eid = eid
-
-        priv, point = crypto.ecdh_keypair(self.committee.rng)
-        _, reply, _ = self.router.call(
-            "committee", node_party, MessageKind.RaHandshake1,
-            transport.pack_ra1(cfg.taskid_bytes, eid, "committee", point),
-        )
-        peer_point, quoted = transport.unpack_ra2(reply)
-        if quoted != self.program.measurement:
-            raise crypto.MeasurementMismatch(
-                f"node {slot.node} installed a program measuring {quoted.hex()[:16]}…"
-            )
-        ssk = crypto.derive_session_key(priv, peer_point, "committee", eid, quoted)
-        self.ssk_by_eid[eid] = ssk
-
-        env = crypto.ae_encrypt(
-            ssk,
-            crypto.keydeliver_aad(cfg.taskid_bytes, b"sk_vk"),
-            self.committee.vk.secret_scalar_bytes(),
-            rng=self.committee.rng,
-        )
-        self._key_deliver(node_party, eid, transport.KEY_PURPOSE_SK, env, MessageKind.KeyDeliver)
-
-        self._deliver_partition(slot)
-
-        if arm_round is not None:
-            self._arm_slot(slot, arm_round)
-
-    def _deliver_partition(self, slot) -> None:
-        cfg = self.cfg
-        part = PartitionConf(
-            layer_range=slot.layer_range,
-            client_subset=(),
-            chunk_base=slot.chunk_base,
-            tx_capacity=cfg.tx_capacity,
-        )
-        env = crypto.ae_encrypt(
-            self.ssk_by_eid[slot.eid],
-            crypto.keydeliver_aad(cfg.taskid_bytes, b"partition"),
-            part.to_json_bytes(),
-            rng=self.committee.rng,
-        )
-        self._key_deliver(
-            f"node:{slot.node}", slot.eid, transport.KEY_PURPOSE_PARTITION, env,
-            MessageKind.RoundDeliver,
-        )
-
-    def _key_deliver(self, node_party, eid, purpose, env, kind) -> None:
-        _, reply, _ = self.router.call(
-            "committee", node_party, kind,
-            transport.pack_key_deliver(self.cfg.taskid_bytes, eid, purpose, env),
-        )
-        obj = json.loads(reply.decode())
-        if not obj.get("ok"):
-            raise RunFailed(f"key delivery failed: {obj}")
-
-    def _arm_slot(self, slot, round_index: int) -> None:
-        taskid = self.cfg.taskid_bytes
-        plain = struct.pack(">H", len(taskid)) + taskid + struct.pack(">Q", round_index)
-        env = crypto.ae_encrypt(
-            self.ssk_by_eid[slot.eid],
-            crypto.keydeliver_aad(taskid, b"round"),
-            plain,
-            rng=self.committee.rng,
-        )
-        self._key_deliver(
-            f"node:{slot.node}", slot.eid, transport.KEY_PURPOSE_ROUND, env, MessageKind.RoundDeliver
-        )
-
-    def _deliver_conf(self) -> None:
-        body = self.conf.to_bytes()
-        for uid in self.clients:
-            self.router.call("committee", f"client:{uid}", MessageKind.ConfDeliver, body)
-        for i, node in self.nodes.items():
-            if i not in self.killed:
-                try:
-                    self.router.call("committee", f"node:{i}", MessageKind.ConfDeliver, body)
-                except transport.DeliveryDropped:
-                    pass
+        self.committee.provision()
 
     # -- failure machinery -----------------------------------------------------
 
     def _apply_kills(self, round_index: int, phase: str) -> bool:
         victims = self._kills.get((round_index, phase), [])
         for node_id in victims:
-            self.killed.add(node_id)
-            self.router.set_unreachable(f"node:{node_id}")
+            self.committee.cut_off(node_id)
             self.report.events.append(f"round {round_index}: node {node_id} killed ({phase})")
         return bool(victims)
 
-    def _heartbeat_pass(self) -> None:
-        for i, node in self.nodes.items():
-            if i not in self.killed:
-                node.send_heartbeat(self.clock.now_ms)
-        while True:
-            msg = self.router.recv("committee")
-            if msg is None:
-                break
-            src, kind, payload, _ = msg
-            if kind == MessageKind.Heartbeat:
-                node_id, ts = transport.unpack_heartbeat(payload)
-                self.committee.heartbeat(node_id, ts)
-
     def _detect_and_failover(self, round_index: int, resend: bool) -> None:
-        """Run heartbeat intervals until pending deaths are detected, then
-        migrate the affected partitions and (optionally) trigger re-sends."""
-        pending = self.killed - self.committee.monitor.dead
-        iters = (self.committee.monitor.threshold + 2) if pending else 1
+        """Run heartbeat intervals until pending deaths are detected, then have
+        the committee move the affected partitions (and optionally trigger
+        re-sends)."""
+        committee, cost = self.committee, self.cfg.cost
+        pending = committee.gone - committee.monitor.dead
         actions: list[FailoverAction] = []
-        for _ in range(iters):
-            self.clock.advance(self.committee.monitor.interval_ms)
-            self._heartbeat_pass()
-            try:
-                actions = self.committee.monitor_tick(self.clock.now_ms)
-            except NoSpareNodes as exc:
-                self.report.stalled = True
-                self.report.events.append(f"round {round_index}: stalled: {exc}")
-                raise RunFailed(str(exc)) from exc
-            if actions:
-                break
-        if not actions:
-            return
-        self.clock.advance(self.cfg.cost.reschedule_ms)
-        reschedule_ms = self.cfg.cost.reschedule_ms
-        connect_ms = 0.0
-        for action in actions:
-            slot = self.conf.slots[action.slot_index]
-            self._install_slot_with_failover(slot, arm_round=round_index)
-            connect_ms += self.cfg.cost.connect_ms_per_attestation
-            subset = self.conf.subset(round_index, slot.index)
-            if resend:
-                self._deliver_conf()
-                for uid in subset:
-                    self._request_resend(uid, slot, round_index)
-                    connect_ms += self.cfg.cost.connect_ms_per_attestation
-            else:
-                connect_ms += self.cfg.cost.connect_ms_per_attestation * len(subset)
-            self.report.events.append(
-                f"round {round_index}: partition {slot.index} moved "
-                f"{action.dead_node} -> {action.new_node}"
-            )
-        if not resend:
-            self._deliver_conf()
+        try:
+            for _ in range(committee.monitor.threshold + 2 if pending else 1):
+                self.clock.advance(committee.monitor.interval_ms)
+                for i, node in self.nodes.items():
+                    if i not in committee.gone:
+                        node.send_heartbeat(self.clock.now_ms)
+                committee.read_heartbeats()
+                actions = committee.monitor_tick(self.clock.now_ms)
+                if actions:
+                    break
+            if not actions:
+                return
+            self.clock.advance(cost.reschedule_ms)
+            committee.move_partitions(actions, round_index, resend)
+        except NoSpareNodes as exc:
+            self.report.events.append(f"round {round_index}: stalled: {exc}")
+            raise
+        # one attestation for the committee and one per client reconnecting
+        connect_ms = sum(
+            cost.connect_ms_per_attestation
+            * (1 + len(committee.conf.subset(round_index, action.slot_index)))
+            for action in actions
+        )
         self.clock.advance(connect_ms)
-        self._failover_phases = {"Re-schedule": reschedule_ms, "Connect": connect_ms}
+        self._failover_phases = {"Re-schedule": cost.reschedule_ms, "Connect": connect_ms}
 
     # -- straggler handling ----------------------------------------------------
 
     def _resolve_stragglers(self, round_index: int) -> None:
-        cfg = self.cfg
+        cfg, conf = self.cfg, self.committee.conf
         for attempt in range(cfg.straggler_max_retries + 1):
             missing = {}
-            for slot in self.conf.slots:
-                node = self.nodes[slot.node]
-                gone = node.missing_senders(cfg.taskid_bytes, round_index)
+            for slot in conf.slots:
+                gone = self.nodes[slot.node].missing_senders(cfg.taskid_bytes, round_index)
                 if gone:
                     missing[slot.index] = gone
             if not missing:
@@ -527,73 +355,37 @@ class TaskRun:
             self.clock.advance(cfg.cost.straggler_timeout_ms)
             if attempt == cfg.straggler_max_retries:
                 if cfg.straggler_policy == "exclude":
-                    self._replan_excluding(round_index, missing)
+                    excluded = sorted({uid for uids in missing.values() for uid in uids})
+                    self.committee.replan_excluding(round_index, excluded)
+                    self.report.events.append(
+                        f"round {round_index}: excluded stragglers {excluded}, replanned layout"
+                    )
                     return
                 raise RunFailed(f"stragglers never delivered: {missing}")
             for slot_index, uids in missing.items():
-                slot = self.conf.slots[slot_index]
+                slot = conf.slots[slot_index]
                 self.report.events.append(
                     f"round {round_index}: stragglers {uids} on partition {slot_index}"
                 )
                 for uid in uids:
                     try:
-                        self._request_resend(uid, slot, round_index)
+                        self.committee.request_resend(uid, slot, round_index)
                     except transport.DeliveryDropped:
                         pass
-
-    def _request_resend(self, uid: int, slot, round_index: int) -> None:
-        """Ask a client to re-send its cached slice to the slot's enclave."""
-        self.router.call(
-            "committee", f"client:{uid}", MessageKind.ResendRequest,
-            json.dumps(
-                {"slot": slot.index, "node": slot.node, "eid": slot.eid, "round": round_index}
-            ).encode(),
-        )
-
-    def _replan_excluding(self, round_index: int, missing: dict[int, list[int]]) -> None:
-        """Drop the stragglers from this round's plan and rebuild the layout."""
-        cfg = self.cfg
-        rc = self.conf.rounds[round_index]
-        excluded = sorted({uid for uids in missing.values() for uid in uids})
-        for slot in self.conf.slots:
-            subset = tuple(u for u in rc.subsets[slot.index] if u not in excluded)
-            if not subset:
-                raise RunFailed(f"partition {slot.index} lost all clients to stragglers")
-            rc.subsets[slot.index] = subset
-        rc.participants = tuple(u for u in rc.participants if u not in excluded)
-        self.conf.lay_out_chunks(round_index, cfg.model_meta(), cfg.tx_capacity)
-        for slot in self.conf.slots:
-            self._deliver_partition(slot)
-        self.ledger.set_expected_chunks(
-            "committee", cfg.taskid_bytes, self.conf.expected_chunks_per_round
-        )
-        self._deliver_conf()
-        self.report.events.append(
-            f"round {round_index}: excluded stragglers {excluded}, replanned layout"
-        )
 
     # -- rounds -----------------------------------------------------------------
 
     def run_round(self, round_index: int) -> None:
-        cfg = self.cfg
+        cfg, conf = self.cfg, self.committee.conf
         self._failover_phases = {"Re-schedule": 0.0, "Connect": 0.0}
 
         self._apply_kills(round_index, "between")
         self._detect_and_failover(round_index, resend=False)
-
-        if self.conf.lay_out_chunks(round_index, cfg.model_meta(), cfg.tx_capacity):
-            for slot in self.conf.slots:
-                self._deliver_partition(slot)
-            self._deliver_conf()
-        self.ledger.set_expected_chunks(
-            "committee", cfg.taskid_bytes, self.conf.expected_chunks_per_round
-        )
-        for slot in self.conf.slots:
-            self._arm_slot(slot, round_index)
+        self.committee.open_round(round_index)
 
         round_start = self.clock.now_ms
         arrivals: list[float] = []
-        participants = self.conf.rounds[round_index].participants
+        participants = conf.rounds[round_index].participants
         for uid in sorted(participants):
             arrivals.extend(self.clients[uid].client_round(round_index))
         send_phase = max(arrivals, default=round_start) - round_start
@@ -603,14 +395,14 @@ class TaskRun:
 
         self._resolve_stragglers(round_index)
         self.actual_subsets.append(
-            sorted({u for s in self.conf.slots for u in self.conf.subset(round_index, s.index)})
+            sorted({u for s in conf.slots for u in conf.subset(round_index, s.index)})
         )
 
         serial_ms = 0.0
         parallel_ms = 0.0
         accepted = rejected = 0
         upload_payload_bytes = 0
-        for slot in self.conf.slots:
+        for slot in conf.slots:
             node = self.nodes[slot.node]
             if round_index in self.tamper_rounds:
                 node.tamper_next = True
@@ -644,7 +436,7 @@ class TaskRun:
 
         for uid in sorted(self.clients):
             self.clients[uid].client_get_global(round_index)
-        global_model = self.owner.get_global_model(self.conf, round_index)
+        global_model = self.owner.get_global_model(conf, round_index)
         self.report.round_models.append(global_model)
         self.report.round_model_digests.append(global_model.digest())
 
@@ -658,7 +450,7 @@ class TaskRun:
                 "failover": dict(self._failover_phases),
                 "accepted": accepted,
                 "rejected": rejected,
-                "participants": list(self.conf.rounds[round_index].participants),
+                "participants": list(conf.rounds[round_index].participants),
             }
         )
 
@@ -671,7 +463,7 @@ class TaskRun:
             keys.append(self.owner.msk.raw)
         for c in self.clients.values():
             keys.extend(k.raw for k in c.ssk_by_enclave.values())
-        keys.extend(k.raw for k in self.ssk_by_eid.values())
+        keys.extend(k.raw for k in self.committee.ssk_by_eid.values())
         if self.committee.vk is not None:
             keys.append(self.committee.vk.secret_scalar_bytes())
         haystacks = []  # each one is scanned as the join of its chunks
@@ -710,18 +502,18 @@ class TaskRun:
         self.report.ok = all(v == "pass" for v in checks.values()) and not self.report.stalled
 
     def run(self) -> RunReport:
-        self.setup()
+        failed = False
         try:
+            self.setup()
             for r in range(self.cfg.rounds):
                 self.run_round(r)
         except RunFailed:
-            self.report.ok = False
-            self.report.traffic_bytes_by_kind = dict(self.router.bytes_by_kind)
-            return self.report
-        if self.report.round_models:
-            self.report.final_model_digest = self.report.round_models[-1].digest()
+            failed = True
+        self.report.stalled = self.committee.stalled
         self.report.traffic_bytes_by_kind = dict(self.router.bytes_by_kind)
-        self.verify()
+        if not failed:
+            self.report.final_model_digest = self.report.round_models[-1].digest()
+            self.verify()
         return self.report
 
 
@@ -741,11 +533,3 @@ def matches_oracle(report: RunReport, oracle_models) -> bool:
         got.bit_equal(want) if exact else got.allclose(want, rel=1e-9, abs_tol=1e-12)
         for got, want in zip(report.round_models, oracle_models)
     )
-
-
-def verify_report(report: RunReport, oracle_models) -> dict:
-    """Standalone acceptance summary against an external oracle run."""
-    checks = dict(report.verification)
-    checks["external_oracle"] = "pass" if matches_oracle(report, oracle_models) else "FAIL"
-    checks["all"] = "pass" if all(v == "pass" for v in checks.values()) else "FAIL"
-    return checks

@@ -14,12 +14,11 @@ import json
 import struct
 from random import Random
 
-import numpy as np
-
 from . import crypto, model, transport
-from .committee import Conf, Slot
+from .committee import Conf, Slot, derive_seed
+from .config import plant_sentinel
 from .crypto import AuthFailure, Envelope, MeasurementMismatch, SymKey
-from .enclave import EnclaveProgram, SgxHost, SignedChunk
+from .enclave import EnclaveProgram, SgxHost, SignedChunk, attest
 from .ledger import Ledger, LedgerIncomplete, LedgerNotFound
 from .transport import MessageKind, Router
 
@@ -71,7 +70,7 @@ _OWNER_CHANNEL_TAG = hashlib.sha256(b"owner-client-master-key-channel").digest()
 class Node:
     """Hosts enclaves, buffers opaque envelopes, and relays signed outputs."""
 
-    def __init__(self, node_id: int, router: Router, eid_allocator=None) -> None:
+    def __init__(self, node_id: int, router: Router, eid_allocator) -> None:
         self.node_id = node_id
         self.party = f"node:{node_id}"
         self.router = router
@@ -295,7 +294,7 @@ class Client:
         self.uid = uid
         self.party = f"client:{uid}"
         self.router = router
-        self.rng = Random(_party_seed(seed, self.party))
+        self.rng = Random(derive_seed(seed, self.party))
         self.msk: SymKey | None = None
         self.m_glob: model.WeightVector | None = None
         self.round = 0
@@ -308,7 +307,7 @@ class Client:
         self.synth_seed = seed
         self.int_mode = False
         self.perturb = 0.05
-        self.sentinel: bytes | None = None
+        self.sentinel = False  # plant SENTINEL in every update
         self._dh_priv = None
         router.register(self.party, handler=self.handle)
 
@@ -353,19 +352,7 @@ class Client:
 
     def attest(self, node: int, eid: int) -> SymKey:
         """Run the attestation handshake against an enclave on ``node``."""
-        priv, point = crypto.ecdh_keypair(self.rng)
-        _, reply, _ = self.router.call(
-            self.party,
-            f"node:{node}",
-            MessageKind.RaHandshake1,
-            transport.pack_ra1(self.taskid, eid, self.party, point),
-        )
-        peer_point, quoted = transport.unpack_ra2(reply)
-        if quoted != self.measurement:
-            raise MeasurementMismatch(
-                f"enclave {eid} quotes {quoted.hex()[:16]}…, expected {self.measurement.hex()[:16]}…"
-            )
-        ssk = crypto.derive_session_key(priv, peer_point, self.party, eid, self.measurement)
+        ssk = attest(self.router, self.party, node, self.taskid, eid, self.measurement, self.rng)
         self.ssk_by_enclave[eid] = ssk
         return ssk
 
@@ -379,8 +366,8 @@ class Client:
             perturb=self.perturb,
             int_mode=self.int_mode,
         )
-        if self.sentinel is not None:
-            _plant_sentinel(update.weights, self.sentinel)
+        if self.sentinel:
+            plant_sentinel(update.weights)
         return update
 
     def client_round(self, round_index: int) -> list[float]:
@@ -469,19 +456,6 @@ def decode_round_chunks(conf: Conf, msk: SymKey, chunks, round_index: int) -> mo
     return model.combine_partials(parts)
 
 
-def _party_seed(seed: int, party: str) -> int:
-    digest = hashlib.sha256(struct.pack(">Q", seed & (2**64 - 1)) + party.encode()).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
-def _plant_sentinel(wv: model.WeightVector, sentinel: bytes) -> None:
-    values = np.frombuffer(sentinel, dtype="<f8")
-    first = wv.layers[0].values
-    if len(first) < len(values):
-        raise ValueError("layer 0 too small to carry the sentinel")
-    first[: len(values)] = values
-
-
 # ---------------------------------------------------------------------------
 # Task owner
 # ---------------------------------------------------------------------------
@@ -493,17 +467,15 @@ class TaskOwner:
         self.party = "owner"
         self.router = router
         self.ledger = ledger
-        self.rng = Random(_party_seed(seed, self.party))
+        self.rng = Random(derive_seed(seed, self.party))
         self.msk: SymKey | None = None
         self.taskid: bytes | None = None
-        self.m_init: model.WeightVector | None = None
         self.phase = "created"
         router.register(self.party, handler=lambda s, k, p: _ok())
 
     def owner_initialize(self, taskid: bytes, m_init: model.WeightVector, clients: list[int]) -> None:
         """Deploy the task record on the ledger and hand clients the initial model."""
         self.taskid = taskid
-        self.m_init = m_init
         self.ledger.create_task(0, taskid)
         body = model.encode_model(model.LocalUpdate(taskid, 0, 0, m_init, 1))
         for uid in clients:

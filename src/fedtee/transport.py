@@ -93,9 +93,6 @@ class Tap:
         if (self.src is None or src == self.src) and (self.dest is None or dest == self.dest):
             self.frames.append((src, dest, raw))
 
-    def raw_bytes(self) -> bytes:
-        return b"".join(raw for _, _, raw in self.frames)
-
 
 @dataclass
 class ChannelShaping:

@@ -6,14 +6,34 @@ from random import Random
 import numpy as np
 
 from fedtee import crypto, enclave, model
-from fedtee.crypto import SymKey
-from fedtee.enclave import EnclaveProgram, PartitionConf, SgxHost, ra_key_exchange
+from fedtee.crypto import MeasurementMismatch, SymKey
+from fedtee.enclave import EnclaveProgram, PartitionConf, SgxHost
 
 TASKID = b"task-under-test"
 
 
 def build_program(hook: str = "fedavg") -> EnclaveProgram:
     return EnclaveProgram(b"aggregation-contract-code", hook)
+
+
+def ra_key_exchange(initiator, host, eid, expected_measurement, rng):
+    """Initiator side of the attestation handshake against a local host.
+
+    Raises MeasurementMismatch when the installed program hash is not the one
+    the initiator expected; this is how a tampered enclave is rejected.
+    """
+    priv, point = crypto.ecdh_keypair(rng)
+    enclave_point, quoted = host.ra_respond(eid, initiator, point)
+    if quoted != expected_measurement:
+        raise MeasurementMismatch(
+            f"enclave {eid} quotes {quoted.hex()[:16]}…, expected {expected_measurement.hex()[:16]}…"
+        )
+    return crypto.derive_session_key(priv, enclave_point, initiator, eid, expected_measurement)
+
+
+def tap_bytes(tap):
+    """Every frame the tap saw, joined."""
+    return b"".join(raw for _, _, raw in tap.frames)
 
 
 def provision_enclave(

@@ -14,7 +14,6 @@ from fedtee.committee import (
     NoSpareNodes,
     TaskSpec,
     _per_client_bytes,
-    exact_cover_holds,
     schedule,
     select_participants,
 )
@@ -33,6 +32,20 @@ def make_spec(n_clients=6, meta=None, strategy="clientmax", participation=1.0, r
         participation=participation,
         strategy=strategy,
     )
+
+
+def exact_cover_holds(conf: Conf, model_meta: dict[int, int], round_index: int) -> bool:
+    """Enumerate the (layer, client) grid and check it is covered exactly once."""
+    rc = conf.rounds[round_index]
+    seen: set[tuple[int, int]] = set()
+    for slot in conf.slots:
+        for layer in slot.layer_range:
+            for client in rc.subsets[slot.index]:
+                if (layer, client) in seen:
+                    return False
+                seen.add((layer, client))
+    expected = {(l, c) for l in model_meta for c in rc.participants}
+    return seen == expected
 
 
 def budget_for_blocks(meta, layer, n_clients, taskid_len=len(TASKID)):
@@ -241,7 +254,7 @@ def test_no_dropouts_empty_actions():
     spec = make_spec(strategy="single")
     comm.accept_task(spec, epc_budget=1 << 30, tx_capacity=1 << 20)
     for node in comm.alive:
-        comm.heartbeat(node, 100.0)
+        comm.monitor.beat(node, 100.0)
     assert comm.monitor_tick(200.0) == []
 
 
@@ -252,7 +265,7 @@ def test_failover_moves_partition_to_lowest_spare():
     conf = comm.accept_task(spec, epc_budget=1 << 30, tx_capacity=1 << 20)
     assert conf.slots[0].node == 0
     for node in (1, 2, 3):
-        comm.heartbeat(node, 5000.0)
+        comm.monitor.beat(node, 5000.0)
     actions = comm.monitor_tick(5000.0)
     assert len(actions) == 1
     assert actions[0].dead_node == 0

@@ -12,6 +12,7 @@ from conftest import (
     client_inputs,
     decrypt_output,
     provision_enclave,
+    ra_key_exchange,
     simple_update,
 )
 from fedtee import crypto, enclave, model
@@ -26,7 +27,6 @@ from fedtee.enclave import (
     SgxHost,
     chunk_signing_bytes,
     make_eid_allocator,
-    ra_key_exchange,
 )
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import tap_bytes
 from fedtee import crypto, model
 from fedtee.cli import main as cli_main
 from fedtee.config import SENTINEL, FaultEvent, MODEL_PRESETS, RunConfig, preset_layer_meta
@@ -17,11 +18,11 @@ from fedtee.harness import (
     SCAN_BLOCK,
     TaskRun,
     count_needles,
+    matches_oracle,
     oracle_run,
     run_task,
     traffic_fedtee,
     traffic_vanilla_fl,
-    verify_report,
 )
 
 
@@ -161,10 +162,9 @@ def test_verify_report_against_external_oracle():
     cfg = small_config(int_mode=True)
     report = run_task(cfg)
     oracle = oracle_run(cfg)
-    checks = verify_report(report, oracle)
-    assert checks["external_oracle"] == "pass"
-    assert checks["all"] == "pass"
-    assert verify_report(report, oracle[:-1])["external_oracle"] == "FAIL"
+    assert matches_oracle(report, oracle)
+    assert report.ok
+    assert not matches_oracle(report, oracle[:-1])
 
 
 def test_verify_fails_when_a_round_model_is_missing():
@@ -206,8 +206,8 @@ def test_leaky_stub_cipher_trips_the_detector(monkeypatch):
     # brute-force recount over the same haystacks the scan reads
     keys = [run.owner.msk.raw, run.committee.vk.secret_scalar_bytes()]
     keys += [k.raw for c in run.clients.values() for k in c.ssk_by_enclave.values()]
-    keys += [k.raw for k in run.ssk_by_eid.values()]
-    haystacks = [run.tap.raw_bytes(), b"".join(c.payload for c in run.ledger.storage.values())]
+    keys += [k.raw for k in run.committee.ssk_by_eid.values()]
+    haystacks = [tap_bytes(run.tap), b"".join(c.payload for c in run.ledger.storage.values())]
     haystacks += [node.buffer_bytes() for node in run.nodes.values()]
     sentinel_hits = sum(hay.count(SENTINEL) for hay in haystacks)
     key_hits = sum(hay.count(k) for hay in haystacks for k in keys)
@@ -280,7 +280,7 @@ def test_sentinel_partitioned_sums_match_oracle(int_mode):
     report = run_task(cfg)
     assert report.verification["end_to_end_matches_oracle"] == "pass"
     assert report.ok
-    assert verify_report(report, oracle_run(cfg))["all"] == "pass"
+    assert matches_oracle(report, oracle_run(cfg))
 
 
 def test_failover_phases_reported_exactly_when_recovery_happened():
@@ -349,6 +349,28 @@ def test_tampered_install_is_replaced_during_provisioning():
     report = run_task(cfg)
     assert report.ok
     assert any("failed attestation" in e for e in report.events)
+
+
+def _kill_after_tampered_spares(*tampered):
+    faults = [FaultEvent(kind="tamper_install", node=n) for n in tampered]
+    return faults + [FaultEvent(kind="kill_node", node=0, round=1, phase="between")]
+
+
+def test_failover_event_names_the_node_the_partition_ends_on():
+    # the spare the monitor picks (node 1) fails attestation, so slot 0 ends on node 2
+    base = dict(n_nodes=3, int_mode=True)
+    report = run_task(small_config(**base, faults=_kill_after_tampered_spares(1)))
+    clean = run_task(small_config(**base))
+    assert report.ok and clean.ok
+    assert all(a.bit_equal(b) for a, b in zip(report.round_models, clean.round_models))
+    assert "round 1: partition 0 moved 0 -> 2" in report.events
+
+
+def test_failover_onto_only_tampered_spares_ends_stalled():
+    report = run_task(small_config(n_nodes=3, faults=_kill_after_tampered_spares(1, 2)))
+    assert report.stalled
+    assert not report.ok
+    assert "round 1: stalled: no spare node for partition 0" in report.events
 
 
 def test_hundred_clients_ten_percent_participation():
@@ -440,3 +462,41 @@ def test_cli_mode_and_chain_overrides(tmp_path):
          "--seed", "77"]
     )
     assert code == 0
+
+
+def _faults(**kw):
+    return dict(faults=[FaultEvent(**kw)])
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        pytest.param(dict(tx_capacity=0), id="tx_capacity-0"),
+        pytest.param(dict(chain="nope"), id="unknown-chain"),
+        pytest.param(_faults(kind="drop", message_kind="NoSuchKind"), id="drop-unknown-kind"),
+        pytest.param(_faults(kind="tamper_install", node=4), id="tamper-missing-node"),
+        pytest.param(_faults(kind="explode"), id="unknown-fault-kind"),
+        pytest.param(_faults(kind="kill_node", node=99), id="kill-missing-node"),
+        pytest.param(_faults(kind="kill_node", node=0, phase="colect"), id="kill-bad-phase"),
+        pytest.param(dict(straggler_policy="exclud"), id="unknown-straggler-policy"),
+        pytest.param(dict(strategy="bogus"), id="unknown-strategy"),
+        pytest.param(dict(rounds=0), id="rounds-0"),
+    ],
+)
+def test_bad_config_rejected_when_built(bad):
+    with pytest.raises(ValueError):
+        small_config(**bad)
+
+
+def test_cli_bad_config_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"tx_capacity": 0}')
+    faults_path = tmp_path / "faults.json"
+    faults_path.write_text('[{"kind": "kill_node", "node": 99}]')
+    missing = tmp_path / "missing.json"
+    for argv in (["--config", str(cfg_path)], ["--faults", str(faults_path)],
+                 ["--config", str(missing)]):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["run", *argv])
+        assert exc.value.code == 2
+        assert "bad config" in capsys.readouterr().err

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from conftest import tap_bytes
 from fedtee import crypto, model, transport
 from fedtee.config import RunConfig, FaultEvent
 from fedtee.harness import TaskRun, run_task
@@ -57,7 +58,7 @@ def test_all_clients_share_msk_and_it_never_hits_the_wire():
     assert msk is not None
     for c in run.clients.values():
         assert c.msk == msk
-    assert msk.raw not in run.tap.raw_bytes()
+    assert msk.raw not in tap_bytes(run.tap)
 
 
 def test_msk_delivery_failure_reports_client():
@@ -82,7 +83,7 @@ def test_excluded_client_cannot_decrypt_round_output():
 
     chunks = read_round_chunks(run.router, "owner", run.cfg.taskid_bytes, 0)
     with pytest.raises(crypto.AuthFailure):
-        decode_round_chunks(run.conf, intruder_key, chunks, 0)
+        decode_round_chunks(run.committee.conf, intruder_key, chunks, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +117,7 @@ def test_clientmax_slicing_sends_disjoint_layer_payloads():
     )
     run = TaskRun(cfg)
     run.setup()
-    assert len(run.conf.slots) == 2  # one partition per layer
+    assert len(run.committee.conf.slots) == 2  # one partition per layer
     tap = run.router.add_tap()
     run.clients[0].client_round(0)
     payloads = [
@@ -149,7 +150,7 @@ def test_owner_and_clients_decode_identical_global_model():
     run = TaskRun(small_config())
     run.setup()
     run.run_round(0)
-    owner_view = run.owner.get_global_model(run.conf, 0)
+    owner_view = run.owner.get_global_model(run.committee.conf, 0)
     for c in run.clients.values():
         assert c.m_glob.bit_equal(owner_view)
 
@@ -164,11 +165,11 @@ def test_node_reports_missing_senders():
     )
     run = TaskRun(cfg)
     run.setup()
-    for slot in run.conf.slots:
-        run._arm_slot(slot, 0)
+    for slot in run.committee.conf.slots:
+        run.committee._arm(slot, 0)
     for uid in sorted(run.clients):
         run.clients[uid].client_round(0)
-    node = run.nodes[run.conf.slots[0].node]
+    node = run.nodes[run.committee.conf.slots[0].node]
     assert node.missing_senders(run.cfg.taskid_bytes, 0) == [2]
 
 
@@ -188,13 +189,13 @@ def test_client_read_of_half_uploaded_round_is_incomplete():
     run.setup()
     # declare more chunks than will arrive so round 0 stays open
     run.ledger.set_expected_chunks(
-        "committee", run.cfg.taskid_bytes, run.conf.expected_chunks_per_round + 1
+        "committee", run.cfg.taskid_bytes, run.committee.conf.expected_chunks_per_round + 1
     )
-    for slot in run.conf.slots:
-        run._arm_slot(slot, 0)
+    for slot in run.committee.conf.slots:
+        run.committee._arm(slot, 0)
     for uid in sorted(run.clients):
         run.clients[uid].client_round(0)
-    for slot in run.conf.slots:
+    for slot in run.committee.conf.slots:
         run.nodes[slot.node].compute(run.cfg.taskid_bytes, 0)
     with pytest.raises(Incomplete):
         read_round_chunks(run.router, "client:0", run.cfg.taskid_bytes, 0)
@@ -204,20 +205,20 @@ def test_attestation_frames_never_carry_the_session_key():
     run = TaskRun(small_config(taps=True))
     run.setup()
     client = run.clients[0]
-    slot = run.conf.slots[0]
+    slot = run.committee.conf.slots[0]
     ssk = client.attest(slot.node, slot.eid)
     # both ends derived the same key and no frame contains its bytes
     inst = run.nodes[slot.node].host.instances[slot.eid]
     assert inst.ssk_by_peer[client.party] == ssk
-    assert ssk.raw not in run.tap.raw_bytes()
+    assert ssk.raw not in tap_bytes(run.tap)
 
 
 def test_node_buffers_expose_only_ciphertext():
     cfg = small_config(sentinel=True)
     run = TaskRun(cfg)
     run.setup()
-    for slot in run.conf.slots:
-        run._arm_slot(slot, 0)
+    for slot in run.committee.conf.slots:
+        run.committee._arm(slot, 0)
     for uid in sorted(run.clients):
         run.clients[uid].client_round(0)
     from fedtee.config import SENTINEL
