@@ -80,9 +80,11 @@ class FaultEvent:
     dest: str | None = None
     count: int = 1
 
-    def check(self, n_nodes: int) -> None:
-        """Reject a fault naming a kind, node, phase or message the run lacks."""
+    def check(self, n_nodes: int, rounds: int) -> None:
+        """Reject a fault naming a kind, node, round, phase or message the run lacks."""
         _require(self.kind in FAULT_KINDS, f"unknown fault kind {self.kind!r}")
+        if self.kind in ("kill_node", "tamper_chunk"):
+            _require(self.round in range(rounds), f"{self.kind}: no round {self.round!r}")
         if self.kind in ("kill_node", "tamper_install"):
             _require(self.node in range(n_nodes), f"{self.kind}: no node {self.node!r}")
         if self.kind == "kill_node":
@@ -131,7 +133,7 @@ class RunConfig:
         _require(self.tx_capacity >= 1, "tx_capacity must be >= 1")
         _require(policy in ("wait-all", "exclude"), f"unknown straggler_policy {policy!r}")
         for ev in self.faults:
-            ev.check(self.n_nodes)
+            ev.check(self.n_nodes, self.rounds)
 
     @property
     def taskid_bytes(self) -> bytes:

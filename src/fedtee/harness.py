@@ -312,11 +312,13 @@ class TaskRun:
         the committee move the affected partitions (and optionally trigger
         re-sends)."""
         committee, cost = self.committee, self.cfg.cost
-        pending = committee.gone - committee.monitor.dead
+        monitor = committee.monitor
+        # a node that never beat is not watched, so it is never declared dead
+        pending = {n for n in committee.gone - monitor.dead if n in monitor.last_beat}
         actions: list[FailoverAction] = []
         try:
-            for _ in range(committee.monitor.threshold + 2 if pending else 1):
-                self.clock.advance(committee.monitor.interval_ms)
+            for _ in range(monitor.threshold + 2 if pending else 1):
+                self.clock.advance(monitor.interval_ms)
                 for i, node in self.nodes.items():
                     if i not in committee.gone:
                         node.send_heartbeat(self.clock.now_ms)

@@ -2,10 +2,14 @@
 
 Storage is write-once per (taskid, round, index); a chunk is stored only if
 its signature verifies against the task's published verification key over the
-canonical chunk encoding. All mutations pass through one serialized path (a
-lock standing in for consensus ordering), so the final state is independent
-of arrival interleaving. A configurable block model converts bytes written
-into end-to-end latency for the supported chain presets.
+canonical chunk encoding. Accepted chunks are indexed per (taskid, round), so
+a store costs O(1) besides its signature check: the round completes once its
+own index holds every expected chunk, and a read sorts only that round. The
+verification key is loaded once, when it is uploaded. All mutations pass
+through one serialized path (a lock standing in for consensus ordering), so
+the final state is independent of arrival interleaving. A configurable block
+model converts bytes written into end-to-end latency for the supported chain
+presets.
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
+
+from cryptography.hazmat.primitives.asymmetric import ec
 
 from . import crypto
 from .enclave import SignedChunk, chunk_signing_bytes
@@ -81,6 +87,7 @@ class _TaskRecord:
     round: int = 0
     expected_chunks: int | None = None
     vk_pk: bytes | None = None
+    vk: ec.EllipticCurvePublicKey | None = None  # vk_pk loaded; None if it does not load
 
 
 @dataclass
@@ -95,7 +102,8 @@ class Ledger:
     def __init__(self, committee_id: str, params: ChainParams | None = None) -> None:
         self.committee_id = committee_id
         self.params = params or CHAIN_PRESETS["fabric"]
-        self.storage: dict[tuple[bytes, int, int], SignedChunk] = {}
+        # accepted chunks: (taskid, round) -> {index: chunk}
+        self.by_round: dict[tuple[bytes, int], dict[int, SignedChunk]] = {}
         self.tasks: dict[bytes, _TaskRecord] = {}
         self.receipts: list[Receipt] = []
         self.events: list[LedgerEvent] = []
@@ -124,6 +132,10 @@ class Ledger:
                 raise Unauthorized(f"{sender} may not upload a verification key")
             rotated = rec.vk_pk is not None
             rec.vk_pk = vk_pk
+            try:
+                rec.vk = crypto.load_public_key(vk_pk)
+            except ValueError:  # every later chunk then fails its signature check
+                rec.vk = None
             self.events.append(
                 LedgerEvent("upload_pk", {"taskid": taskid.hex(), "rotated": rotated})
             )
@@ -153,25 +165,20 @@ class Ledger:
             return Receipt("rejected", ident, "NoKey")
         if chunk.round != rec.round:
             return Receipt("rejected", ident, "WrongRound")
-        if ident in self.storage:
+        stored = self.by_round.setdefault((chunk.taskid, chunk.round), {})
+        if chunk.index in stored:
             return Receipt("rejected", ident, "DuplicateIndex")
-        if rec.expected_chunks is not None and not (0 <= chunk.index < rec.expected_chunks):
+        n = rec.expected_chunks
+        if n is not None and not (0 <= chunk.index < n):
             return Receipt("rejected", ident, "IndexOutOfRange")
         message = chunk_signing_bytes(chunk.taskid, chunk.round, chunk.index, chunk.payload)
-        try:
-            public = crypto.load_public_key(rec.vk_pk)
-        except ValueError:
+        if rec.vk is None or not crypto.sig_verify(rec.vk, message, chunk.sigma):
             return Receipt("rejected", ident, "BadSignature")
-        if not crypto.sig_verify(public, message, chunk.sigma):
-            return Receipt("rejected", ident, "BadSignature")
-        self.storage[ident] = chunk
-        if rec.expected_chunks is not None:
-            present = sum(
-                1 for i in range(rec.expected_chunks)
-                if (chunk.taskid, rec.round, i) in self.storage
-            )
-            if present == rec.expected_chunks:
-                rec.round += 1
+        stored[chunk.index] = chunk
+        # len() screens out all but about one check per round; all() keeps the
+        # exact predicate when expected_chunks changes mid-round
+        if n is not None and len(stored) >= n and all(i in stored for i in range(n)):
+            rec.round += 1
         return Receipt("accepted", ident)
 
     # -- reads --------------------------------------------------------------
@@ -180,14 +187,24 @@ class Ledger:
         """All accepted chunks for a completed round, ordered by index."""
         with self._lock:
             rec = self._record(taskid)
-            present = sorted(
-                idx for (tid, rnd, idx) in self.storage if tid == taskid and rnd == round_index
-            )
-            if not present:
+            stored = self.by_round.get((taskid, round_index))
+            if not stored:
                 raise LedgerNotFound(f"no chunks for task {taskid!r} round {round_index}")
+            present = sorted(stored)
             if rec.expected_chunks is not None and round_index >= rec.round:
                 raise LedgerIncomplete(present)
-            return [self.storage[(taskid, round_index, i)] for i in present]
+            return [stored[i] for i in present]
+
+    @property
+    def storage(self) -> dict[tuple[bytes, int, int], SignedChunk]:
+        """Every accepted chunk by (taskid, round, index), grouped by round in
+        acceptance order; a fresh flat copy of ``by_round``."""
+        with self._lock:
+            return {
+                (tid, rnd, idx): chunk
+                for (tid, rnd), stored in self.by_round.items()
+                for idx, chunk in stored.items()
+            }
 
     def current_round(self, taskid: bytes) -> int:
         with self._lock:

@@ -366,6 +366,22 @@ def test_failover_event_names_the_node_the_partition_ends_on():
     assert "round 1: partition 0 moved 0 -> 2" in report.events
 
 
+def test_killed_node_that_never_answered_the_ping_is_not_awaited():
+    # node 1 misses the initial ping, so the monitor never watches it; killing
+    # it must not make every round wait out the failover threshold
+    base = dict(n_nodes=3, rounds=2)
+    clean = run_task(small_config(**base))
+    report = run_task(small_config(**base, faults=[
+        FaultEvent(kind="drop", message_kind="Ping", dest="node:1"),
+        FaultEvent(kind="kill_node", node=1, round=0),
+    ]))
+    assert clean.ok and report.ok
+    # one heartbeat interval per round, as in the clean run, from one node fewer
+    beats = clean.traffic_bytes_by_kind["Heartbeat"]
+    assert beats == 126
+    assert report.traffic_bytes_by_kind["Heartbeat"] == beats * 2 // 3
+
+
 def test_failover_onto_only_tampered_spares_ends_stalled():
     report = run_task(small_config(n_nodes=3, faults=_kill_after_tampered_spares(1, 2)))
     assert report.stalled
@@ -478,6 +494,8 @@ def _faults(**kw):
         pytest.param(_faults(kind="explode"), id="unknown-fault-kind"),
         pytest.param(_faults(kind="kill_node", node=99), id="kill-missing-node"),
         pytest.param(_faults(kind="kill_node", node=0, phase="colect"), id="kill-bad-phase"),
+        pytest.param(_faults(kind="kill_node", node=0, round=3), id="kill-missing-round"),
+        pytest.param(_faults(kind="tamper_chunk", round=-1), id="tamper-missing-round"),
         pytest.param(dict(straggler_policy="exclud"), id="unknown-straggler-policy"),
         pytest.param(dict(strategy="bogus"), id="unknown-strategy"),
         pytest.param(dict(rounds=0), id="rounds-0"),
@@ -494,8 +512,13 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     faults_path = tmp_path / "faults.json"
     faults_path.write_text('[{"kind": "kill_node", "node": 99}]')
     missing = tmp_path / "missing.json"
+    two_rounds = tmp_path / "two-rounds.json"
+    two_rounds.write_text('{"rounds": 2}')
+    late_kill = tmp_path / "late-kill.json"
+    late_kill.write_text('[{"kind": "kill_node", "node": 0, "round": 7}]')
     for argv in (["--config", str(cfg_path)], ["--faults", str(faults_path)],
-                 ["--config", str(missing)]):
+                 ["--config", str(missing)],
+                 ["--config", str(two_rounds), "--faults", str(late_kill)]):
         with pytest.raises(SystemExit) as exc:
             cli_main(["run", *argv])
         assert exc.value.code == 2

@@ -1,13 +1,16 @@
 """Storage contract: write-once semantics, verification, chain latency model."""
 
+from functools import lru_cache
 from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import TASKID, client_inputs, provision_enclave, simple_update
 from fedtee import crypto
-from fedtee.enclave import SignedChunk
+from fedtee.enclave import SignedChunk, chunk_signing_bytes
 from fedtee.ledger import (
     CHAIN_PRESETS,
     ChainParams,
@@ -208,6 +211,146 @@ def test_chunk_cannot_be_replayed_into_another_task():
     receipt = led.upload_global_model("node:0", cross)
     assert receipt.reason == "BadSignature"
     assert led.upload_global_model("node:0", c).accepted  # original still fine
+
+
+def test_rotation_replaces_the_loaded_key():
+    ctx, chunks = signed_round(n_chunks=3)
+    led = _prepared_ledger(ctx, chunks)
+    assert led.upload_global_model("node:0", chunks[0]).accepted
+    new_vk = crypto.sig_keygen(b"\x09" * 32)
+    led.upload_pk(COMM, TASKID, new_vk.public_bytes())
+    # chunks from the old enclave key no longer verify ...
+    assert led.upload_global_model("node:0", chunks[1]).reason == "BadSignature"
+    # ... and chunks signed with the new key do
+    c = chunks[1]
+    message = chunk_signing_bytes(c.taskid, c.round, c.index, c.payload)
+    sigma = crypto.sig_sign(new_vk.secret, message)
+    resigned = SignedChunk(c.taskid, c.round, c.index, c.payload, sigma)
+    assert led.upload_global_model("node:0", resigned).accepted
+    assert sorted(led.storage) == [(TASKID, 0, 0), (TASKID, 0, 1)]
+
+
+@pytest.mark.parametrize("vk_pk", [b"", b"\x04" + b"\x00" * 64, b"not a curve point"])
+def test_malformed_key_gives_bad_signature_receipts(vk_pk):
+    ctx, chunks = signed_round(n_chunks=2)
+    led = make_ledger()
+    led.create_task(1, TASKID)
+    assert led.upload_pk(COMM, TASKID, vk_pk).accepted
+    led.set_expected_chunks(COMM, TASKID, len(chunks))
+    for c in chunks:
+        assert led.upload_global_model("node:0", c).reason == "BadSignature"
+    assert not led.storage
+    # a well-formed key uploaded afterwards is used from then on
+    led.upload_pk(COMM, TASKID, ctx["vk"].public_bytes())
+    assert all(led.upload_global_model("node:0", c).accepted for c in chunks)
+    assert led.current_round(TASKID) == 1
+
+
+# ---------------------------------------------------------------------------
+# Reference model: the ledger against a brute-force scan of one flat map
+# ---------------------------------------------------------------------------
+
+MODEL_TASKS = (b"model-task-a", b"model-task-b")
+A = MODEL_TASKS[0]
+TASK_KEY = crypto.sig_keygen(b"\x11" * 32)
+OTHER_KEY = crypto.sig_keygen(b"\x22" * 32)
+
+
+@lru_cache(maxsize=None)
+def _chunk(taskid: bytes, round_index: int, index: int, good: bool) -> SignedChunk:
+    payload = b"payload-%d-%d" % (round_index, index)
+    key = TASK_KEY if good else OTHER_KEY
+    sigma = crypto.sig_sign(key.secret, chunk_signing_bytes(taskid, round_index, index, payload))
+    return SignedChunk(taskid, round_index, index, payload, sigma)
+
+
+class ScanLedger:
+    """One flat map, with completion decided by counting the whole round."""
+
+    def __init__(self):
+        self.storage = {}
+        self.round = dict.fromkeys(MODEL_TASKS, 0)
+        self.expected = dict.fromkeys(MODEL_TASKS)
+
+    def upload(self, chunk: SignedChunk, good: bool) -> tuple:
+        tid = chunk.taskid
+        ident = (tid, chunk.round, chunk.index)
+        n = self.expected[tid]
+        if chunk.round != self.round[tid]:
+            return ("rejected", ident, "WrongRound")
+        if ident in self.storage:
+            return ("rejected", ident, "DuplicateIndex")
+        if n is not None and not (0 <= chunk.index < n):
+            return ("rejected", ident, "IndexOutOfRange")
+        if not good:
+            return ("rejected", ident, "BadSignature")
+        self.storage[ident] = chunk
+        if n is not None:
+            present = sum(1 for i in range(n) if (tid, self.round[tid], i) in self.storage)
+            if present == n:
+                self.round[tid] += 1
+        return ("accepted", ident, None)
+
+    def read(self, tid: bytes, round_index: int):
+        present = sorted(i for (t, r, i) in self.storage if t == tid and r == round_index)
+        if not present:
+            return "not found"
+        if self.expected[tid] is not None and round_index >= self.round[tid]:
+            return ("incomplete", present)
+        return [self.storage[(tid, round_index, i)] for i in present]
+
+
+def _read(led: Ledger, tid: bytes, round_index: int):
+    try:
+        return led.read(tid, round_index)
+    except LedgerNotFound:
+        return "not found"
+    except LedgerIncomplete as exc:
+        return ("incomplete", exc.present)
+
+
+_ops = st.lists(
+    st.one_of(
+        # (kind, task, round offset from the model's current round, index,
+        # signed with the task's key); most uploads aim at the current round
+        st.tuples(
+            st.just("upload"), st.sampled_from(MODEL_TASKS), st.sampled_from([-1, 0, 0, 0, 1]),
+            st.integers(0, 6), st.sampled_from([True, True, False]),
+        ),
+        st.tuples(st.just("expect"), st.sampled_from(MODEL_TASKS), st.integers(0, 5)),
+    ),
+    min_size=10, max_size=60,
+)
+
+
+@given(_ops)
+# expected_chunks shrunk below stored indices: three stored, index 1 still missing
+@example([("upload", A, 0, 2, True), ("upload", A, 0, 3, True), ("expect", A, 2),
+          ("upload", A, 0, 0, True), ("upload", A, 0, 1, True)])
+# expected_chunks grown mid-round, then the round filled out of order
+@example([("expect", A, 2), ("upload", A, 0, 1, True), ("expect", A, 3),
+          ("upload", A, 0, 0, True), ("upload", A, 0, 2, False), ("upload", A, 0, 2, True)])
+@settings(max_examples=150, deadline=None)
+def test_ledger_matches_scan_reference_model(ops):
+    led, ref = make_ledger(), ScanLedger()
+    for tid in MODEL_TASKS:
+        led.create_task(1, tid)
+        led.upload_pk(COMM, tid, TASK_KEY.public_bytes())
+    for kind, tid, *args in ops:
+        if kind == "expect":
+            led.set_expected_chunks(COMM, tid, args[0])
+            ref.expected[tid] = args[0]
+        else:
+            offset, index, good = args
+            chunk = _chunk(tid, max(0, ref.round[tid] + offset), index, good)
+            got = led.upload_global_model("node:0", chunk)
+            assert (got.outcome, got.id, got.reason) == ref.upload(chunk, good)
+        for t in MODEL_TASKS:
+            assert led.current_round(t) == ref.round[t]
+        assert led.storage.keys() == ref.storage.keys()
+    for t in MODEL_TASKS:
+        for r in range(ref.round[t] + 2):
+            assert _read(led, t, r) == ref.read(t, r)
 
 
 # ---------------------------------------------------------------------------
