@@ -12,15 +12,14 @@ schedule.
 from __future__ import annotations
 
 import hashlib
-import json
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from random import Random
 
 from . import crypto, enclave, model, transport
 from .crypto import envelope_encoded_size
-from .enclave import EnclaveProgram, PartitionConf
-from .transport import MessageKind
+from .enclave import EnclaveProgram
+from .transport import MessageKind, pack, unpack
 
 PARTY = "committee"
 
@@ -91,10 +90,12 @@ class Slot:
 
 @dataclass
 class RoundConf:
-    round: int
-    participants: tuple[int, ...]
     # slot index -> the clients feeding that partition this round
     subsets: dict[int, tuple[int, ...]]
+
+    @property
+    def participants(self) -> tuple[int, ...]:
+        return tuple(sorted({u for subset in self.subsets.values() for u in subset}))
 
 
 @dataclass
@@ -138,39 +139,36 @@ class Conf:
         return changed
 
     def to_bytes(self) -> bytes:
-        """Compact JSON: each slot's fields once, then per round (in order)
-        only the participants and the subsets in slot order."""
-        return json.dumps(
-            {
-                "taskid": self.taskid.hex(),
-                "measurement": self.measurement.hex(),
-                "expected_chunks_per_round": self.expected_chunks_per_round,
-                "slots": [asdict(s) for s in self.slots],
-                "rounds": [
-                    [rc.participants, [rc.subsets[s.index] for s in self.slots]]
-                    for _, rc in sorted(self.rounds.items())
-                ],
-            },
-            separators=(",", ":"),
-        ).encode()
+        """The ``CONF_DELIVER`` body: one row per slot (its fields, eid 0
+        while not installed, then its layers), then one row per round and
+        slot, in that order, holding the slot's clients that round."""
+        return pack(
+            transport.CONF_DELIVER, self.taskid, self.measurement, self.expected_chunks_per_round,
+            [
+                (s.index, s.combine_group, s.serial, s.chunk_base, s.n_chunks, s.node, s.eid or 0,
+                 *s.layer_range)
+                for s in self.slots
+            ],
+            [rc.subsets[s.index] for _, rc in sorted(self.rounds.items()) for s in self.slots],
+        )
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Conf":
-        obj = json.loads(data)
-        slots = [Slot(**{**s, "layer_range": tuple(s["layer_range"])}) for s in obj["slots"]]
-        rounds = {
-            r: RoundConf(
-                r, tuple(participants), {s.index: tuple(c) for s, c in zip(slots, subsets)}
-            )
-            for r, (participants, subsets) in enumerate(obj["rounds"])
-        }
-        return cls(
-            taskid=bytes.fromhex(obj["taskid"]),
-            measurement=bytes.fromhex(obj["measurement"]),
-            slots=slots,
-            rounds=rounds,
-            expected_chunks_per_round=obj["expected_chunks_per_round"],
+        taskid, measurement, expected, slot_rows, subset_rows = unpack(
+            transport.CONF_DELIVER, data
         )
+        slots = [
+            Slot(index, group, bool(serial), tuple(layers), base, n_chunks, node, eid or None)
+            for index, group, serial, base, n_chunks, node, eid, *layers in slot_rows
+        ]
+        k = len(slots)
+        if not k or len(subset_rows) % k:
+            raise ValueError("schedule subsets do not fill whole rounds")
+        rounds = {
+            r: RoundConf({s.index: subset_rows[r * k + j] for j, s in enumerate(slots)})
+            for r in range(len(subset_rows) // k)
+        }
+        return cls(taskid, measurement, slots, rounds, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +344,7 @@ def schedule(
         for slot, shape in zip(slots, shapes):
             start, size = shape["block"]
             subsets[slot.index] = tuple(ordered[start : start + size])
-        rounds[r] = RoundConf(round=r, participants=participants, subsets=subsets)
+        rounds[r] = RoundConf(subsets)
 
     conf = Conf(
         taskid=spec.taskid, measurement=spec.program.measurement, slots=slots, rounds=rounds
@@ -427,7 +425,14 @@ class Committee:
         self.events: list[str] = []
         self.stalled = False
         if router is not None:
-            router.register(PARTY, handler=lambda s, k, p: (MessageKind.Ack, b"{\"ok\": true}"))
+            router.register(PARTY, handler=self.handle)
+
+    def handle(self, src: str, kind: MessageKind, payload: bytes):
+        """Acknowledge a task submission; heartbeats wait in the mailbox."""
+        if kind != MessageKind.SubmitTask:
+            return transport.err(transport.RemoteError(f"committee cannot handle {kind.name}"))
+        unpack(transport.SUBMIT_TASK, payload)
+        return transport.ok()
 
     def setup(self, nodes: list[int], responding: set[int] | None = None) -> list[int]:
         """Register nodes and keep the ones answering the initial ping."""
@@ -445,7 +450,7 @@ class Committee:
 
     def _answers_ping(self, node: int) -> bool:
         try:
-            self.router.call(PARTY, f"node:{node}", MessageKind.Ping, b"")
+            self.router.call(PARTY, f"node:{node}", MessageKind.Ping, pack(transport.PING))
         except transport.DeliveryDropped:
             return False
         return True
@@ -489,26 +494,26 @@ class Committee:
                 )
                 slot.node, slot.eid = self._spare(slot), None
 
+    def _call(self, node: int, kind: MessageKind, body: bytes) -> bytes:
+        """One request to ``node``; a failure it reports ends the run."""
+        _, reply, _ = self.router.call(PARTY, f"node:{node}", kind, body)
+        try:
+            return transport.check_reply(reply)
+        except Exception as exc:
+            raise RunFailed(f"{kind.name} failed on node {node}: {exc}") from exc
+
     def _install(self, slot: Slot, arm_round: int | None) -> None:
         """Install, attest, and provision one partition's enclave."""
         spec = self.spec
-        _, reply, _ = self.router.call(
-            PARTY, f"node:{slot.node}", MessageKind.InstallProg,
-            json.dumps(
-                {
-                    "taskid": spec.taskid.hex(),
-                    "code_id": spec.program.code_id.hex(),
-                    "hook": spec.program.aggregation_hook,
-                    "epc_budget": self.epc_budget,
-                    "paging": self.paging,
-                    "rng_seed": derive_seed(self.seed, f"enclave:{slot.index}:{slot.node}"),
-                }
-            ).encode(),
+        installed = self._call(
+            slot.node, MessageKind.InstallProg,
+            pack(
+                transport.INSTALL_PROG, spec.taskid, spec.program.code_id,
+                spec.program.aggregation_hook, self.epc_budget, self.paging,
+                derive_seed(self.seed, f"enclave:{slot.index}:{slot.node}"),
+            ),
         )
-        obj = json.loads(reply.decode())
-        if not obj.get("ok"):
-            raise RunFailed(f"install failed on node {slot.node}: {obj}")
-        slot.eid = int(obj["eid"])
+        (slot.eid,) = unpack(transport.INSTALLED, installed)
         self.ssk_by_eid[slot.eid] = enclave.attest(
             self.router, PARTY, slot.node, spec.taskid, slot.eid, spec.program.measurement,
             self.rng,
@@ -519,12 +524,11 @@ class Committee:
             self._arm(slot, arm_round)
 
     def _deliver_partition(self, slot: Slot) -> None:
-        part = PartitionConf(slot.layer_range, (), slot.chunk_base, self.tx_capacity)
-        self._key_deliver(slot, transport.KEY_PURPOSE_PARTITION, part.to_json_bytes())
+        plain = pack(transport.PARTITION, slot.layer_range, (), slot.chunk_base, self.tx_capacity)
+        self._key_deliver(slot, transport.KEY_PURPOSE_PARTITION, plain)
 
     def _arm(self, slot: Slot, round_index: int) -> None:
-        taskid = self.spec.taskid
-        plain = struct.pack(">H", len(taskid)) + taskid + struct.pack(">Q", round_index)
+        plain = pack(transport.ROUND_ARM, self.spec.taskid, round_index)
         self._key_deliver(slot, transport.KEY_PURPOSE_ROUND, plain)
 
     def _key_deliver(self, slot: Slot, purpose: int, plain: bytes) -> None:
@@ -534,13 +538,7 @@ class Committee:
         env = crypto.ae_encrypt(
             self.ssk_by_eid[slot.eid], crypto.keydeliver_aad(taskid, label), plain, rng=self.rng
         )
-        _, reply, _ = self.router.call(
-            PARTY, f"node:{slot.node}", kind,
-            transport.pack_key_deliver(taskid, slot.eid, purpose, env),
-        )
-        obj = json.loads(reply.decode())
-        if not obj.get("ok"):
-            raise RunFailed(f"key delivery failed: {obj}")
+        self._call(slot.node, kind, pack(transport.KEY_DELIVER, taskid, slot.eid, purpose, env))
 
     def deliver_conf(self) -> None:
         body = self.conf.to_bytes()
@@ -575,9 +573,7 @@ class Committee:
         """Ask a client to re-send its cached slice to the slot's enclave."""
         self.router.call(
             PARTY, f"client:{uid}", MessageKind.ResendRequest,
-            json.dumps(
-                {"slot": slot.index, "node": slot.node, "eid": slot.eid, "round": round_index}
-            ).encode(),
+            pack(transport.RESEND_REQUEST, slot.index, round_index),
         )
 
     def replan_excluding(self, round_index: int, excluded: list[int]) -> None:
@@ -588,7 +584,6 @@ class Committee:
             if not subset:
                 raise RunFailed(f"partition {slot.index} lost all clients to stragglers")
             rc.subsets[slot.index] = subset
-        rc.participants = tuple(u for u in rc.participants if u not in excluded)
         self._lay_out(round_index, republish=True)
 
     # -- failover ----------------------------------------------------------------------
@@ -598,7 +593,7 @@ class Committee:
         while (msg := self.router.recv(PARTY)) is not None:
             _, kind, payload, _ = msg
             if kind == MessageKind.Heartbeat:
-                self.monitor.beat(*transport.unpack_heartbeat(payload))
+                self.monitor.beat(*unpack(transport.HEARTBEAT, payload))
 
     def cut_off(self, node: int) -> None:
         """Stop contacting ``node``, which is off the network from now on."""

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 import struct
 from dataclasses import dataclass, field
 from random import Random
@@ -97,27 +96,6 @@ class PartitionConf:
     chunk_base: int
     tx_capacity: int
 
-    def to_json_bytes(self) -> bytes:
-        return json.dumps(
-            {
-                "layer_range": list(self.layer_range),
-                "client_subset": list(self.client_subset),
-                "chunk_base": self.chunk_base,
-                "tx_capacity": self.tx_capacity,
-            },
-            sort_keys=True,
-        ).encode()
-
-    @classmethod
-    def from_json_bytes(cls, data: bytes) -> "PartitionConf":
-        obj = json.loads(data.decode())
-        return cls(
-            layer_range=tuple(obj["layer_range"]),
-            client_subset=tuple(obj["client_subset"]),
-            chunk_base=int(obj["chunk_base"]),
-            tx_capacity=int(obj["tx_capacity"]),
-        )
-
 
 @dataclass
 class EnclaveInstance:
@@ -190,29 +168,29 @@ class SgxHost:
 
     # -- provisioning -------------------------------------------------------
 
-    def getsk(self, eid: int, sender: str, env: Envelope) -> None:
-        """Deliver the signing key, encrypted under the committee session key."""
-        inst = self._instance(eid)
-        key = inst.ssk_by_peer.get(sender)
-        if key is None:
-            raise AuthFailure(f"no session key with {sender}")
-        scalar = crypto.ae_decrypt(key, env)
-        if env.aad != crypto.keydeliver_aad(inst.taskid, b"sk_vk"):
-            raise AuthFailure("signing-key envelope bound to a different context")
-        inst.sk_vk = crypto.load_secret_key(scalar)
-
-    def set_round(self, eid: int, sender: str, env: Envelope) -> None:
-        """Arm the enclave for one round; same-value repeats are idempotent."""
+    def _open(
+        self, eid: int, sender: str, env: Envelope, label: bytes
+    ) -> tuple[EnclaveInstance, bytes]:
+        """Decrypt a committee delivery under ``sender``'s session key and
+        check that it was sealed for this task and purpose."""
         inst = self._instance(eid)
         key = inst.ssk_by_peer.get(sender)
         if key is None:
             raise AuthFailure(f"no session key with {sender}")
         plain = crypto.ae_decrypt(key, env)
-        if env.aad != crypto.keydeliver_aad(inst.taskid, b"round"):
-            raise AuthFailure("round envelope bound to a different context")
-        (tid_len,) = struct.unpack_from(">H", plain, 0)
-        taskid = plain[2 : 2 + tid_len]
-        (round_index,) = struct.unpack_from(">Q", plain, 2 + tid_len)
+        if env.aad != crypto.keydeliver_aad(inst.taskid, label):
+            raise AuthFailure(f"{label.decode()} envelope bound to a different context")
+        return inst, plain
+
+    def getsk(self, eid: int, sender: str, env: Envelope) -> None:
+        """Deliver the signing key, encrypted under the committee session key."""
+        inst, scalar = self._open(eid, sender, env, b"sk_vk")
+        inst.sk_vk = crypto.load_secret_key(scalar)
+
+    def set_round(self, eid: int, sender: str, env: Envelope) -> None:
+        """Arm the enclave for one round; same-value repeats are idempotent."""
+        inst, plain = self._open(eid, sender, env, b"round")
+        taskid, round_index = transport.unpack(transport.ROUND_ARM, plain)
         if taskid != inst.taskid:
             raise RoundMismatch(f"round delivery for task {taskid!r}, enclave runs {inst.taskid!r}")
         if inst.expected_round == round_index:
@@ -222,14 +200,8 @@ class SgxHost:
         inst.expected_round = round_index
 
     def load_partition(self, eid: int, sender: str, env: Envelope) -> None:
-        inst = self._instance(eid)
-        key = inst.ssk_by_peer.get(sender)
-        if key is None:
-            raise AuthFailure(f"no session key with {sender}")
-        plain = crypto.ae_decrypt(key, env)
-        if env.aad != crypto.keydeliver_aad(inst.taskid, b"partition"):
-            raise AuthFailure("partition envelope bound to a different context")
-        inst.partition = PartitionConf.from_json_bytes(plain)
+        inst, plain = self._open(eid, sender, env, b"partition")
+        inst.partition = PartitionConf(*transport.unpack(transport.PARTITION, plain))
 
     # -- execution ----------------------------------------------------------
 
@@ -349,11 +321,13 @@ def attest(
     the initiator expected; this is how a tampered enclave is rejected.
     """
     priv, point = crypto.ecdh_keypair(rng)
-    _, reply, _ = router.call(
+    kind, reply, _ = router.call(
         initiator, f"node:{node}", transport.MessageKind.RaHandshake1,
-        transport.pack_ra1(taskid, eid, initiator, point),
+        transport.pack(transport.RA_HANDSHAKE1, taskid, eid, initiator, point),
     )
-    enclave_point, quoted = transport.unpack_ra2(reply)
+    if kind != transport.MessageKind.RaHandshake2:
+        transport.check_reply(reply)  # raises the error the node reported
+    enclave_point, quoted = transport.unpack(transport.RA_HANDSHAKE2, reply)
     if quoted != expected_measurement:
         raise MeasurementMismatch(
             f"enclave {eid} on node {node} quotes {quoted.hex()[:16]}…, "

@@ -257,7 +257,6 @@ class TaskRun:
         self.tap = self.router.add_tap() if (config.taps or config.sentinel) else None
         # the committee logs into the report's event list as it acts
         self.report = RunReport(config_json=config.to_json(), events=self.committee.events)
-        self.actual_subsets: list[list[int]] = []
         self._kills = {}
         for ev in config.faults:
             if ev.kind == "kill_node":
@@ -290,10 +289,11 @@ class TaskRun:
             strategy=cfg.strategy,
         )
         self.owner.owner_initialize(cfg.taskid_bytes, initial_model(cfg), sorted(self.clients))
-        self.router.call(
+        _, reply, _ = self.router.call(
             "owner", "committee", MessageKind.SubmitTask,
-            json.dumps({"taskid": cfg.taskid_bytes.hex()}).encode(),
+            transport.pack(transport.SUBMIT_TASK, cfg.taskid_bytes),
         )
+        transport.check_reply(reply)
         self.committee.accept_task(spec, cfg.epc_budget, cfg.tx_capacity, cfg.paging)
         self.owner.owner_key_exchange(sorted(self.clients))
         self.committee.provision()
@@ -387,8 +387,7 @@ class TaskRun:
 
         round_start = self.clock.now_ms
         arrivals: list[float] = []
-        participants = conf.rounds[round_index].participants
-        for uid in sorted(participants):
+        for uid in conf.rounds[round_index].participants:
             arrivals.extend(self.clients[uid].client_round(round_index))
         send_phase = max(arrivals, default=round_start) - round_start
 
@@ -396,9 +395,6 @@ class TaskRun:
             self._detect_and_failover(round_index, resend=True)
 
         self._resolve_stragglers(round_index)
-        self.actual_subsets.append(
-            sorted({u for s in conf.slots for u in conf.subset(round_index, s.index)})
-        )
 
         serial_ms = 0.0
         parallel_ms = 0.0
@@ -483,7 +479,7 @@ class TaskRun:
 
     def verify(self) -> None:
         cfg = self.cfg
-        oracle = oracle_run(cfg, subsets_by_round=self.actual_subsets)
+        oracle = oracle_run(cfg, subsets_by_round=[rd["participants"] for rd in self.report.rounds])
         checks = {}
         end_to_end = matches_oracle(self.report, oracle)
         checks["end_to_end_matches_oracle"] = "pass" if end_to_end else "FAIL"

@@ -169,7 +169,8 @@ class Ledger:
         if chunk.index in stored:
             return Receipt("rejected", ident, "DuplicateIndex")
         n = rec.expected_chunks
-        if n is not None and not (0 <= chunk.index < n):
+        # with no declared count, the bound is what the signed encoding's u32 holds
+        if not 0 <= chunk.index < (2**32 if n is None else n):
             return Receipt("rejected", ident, "IndexOutOfRange")
         message = chunk_signing_bytes(chunk.taskid, chunk.round, chunk.index, chunk.payload)
         if rec.vk is None or not crypto.sig_verify(rec.vk, message, chunk.sigma):

@@ -191,10 +191,11 @@ def encode_model(u: LocalUpdate) -> bytes:
 
 
 def decode_model(data: bytes) -> LocalUpdate:
+    """``data`` may be a memoryview, which spares a copy of every layer."""
     try:
         (tid_len,) = struct.unpack_from(">H", data, 0)
         off = 2
-        taskid = data[off : off + tid_len]
+        taskid = bytes(data[off : off + tid_len])
         if len(taskid) != tid_len:
             raise MalformedModel("truncated taskid")
         off += tid_len

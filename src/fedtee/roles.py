@@ -10,26 +10,15 @@ channel, never as plaintext on a frame.
 from __future__ import annotations
 
 import hashlib
-import json
-import struct
 from random import Random
 
 from . import crypto, model, transport
 from .committee import Conf, Slot, derive_seed
 from .config import plant_sentinel
-from .crypto import AuthFailure, Envelope, MeasurementMismatch, SymKey
+from .crypto import AuthFailure, Envelope, SymKey
 from .enclave import EnclaveProgram, SgxHost, SignedChunk, attest
 from .ledger import Ledger, LedgerIncomplete, LedgerNotFound
-from .transport import MessageKind, Router
-
-_REMOTE_ERRORS = {
-    "AuthFailure": AuthFailure,
-    "MeasurementMismatch": MeasurementMismatch,
-}
-
-
-class RemoteError(Exception):
-    """An rpc peer reported a protocol error it could not map locally."""
+from .transport import MessageKind, RemoteError, Router, check_reply, err, ok, pack, unpack
 
 
 class DeliveryFailure(Exception):
@@ -38,26 +27,6 @@ class DeliveryFailure(Exception):
 
 class Incomplete(Exception):
     """The requested round is not fully present on the ledger yet."""
-
-
-def _ok(extra: dict | None = None):
-    return MessageKind.Ack, json.dumps({"ok": True, **(extra or {})}).encode()
-
-
-def _err(exc: Exception):
-    return MessageKind.Ack, json.dumps(
-        {"ok": False, "type": type(exc).__name__, "msg": str(exc)}
-    ).encode()
-
-
-def _check_reply(payload: bytes) -> dict:
-    obj = json.loads(payload.decode())
-    if not obj.get("ok", False):
-        exc_type = _REMOTE_ERRORS.get(obj.get("type"))
-        if exc_type is not None:
-            raise exc_type(obj.get("msg", ""))
-        raise RemoteError(f"{obj.get('type')}: {obj.get('msg')}")
-    return obj
 
 
 _OWNER_CHANNEL_TAG = hashlib.sha256(b"owner-client-master-key-channel").digest()
@@ -89,9 +58,10 @@ class Node:
             if kind == MessageKind.InstallProg:
                 return self._handle_install(payload)
             if kind == MessageKind.RaHandshake1:
-                taskid, eid, initiator, point = transport.unpack_ra1(payload)
+                taskid, eid, initiator, point = unpack(transport.RA_HANDSHAKE1, payload)
                 point_out, measurement = self.host.ra_respond(eid, initiator, point)
-                return MessageKind.RaHandshake2, transport.pack_ra2(point_out, measurement)
+                reply = pack(transport.RA_HANDSHAKE2, point_out, measurement)
+                return MessageKind.RaHandshake2, reply
             if kind in (MessageKind.KeyDeliver, MessageKind.RoundDeliver):
                 return self._handle_key_deliver(src, payload)
             if kind == MessageKind.ModelEnvelope:
@@ -99,32 +69,27 @@ class Node:
             if kind == MessageKind.ConfDeliver:
                 conf = Conf.from_bytes(payload)
                 self.confs[conf.taskid] = conf
-                return _ok()
+                return ok()
             if kind == MessageKind.Ping:
-                return _ok()
+                unpack(transport.PING, payload)
+                return ok()
         except Exception as exc:  # map protocol errors back to the caller
-            return _err(exc)
-        return _err(RemoteError(f"node cannot handle {kind.name}"))
+            return err(exc)
+        return err(RemoteError(f"node cannot handle {kind.name}"))
 
     def _handle_install(self, payload: bytes):
-        obj = json.loads(payload.decode())
-        taskid = bytes.fromhex(obj["taskid"])
-        code_id = bytes.fromhex(obj["code_id"])
+        taskid, code_id, hook, epc_budget, paging, rng_seed = unpack(
+            transport.INSTALL_PROG, payload
+        )
         if self.tamper_install:
             code_id += b"\xee"  # a corrupt node loads something else
-        program = EnclaveProgram(code_id, obj["hook"])
-        eid = self.host.install(
-            taskid,
-            program,
-            epc_budget=int(obj["epc_budget"]),
-            paging_enabled=bool(obj["paging"]),
-            rng_seed=int(obj["rng_seed"]),
-        )
+        program = EnclaveProgram(code_id, hook)
+        eid = self.host.install(taskid, program, epc_budget, bool(paging), rng_seed)
         self.eid_by_task[taskid] = eid
-        return _ok({"eid": eid})
+        return ok(pack(transport.INSTALLED, eid))
 
     def _handle_key_deliver(self, src: str, payload: bytes):
-        taskid, eid, purpose, env = transport.unpack_key_deliver(payload)
+        taskid, eid, purpose, env = unpack(transport.KEY_DELIVER, payload)
         if purpose == transport.KEY_PURPOSE_SK:
             self.host.getsk(eid, src, env)
         elif purpose == transport.KEY_PURPOSE_ROUND:
@@ -133,13 +98,13 @@ class Node:
             self.host.load_partition(eid, src, env)
         else:
             raise ValueError(f"unknown key-delivery purpose {purpose}")
-        return _ok()
+        return ok()
 
     def _handle_model_envelope(self, payload: bytes):
-        taskid, round_index, sender, env_m, env_k = transport.unpack_model_envelope(payload)
+        taskid, round_index, sender, env_m, env_k = unpack(transport.MODEL_ENVELOPE, payload)
         box = self.pending.setdefault((taskid, round_index), {})
         box[sender] = (env_m, env_k)
-        return _ok()
+        return ok()
 
     # -- driven by the orchestrator ------------------------------------------
 
@@ -173,22 +138,21 @@ class Node:
         self.last_output = output
         receipts = []
         uploaded = 0
+
+        def upload(c: SignedChunk, body: bytes) -> None:
+            payload = pack(transport.CHUNK_UPLOAD, c.taskid, c.round, c.index, body, c.sigma.raw)
+            _, reply, _ = self.router.call(self.party, "ledger", MessageKind.ChunkUpload, payload)
+            outcome, rnd, index, reason = unpack(transport.RECEIPT, reply)
+            receipts.append(dict(outcome=outcome, round=rnd, index=index, reason=reason or None))
+
         if self.tamper_next and output.chunks:
             first = output.chunks[0]
             mutated = bytearray(first.payload)
             mutated[0] ^= 0x01
-            payload = transport.pack_chunk_upload(
-                first.taskid, first.round, first.index, bytes(mutated), first.sigma.raw
-            )
-            _, reply, _ = self.router.call(self.party, "ledger", MessageKind.ChunkUpload, payload)
-            receipts.append(json.loads(reply.decode()))
+            upload(first, bytes(mutated))
             self.tamper_next = False
         for chunk in output.chunks:
-            payload = transport.pack_chunk_upload(
-                chunk.taskid, chunk.round, chunk.index, chunk.payload, chunk.sigma.raw
-            )
-            _, reply, _ = self.router.call(self.party, "ledger", MessageKind.ChunkUpload, payload)
-            receipts.append(json.loads(reply.decode()))
+            upload(chunk, chunk.payload)
             uploaded += len(chunk.payload)
         self.pending.pop((taskid, round_index), None)
         return {
@@ -201,7 +165,7 @@ class Node:
     def send_heartbeat(self, now_ms: float) -> None:
         self.router.send(
             self.party, "committee", MessageKind.Heartbeat,
-            transport.pack_heartbeat(self.node_id, now_ms),
+            pack(transport.HEARTBEAT, self.node_id, now_ms),
         )
 
     def buffer_bytes(self) -> bytes:
@@ -229,58 +193,42 @@ class LedgerParty:
 
     def handle(self, src: str, kind: MessageKind, payload: bytes):
         if kind == MessageKind.ChunkUpload:
-            taskid, round_index, index, body, sig_raw = transport.unpack_chunk_upload(payload)
+            taskid, round_index, index, body, sig_raw = unpack(transport.CHUNK_UPLOAD, payload)
             chunk = SignedChunk(taskid, round_index, index, body, crypto.Signature(sig_raw))
             receipt = self.ledger.upload_global_model(src, chunk)
-            return MessageKind.LedgerReply, json.dumps(
-                {
-                    "outcome": receipt.outcome,
-                    "round": receipt.id[1],
-                    "index": receipt.id[2],
-                    "reason": receipt.reason,
-                }
-            ).encode()
+            return MessageKind.LedgerReply, pack(
+                transport.RECEIPT, receipt.outcome, round_index, index, receipt.reason or ""
+            )
         if kind == MessageKind.LedgerRead:
-            taskid, round_index = transport.unpack_ledger_read(payload)
+            taskid, round_index = unpack(transport.LEDGER_READ, payload)
             try:
                 chunks = self.ledger.read(taskid, round_index)
-            except LedgerNotFound:
-                return MessageKind.LedgerReply, struct.pack(">B", 1)
-            except LedgerIncomplete as exc:
-                body = struct.pack(">BI", 2, len(exc.present))
-                body += b"".join(struct.pack(">I", i) for i in exc.present)
-                return MessageKind.LedgerReply, body
-            body = [struct.pack(">BI", 0, len(chunks))]
-            for c in chunks:
-                enc = transport.pack_chunk_upload(c.taskid, c.round, c.index, c.payload, c.sigma.raw)
-                body.append(struct.pack(">I", len(enc)))
-                body.append(enc)
-            return MessageKind.LedgerReply, b"".join(body)
-        return _err(RemoteError(f"ledger cannot handle {kind.name}"))
+            except (LedgerNotFound, LedgerIncomplete) as exc:
+                present = exc.present if isinstance(exc, LedgerIncomplete) else ()
+                return MessageKind.LedgerReply, pack(
+                    transport.LEDGER_ROUND, type(exc).__name__, present, (), ()
+                )
+            return MessageKind.LedgerReply, pack(
+                transport.LEDGER_ROUND, "", [c.index for c in chunks],
+                [c.payload for c in chunks], [c.sigma.raw for c in chunks],
+            )
+        return err(RemoteError(f"ledger cannot handle {kind.name}"))
 
 
 def read_round_chunks(router: Router, party: str, taskid: bytes, round_index: int):
     """Framed ledger read; returns SignedChunks or raises Incomplete/KeyError."""
     _, reply, _ = router.call(
-        party, "ledger", MessageKind.LedgerRead, transport.pack_ledger_read(taskid, round_index)
+        party, "ledger", MessageKind.LedgerRead, pack(transport.LEDGER_READ, taskid, round_index)
     )
-    (status,) = struct.unpack_from(">B", reply, 0)
-    if status == 1:
+    error, indices, payloads, sigs = unpack(transport.LEDGER_ROUND, reply)
+    if error == "LedgerNotFound":
         raise KeyError(f"no chunks for round {round_index}")
-    if status == 2:
-        (count,) = struct.unpack_from(">I", reply, 1)
-        present = [struct.unpack_from(">I", reply, 5 + 4 * i)[0] for i in range(count)]
-        raise Incomplete(f"indices present: {present}")
-    (count,) = struct.unpack_from(">I", reply, 1)
-    off = 5
-    chunks = []
-    for _ in range(count):
-        (size,) = struct.unpack_from(">I", reply, off)
-        off += 4
-        taskid_, rnd, idx, body, sig = transport.unpack_chunk_upload(reply[off : off + size])
-        chunks.append(SignedChunk(taskid_, rnd, idx, body, crypto.Signature(sig)))
-        off += size
-    return chunks
+    if error:
+        raise Incomplete(f"indices present: {list(indices)}")
+    return [
+        SignedChunk(taskid, round_index, i, body, crypto.Signature(sig))
+        for i, body, sig in zip(indices, payloads, sigs)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +250,8 @@ class Client:
         self.measurement: bytes | None = None
         self.conf: Conf | None = None
         self.ssk_by_enclave: dict[int, SymKey] = {}
-        # slot index -> (node, eid, encoded plaintext slice); re-encrypted on failover
-        self.cached_payloads: dict[int, tuple[int, int, bytes]] = {}
+        # slot index -> encoded plaintext slice; re-encrypted on failover
+        self.cached_payloads: dict[int, bytes] = {}
         self.synth_seed = seed
         self.int_mode = False
         self.perturb = 0.05
@@ -316,37 +264,33 @@ class Client:
             if kind == MessageKind.KeyDeliver:
                 return self._handle_msk_delivery(src, payload)
             if kind == MessageKind.InitModel:
-                update = model.decode_model(payload)
-                self.taskid = update.taskid
-                self.m_glob = update.weights
-                return _ok()
+                (encoded,) = unpack(transport.INIT_MODEL, memoryview(payload))
+                self.m_glob = model.decode_model(encoded).weights  # the task comes with the Conf
+                return ok()
             if kind == MessageKind.ConfDeliver:
                 self.conf = Conf.from_bytes(payload)
                 self.taskid = self.conf.taskid
                 self.measurement = self.conf.measurement
-                return _ok()
+                return ok()
             if kind == MessageKind.ResendRequest:
-                obj = json.loads(payload.decode())
-                self._resend(obj["slot"], obj["node"], obj["eid"], obj["round"])
-                return _ok()
+                self._resend(*unpack(transport.RESEND_REQUEST, payload))
+                return ok()
             if kind == MessageKind.Ping:
-                return _ok()
+                unpack(transport.PING, payload)
+                return ok()
         except Exception as exc:
-            return _err(exc)
-        return _err(RemoteError(f"client cannot handle {kind.name}"))
+            return err(exc)
+        return err(RemoteError(f"client cannot handle {kind.name}"))
 
     def _handle_msk_delivery(self, src: str, payload: bytes):
-        obj = json.loads(payload.decode())
-        if obj["phase"] == 1:
+        phase, owner_point, sealed = unpack(transport.MASTER_KEY, payload)
+        if phase == 1:
             priv, point = crypto.ecdh_keypair(self.rng)
             self._dh_priv = priv
-            return _ok({"point": point.hex()})
-        env = Envelope.from_bytes(bytes.fromhex(obj["envelope"]))
-        key = crypto.derive_session_key(
-            self._dh_priv, bytes.fromhex(obj["point"]), src, 0, _OWNER_CHANNEL_TAG
-        )
-        self.msk = SymKey(crypto.ae_decrypt(key, env))
-        return _ok()
+            return ok(point)
+        key = crypto.derive_session_key(self._dh_priv, owner_point, src, 0, _OWNER_CHANNEL_TAG)
+        self.msk = SymKey(crypto.ae_decrypt(key, Envelope.from_bytes(sealed)))
+        return ok()
 
     # -- one round ------------------------------------------------------------
 
@@ -390,7 +334,7 @@ class Client:
                 dataset_size=update.dataset_size,
             )
             encoded = model.encode_model(sliced)
-            self.cached_payloads[slot.index] = (slot.node, slot.eid, encoded)
+            self.cached_payloads[slot.index] = encoded
             try:
                 arrivals.append(self._encrypt_and_send(slot.node, slot.eid, round_index, encoded))
             except transport.DeliveryDropped:
@@ -407,22 +351,22 @@ class Client:
         env_k = crypto.ae_encrypt(
             ssk, crypto.msk_aad(self.taskid, round_index, self.uid), self.msk.raw, rng=self.rng
         )
-        payload = transport.pack_model_envelope(self.taskid, round_index, self.uid, env_m, env_k)
+        payload = pack(transport.MODEL_ENVELOPE, self.taskid, round_index, self.uid, env_m, env_k)
         _, reply, arrival = self.router.call(
             self.party, f"node:{node}", MessageKind.ModelEnvelope, payload
         )
-        _check_reply(reply)
+        check_reply(reply)
         return arrival
 
-    def _resend(self, slot_index: int, node: int, eid: int, round_index: int) -> None:
-        """After failover: fresh attestation, re-encrypt the cached slice, re-send."""
-        cached = self.cached_payloads.get(slot_index)
-        if cached is None:
+    def _resend(self, slot_index: int, round_index: int) -> None:
+        """Fresh attestation to the slot's enclave as the latest schedule
+        places it, then re-encrypt the cached slice and re-send."""
+        encoded = self.cached_payloads.get(slot_index)
+        if encoded is None:
             raise RemoteError(f"client {self.uid} has nothing cached for slot {slot_index}")
-        _, _, encoded = cached
-        self.attest(node, eid)
-        self.cached_payloads[slot_index] = (node, eid, encoded)
-        self._encrypt_and_send(node, eid, round_index, encoded)
+        slot = self.conf.slots[slot_index]
+        self.attest(slot.node, slot.eid)
+        self._encrypt_and_send(slot.node, slot.eid, round_index, encoded)
 
     def client_get_global(self, round_index: int) -> model.WeightVector:
         """Read the round's chunks, reassemble, decrypt, combine, advance."""
@@ -471,16 +415,17 @@ class TaskOwner:
         self.msk: SymKey | None = None
         self.taskid: bytes | None = None
         self.phase = "created"
-        router.register(self.party, handler=lambda s, k, p: _ok())
+        router.register(self.party, handler=lambda s, k, p: ok())
 
     def owner_initialize(self, taskid: bytes, m_init: model.WeightVector, clients: list[int]) -> None:
         """Deploy the task record on the ledger and hand clients the initial model."""
         self.taskid = taskid
         self.ledger.create_task(0, taskid)
-        body = model.encode_model(model.LocalUpdate(taskid, 0, 0, m_init, 1))
+        encoded = model.encode_model(model.LocalUpdate(taskid, 0, 0, m_init, 1))
+        body = pack(transport.INIT_MODEL, encoded)
         for uid in clients:
             _, reply, _ = self.router.call(self.party, f"client:{uid}", MessageKind.InitModel, body)
-            _check_reply(reply)
+            check_reply(reply)
         self.phase = "running"
 
     def owner_key_exchange(self, clients: list[int]) -> SymKey:
@@ -500,22 +445,16 @@ class TaskOwner:
         dest = f"client:{uid}"
         priv, point = crypto.ecdh_keypair(self.rng)
         _, reply, _ = self.router.call(
-            self.party, dest, MessageKind.KeyDeliver, json.dumps({"phase": 1}).encode()
+            self.party, dest, MessageKind.KeyDeliver, pack(transport.MASTER_KEY, 1, b"", b"")
         )
-        obj = _check_reply(reply)
-        key = crypto.derive_session_key(
-            priv, bytes.fromhex(obj["point"]), self.party, 0, _OWNER_CHANNEL_TAG
-        )
+        client_point = check_reply(reply)
+        key = crypto.derive_session_key(priv, client_point, self.party, 0, _OWNER_CHANNEL_TAG)
         env = crypto.ae_encrypt(key, b"msk-delivery", self.msk.raw, rng=self.rng)
         _, reply, _ = self.router.call(
-            self.party,
-            dest,
-            MessageKind.KeyDeliver,
-            json.dumps(
-                {"phase": 2, "point": point.hex(), "envelope": env.to_bytes().hex()}
-            ).encode(),
+            self.party, dest, MessageKind.KeyDeliver,
+            pack(transport.MASTER_KEY, 2, point, env.to_bytes()),
         )
-        _check_reply(reply)
+        check_reply(reply)
 
     def get_global_model(self, conf: Conf, round_index: int) -> model.WeightVector:
         """Same read path as a client; the owner holds the master key too."""

@@ -1,17 +1,21 @@
-"""Message framing and delivery between roles, committee, enclaves, and ledger.
+"""Message framing, delivery, and the one codec for every message body.
 
 Frames are length-prefixed (u32 BE length, u8 tag, payload). The in-process
 router gives reliable, ordered, at-most-once delivery per channel and doubles
 as an RPC fabric; taps observe every frame's raw bytes without altering
-delivery, which is what the confidentiality checks hook into.
+delivery, which is what the confidentiality checks hook into. Each payload is
+one named :class:`Schema` encoded by :func:`pack` and decoded by :func:`unpack`.
 """
 
 from __future__ import annotations
 
+import itertools
 import struct
 from collections import deque
 from dataclasses import dataclass, field
 from enum import IntEnum
+
+from . import crypto
 
 
 class UnknownParty(Exception):
@@ -207,143 +211,170 @@ class Router:
 
 
 # ---------------------------------------------------------------------------
-# Payload schemas (bit-exact; see the message kinds above)
+# Message bodies: one codec, one named schema per body
 # ---------------------------------------------------------------------------
 
-from . import crypto as _crypto  # noqa: E402  (payload codecs need envelope parsing)
+# Field codes. Integers are big-endian; a length or count is a u32.
+U8, U32, U64, F64 = "B", "I", "Q", "d"
+BYTES = "bytes"  # length-led bytes
+TEXT = "text"  # length-led UTF-8
+U32S = "u32s"  # count-led u32 list
+# Lists of lists: the count, every length, then all the items.
+BLOBS = "blobs"  # of byte strings
+U32_ROWS = "u32 rows"  # of u32 lists
+ENVELOPE = "envelope"  # crypto.Envelope in its own wire encoding
+
+_FIXED = "fixed"
+_LEN = struct.Struct(">I")
 
 
-def pack_model_envelope(taskid, round_index, sender, env_m, env_k) -> bytes:
-    """taskid_len(u16) + taskid + round(u64) + sender(u64) + env(ct_m) + env(ct_msk)."""
-    return (
-        struct.pack(">H", len(taskid))
-        + taskid
-        + struct.pack(">QQ", round_index, sender)
-        + env_m.to_bytes()
-        + env_k.to_bytes()
-    )
+class Schema:
+    """The field codes of one message body, in wire order; each run of
+    fixed-width fields is one precompiled struct."""
+
+    def __init__(self, *fields: str) -> None:
+        self.fields = fields
+        self.steps: list[tuple[str, struct.Struct | None, int]] = []
+        for fixed, run in itertools.groupby(fields, key=lambda code: len(code) == 1):
+            run = list(run)
+            if fixed:
+                self.steps.append((_FIXED, struct.Struct(">" + "".join(run)), len(run)))
+            else:
+                self.steps += [(code, None, 1) for code in run]
+
+    def __repr__(self) -> str:
+        return f"Schema{self.fields}"
 
 
-def unpack_model_envelope(data: bytes):
-    (tid_len,) = struct.unpack_from(">H", data, 0)
-    taskid = data[2 : 2 + tid_len]
-    off = 2 + tid_len
-    round_index, sender = struct.unpack_from(">QQ", data, off)
-    off += 16
-    env_m, off = _crypto.parse_envelope_at(data, off)
-    env_k, off = _crypto.parse_envelope_at(data, off)
-    if off != len(data):
-        raise ValueError("trailing bytes after model envelope")
-    return taskid, round_index, sender, env_m, env_k
+def pack(schema: Schema, *values) -> bytes:
+    """Encode ``values`` field by field as ``schema`` lays them out."""
+    if len(values) != len(schema.fields):
+        raise ValueError(f"{schema} takes {len(schema.fields)} values, got {len(values)}")
+    parts = []
+    i = 0
+    for code, st, n in schema.steps:
+        v = values[i]
+        i += n
+        if code == _FIXED:
+            parts.append(st.pack(*values[i - n : i]))
+        elif code == ENVELOPE:
+            parts.append(v.to_bytes())
+        elif code == BYTES or code == TEXT:
+            v = v.encode() if code == TEXT else v
+            parts += (_LEN.pack(len(v)), v)
+        else:
+            lengths = v if code == U32S else [len(x) for x in v]
+            parts.append(struct.pack(f">I{len(v)}I", len(v), *lengths))
+            if code == BLOBS:
+                parts += v
+            elif code == U32_ROWS:
+                parts.append(struct.pack(f">{sum(lengths)}I", *itertools.chain.from_iterable(v)))
+    return b"".join(parts)
 
 
-def pack_chunk_upload(taskid, round_index, index, payload, sig_raw) -> bytes:
-    """Canonical signed-message fields plus the signature."""
-    return (
-        struct.pack(">H", len(taskid))
-        + taskid
-        + struct.pack(">QII", round_index, index, len(payload))
-        + payload
-        + struct.pack(">H", len(sig_raw))
-        + sig_raw
-    )
+def unpack(schema: Schema, body: bytes) -> tuple:
+    """Decode a whole body; ValueError if it is truncated or has trailing bytes.
+    Lists come back as tuples; bytes fields are slices of ``body``, so a
+    memoryview body yields them without a copy."""
+    out = []
+    off = 0
+    try:
+        for code, st, _ in schema.steps:
+            if code == _FIXED:
+                out += st.unpack_from(body, off)
+                off += st.size
+                continue
+            if code == ENVELOPE:
+                env, off = crypto.parse_envelope_at(body, off)
+                out.append(env)
+                continue
+            # an overrun below surfaces at the next field or the final check
+            (n,) = _LEN.unpack_from(body, off)
+            off += 4
+            if code == BYTES or code == TEXT:
+                v = body[off : off + n]
+                out.append(str(v, "utf-8") if code == TEXT else v)
+                off += n
+                continue
+            lengths = struct.unpack_from(f">{n}I", body, off)
+            off += 4 * n
+            if code == U32S:
+                out.append(lengths)
+                continue
+            if code == BLOBS:
+                items, ends = body, list(itertools.accumulate(lengths, initial=off))
+                off = ends[-1]
+            else:
+                ends = list(itertools.accumulate(lengths, initial=0))
+                items = struct.unpack_from(f">{ends[-1]}I", body, off)
+                off += 4 * ends[-1]
+            out.append(tuple(items[a:b] for a, b in zip(ends, ends[1:])))
+    except struct.error as exc:
+        raise ValueError(f"{schema}: body truncated") from exc
+    if off != len(body):
+        raise ValueError(f"{schema}: body is {len(body)} bytes, its fields {off}")
+    return tuple(out)
 
 
-def unpack_chunk_upload(data: bytes):
-    (tid_len,) = struct.unpack_from(">H", data, 0)
-    taskid = data[2 : 2 + tid_len]
-    off = 2 + tid_len
-    round_index, index, payload_len = struct.unpack_from(">QII", data, off)
-    off += 16
-    payload = data[off : off + payload_len]
-    off += payload_len
-    (sig_len,) = struct.unpack_from(">H", data, off)
-    off += 2
-    sig_raw = data[off : off + sig_len]
-    off += sig_len
-    if off != len(data) or len(payload) != payload_len or len(sig_raw) != sig_len:
-        raise ValueError("malformed chunk upload")
-    return taskid, round_index, index, payload, sig_raw
+# Frame bodies, by the message kind that carries them.
+SUBMIT_TASK = Schema(BYTES)  # taskid
+# taskid, code id, aggregation hook, enclave memory budget, paging, enclave rng seed
+INSTALL_PROG = Schema(BYTES, BYTES, TEXT, U64, U8, U64)
+INSTALLED = Schema(U64)  # the reply's result to InstallProg: eid
+RA_HANDSHAKE1 = Schema(BYTES, U64, TEXT, BYTES)  # taskid, eid, initiator, point
+RA_HANDSHAKE2 = Schema(BYTES, BYTES)  # point, measurement
+KEY_DELIVER = Schema(BYTES, U64, U8, ENVELOPE)  # taskid, eid, purpose, sealed plaintext
+MASTER_KEY = Schema(U8, BYTES, BYTES)  # owner to client: phase, owner's point, sealed key
+CONF_DELIVER = Schema(BYTES, BYTES, U32, U32_ROWS, U32_ROWS)  # see committee.Conf.to_bytes
+INIT_MODEL = Schema(BYTES)  # model.encode_model bytes
+MODEL_ENVELOPE = Schema(BYTES, U64, U64, ENVELOPE, ENVELOPE)  # taskid, round, sender, model, key
+RESEND_REQUEST = Schema(U32, U64)  # slot, round
+CHUNK_UPLOAD = Schema(BYTES, U64, U32, BYTES, BYTES)  # taskid, round, index, payload, signature
+RECEIPT = Schema(TEXT, U64, U32, TEXT)  # outcome, round, index, reason ("" for none)
+LEDGER_READ = Schema(BYTES, U64)  # taskid, round
+# A round's chunks as columns: error ("" if complete, else the ledger's
+# exception name, with the indices present so far), indices, payloads, signatures.
+LEDGER_ROUND = Schema(TEXT, U32S, BLOBS, BLOBS)
+HEARTBEAT = Schema(U64, F64)  # node, timestamp (ms)
+PING = Schema()
+REPLY = Schema(TEXT, BYTES)  # error ("" on success, else "Type: message"), result
 
-
-def pack_ra1(taskid, eid, initiator, point) -> bytes:
-    ident = initiator.encode()
-    return (
-        struct.pack(">H", len(taskid))
-        + taskid
-        + struct.pack(">QH", eid, len(ident))
-        + ident
-        + struct.pack(">H", len(point))
-        + point
-    )
-
-
-def unpack_ra1(data: bytes):
-    (tid_len,) = struct.unpack_from(">H", data, 0)
-    taskid = data[2 : 2 + tid_len]
-    off = 2 + tid_len
-    eid, ident_len = struct.unpack_from(">QH", data, off)
-    off += 10
-    initiator = data[off : off + ident_len].decode()
-    off += ident_len
-    (point_len,) = struct.unpack_from(">H", data, off)
-    off += 2
-    point = data[off : off + point_len]
-    return taskid, eid, initiator, point
-
-
-def pack_ra2(point, measurement) -> bytes:
-    return struct.pack(">H", len(point)) + point + measurement
-
-
-def unpack_ra2(data: bytes):
-    (point_len,) = struct.unpack_from(">H", data, 0)
-    point = data[2 : 2 + point_len]
-    measurement = data[2 + point_len :]
-    return point, measurement
-
-
+# Plaintexts the committee seals into KeyDeliver / RoundDeliver envelopes,
+# and the KEY_DELIVER purpose naming each.
 KEY_PURPOSE_SK = 1
 KEY_PURPOSE_ROUND = 2
 KEY_PURPOSE_PARTITION = 3
+PARTITION = Schema(U32S, U32S, U32, U32)  # enclave.PartitionConf's fields
+ROUND_ARM = Schema(BYTES, U64)  # taskid, round
 
 
-def pack_key_deliver(taskid, eid, purpose, env) -> bytes:
-    return (
-        struct.pack(">H", len(taskid))
-        + taskid
-        + struct.pack(">QB", eid, purpose)
-        + env.to_bytes()
-    )
+# ---------------------------------------------------------------------------
+# RPC replies
+# ---------------------------------------------------------------------------
+
+class RemoteError(Exception):
+    """An rpc peer reported a protocol error it could not map locally."""
 
 
-def unpack_key_deliver(data: bytes):
-    (tid_len,) = struct.unpack_from(">H", data, 0)
-    taskid = data[2 : 2 + tid_len]
-    off = 2 + tid_len
-    eid, purpose = struct.unpack_from(">QB", data, off)
-    off += 9
-    env, off = _crypto.parse_envelope_at(data, off)
-    if off != len(data):
-        raise ValueError("trailing bytes after key delivery")
-    return taskid, eid, purpose, env
+_REMOTE_ERRORS = {
+    "AuthFailure": crypto.AuthFailure,
+    "MeasurementMismatch": crypto.MeasurementMismatch,
+}
 
 
-def pack_ledger_read(taskid, round_index) -> bytes:
-    return struct.pack(">H", len(taskid)) + taskid + struct.pack(">Q", round_index)
+def ok(result: bytes = b""):
+    return MessageKind.Ack, pack(REPLY, "", result)
 
 
-def unpack_ledger_read(data: bytes):
-    (tid_len,) = struct.unpack_from(">H", data, 0)
-    taskid = data[2 : 2 + tid_len]
-    (round_index,) = struct.unpack_from(">Q", data, 2 + tid_len)
-    return taskid, round_index
+def err(exc: Exception):
+    return MessageKind.Ack, pack(REPLY, f"{type(exc).__name__}: {exc}", b"")
 
 
-def pack_heartbeat(node, timestamp_ms) -> bytes:
-    return struct.pack(">Qd", node, timestamp_ms)
-
-
-def unpack_heartbeat(data: bytes):
-    node, timestamp_ms = struct.unpack(">Qd", data)
-    return node, timestamp_ms
+def check_reply(body: bytes) -> bytes:
+    """The result of a successful reply; a failed one raises the peer's error."""
+    error, result = unpack(REPLY, body)
+    if error:
+        name, _, msg = error.partition(": ")
+        exc_type = _REMOTE_ERRORS.get(name)
+        raise exc_type(msg) if exc_type is not None else RemoteError(error)
+    return result

@@ -1,13 +1,12 @@
 """Shared helpers: directly provisioned enclaves and envelope builders."""
 
-import struct
 from random import Random
 
 import numpy as np
 
-from fedtee import crypto, enclave, model
+from fedtee import crypto, enclave, model, transport
 from fedtee.crypto import MeasurementMismatch, SymKey
-from fedtee.enclave import EnclaveProgram, PartitionConf, SgxHost
+from fedtee.enclave import EnclaveProgram, SgxHost
 
 TASKID = b"task-under-test"
 
@@ -68,17 +67,9 @@ def provision_enclave(
     )
     host.getsk(eid, "committee", env)
 
-    part = PartitionConf(
-        layer_range=tuple(layer_range),
-        client_subset=tuple(clients),
-        chunk_base=chunk_base,
-        tx_capacity=tx_capacity,
-    )
+    part = transport.pack(transport.PARTITION, layer_range, clients, chunk_base, tx_capacity)
     env = crypto.ae_encrypt(
-        committee_ssk,
-        crypto.keydeliver_aad(TASKID, b"partition"),
-        part.to_json_bytes(),
-        rng=rng,
+        committee_ssk, crypto.keydeliver_aad(TASKID, b"partition"), part, rng=rng
     )
     host.load_partition(eid, "committee", env)
 
@@ -101,7 +92,7 @@ def provision_enclave(
 
 
 def arm_round(host, eid, committee_ssk, round_index, rng):
-    plain = struct.pack(">H", len(TASKID)) + TASKID + struct.pack(">Q", round_index)
+    plain = transport.pack(transport.ROUND_ARM, TASKID, round_index)
     env = crypto.ae_encrypt(
         committee_ssk, crypto.keydeliver_aad(TASKID, b"round"), plain, rng=rng
     )

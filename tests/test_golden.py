@@ -58,22 +58,22 @@ CONFIGS = {
 }
 
 GOLDEN = {
-    "chunks-64": "6ece231a83366a21601f8ae9eede846fbc26368c87d1169689838aef8e8e2d66",
-    "clientmax-float": "f7863ef310b159b045598e59d2e05f12f08076348362693328cec72f71f5641b",
-    "clientmax-int": "c84ecbcd29b4d9ba4193f6081e4183c3897d4b5b22fcc059b197451871b123fe",
-    "drop": "a9a4e41633b399327c8bfac3ce9eef48b97911b461a06a29301f22ac6ac4a5c1",
-    "kill-between": "8b40e3bb59c8e5104e00faeabe7e8677a9134995bda59d7eaf80286ff7fa627f",
-    "kill-collect": "9121f37b0102c0dc36f07784639a9ffb4f55efb682fccdcefd931241c2612ddf",
-    "layermax-float": "6019f4816ea59ecda604a44fbfe2eadf265e2c5a154f1afeadf72fdc1e99306f",
-    "layermax-int": "89481d8411d4b6143652d1fe28d8ff264ff04147239275080239f1705a811ba3",
-    "paging": "f60a00fcd799798fce82471f6e16ec7a554fa5b71b822b91da26755031731c17",
-    "sentinel-taps": "c5512798bedae4ee3f9d299586b4151da53ddf7f39d0d0687883628c7d88d007",
-    "single-float": "186416c18fd542eecbdcb2fd374cacc1456464d070412542d7cb9d294f44f397",
-    "single-int": "6544b0d6464d4326c240cdb985c372bca0da86cc2e5581ec601db3c42261255b",
-    "straggler-exclude": "90859c5ba3b84d5835210aa69ab863fa54c9d6fa441f5b396889f310ea6a90b3",
-    "tamper-chunk": "db03abdbfe42727cf7eb6314444ee1747d19a97aeabd390d39cf94ac32a6fbcb",
-    "tamper-install": "fcc54c97d6ecf2d7289132aa3fe29bbbd1eb00d4d80238897fcbfe8a77f4b044",
-    "uniform-tendermint": "b16eb75f9641bfbf53fd7bf8ed695d135417f55cbe709e532ec0cc5f3ea043c0",
+    "chunks-64": "63764e91d2ce00a32c7510ef73f22e85e34f6c9ab21210d6cb3109950e23281a",
+    "clientmax-float": "aedfef0953327a8109ada04b12931b2b3620fb4e344ba1e845eebf3abfaa8ab8",
+    "clientmax-int": "6417af4c1fc4174682f45bdc8f54ea888b63245f4100521d41d27b95f13e9940",
+    "drop": "177b78e5dc25937173a879ad52ce2d8ba1ef1bd9f0628274dece2c1c8e97d3f7",
+    "kill-between": "2098f201b3940ca5e5e414334b2cc169a66501be9110acb8127d434060b4a6e7",
+    "kill-collect": "d77c718d6c5efac7acf173361c9031d67cb837ed0b86ebee5087e70ef1f3d49e",
+    "layermax-float": "58e1e908f2dd3f572fda7aae6581affc7f1b8a384dfc31b726238b15fa9f1d4f",
+    "layermax-int": "cb3d39b6671ac42bcda710583312297ff44d3cdd1cf98cccd78c8919e2ea76aa",
+    "paging": "1df6a8dfda2a5588585d11b864562802193d62fba1385c920f5dc4f385d4b16e",
+    "sentinel-taps": "fc3769a65a90d57016b13c40735cd564b1da3e5eee0e02009e5874059637a393",
+    "single-float": "2e8a3e1c293c2086235a2cbeb011a190ab3d3c1e6f208783d4b5d27b3ebd5fe3",
+    "single-int": "30719085f62cbbc6a0c98db4ca132d797d00b6dfa72033f4c6f3a1ef79de7da7",
+    "straggler-exclude": "9c2619e714ea68c8c52ba83f257fcbc9823917e9cfc8a11d934c04ef082f8476",
+    "tamper-chunk": "e67ab3ea1ec7025b08213b5a7470260d6e3afce22306a4e61577fa4119672058",
+    "tamper-install": "7f499d8edbf0e6d6941e45ba38aac5e15ff8fc0ec4f4d29ce54ac955cdd540aa",
+    "uniform-tendermint": "69bc939583e54a3411980c42025c32f703eb04451ffa9247479538adf8386efb",
 }
 
 

@@ -130,6 +130,19 @@ def test_index_outside_declared_range_rejected_with_own_reason():
     assert not led.storage
 
 
+@pytest.mark.parametrize("index", [-1, 2**32])
+def test_unencodable_index_rejected_without_expected_count(index):
+    ctx, chunks = signed_round()
+    led = make_ledger()
+    led.create_task(1, TASKID)
+    led.upload_pk(COMM, TASKID, ctx["vk"].public_bytes())
+    first = chunks[0]
+    chunk = SignedChunk(first.taskid, first.round, index, first.payload, first.sigma)
+    receipt = led.upload_global_model("node:0", chunk)
+    assert (receipt.outcome, receipt.reason) == ("rejected", "IndexOutOfRange")
+    assert not led.storage
+
+
 def test_wrong_round_rejected():
     ctx, chunks = signed_round()
     led = _prepared_ledger(ctx, chunks)

@@ -1,7 +1,5 @@
 """Role state machines over the framed transport, driven through the harness."""
 
-import json
-
 import pytest
 
 from conftest import tap_bytes
@@ -100,11 +98,18 @@ def test_single_client_single_node_sends_one_envelope_pair():
         if transport.Frame.from_bytes(raw).kind == MessageKind.ModelEnvelope
     ]
     assert len(model_frames) == 1
-    taskid, rnd, sender, env_m, env_k = transport.unpack_model_envelope(
-        transport.Frame.from_bytes(model_frames[0]).payload
+    taskid, rnd, sender, env_m, env_k = transport.unpack(
+        transport.MODEL_ENVELOPE, transport.Frame.from_bytes(model_frames[0]).payload
     )
     assert (taskid, rnd, sender) == (run.cfg.taskid_bytes, 0, 0)
     assert len(env_k.ciphertext) == crypto.KEY_BYTES
+
+
+def test_attesting_a_missing_enclave_raises_the_nodes_error():
+    run = TaskRun(small_config())
+    run.setup()
+    with pytest.raises(transport.RemoteError, match="no enclave 999"):
+        run.clients[0].attest(0, 999)
 
 
 def test_clientmax_slicing_sends_disjoint_layer_payloads():
@@ -121,7 +126,7 @@ def test_clientmax_slicing_sends_disjoint_layer_payloads():
     tap = run.router.add_tap()
     run.clients[0].client_round(0)
     payloads = [
-        transport.unpack_model_envelope(transport.Frame.from_bytes(raw).payload)
+        transport.unpack(transport.MODEL_ENVELOPE, transport.Frame.from_bytes(raw).payload)
         for _, _, raw in tap.frames
         if transport.Frame.from_bytes(raw).kind == MessageKind.ModelEnvelope
     ]

@@ -1,10 +1,13 @@
-"""Framing, loopback router, taps, and fault rules."""
+"""Framing, loopback router, taps, fault rules, and the message-body codec."""
 
 import os
+from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fedtee import transport
+from fedtee import crypto, transport
 from fedtee.transport import (
     ChannelShaping,
     DeliveryDropped,
@@ -127,22 +130,101 @@ def test_bandwidth_shaping_delays_arrival():
     assert arrival2 == pytest.approx(20.0)  # queued behind the first
 
 
-def test_model_envelope_payload_codec():
-    from random import Random
+# ---------------------------------------------------------------------------
+# Message-body codec
+# ---------------------------------------------------------------------------
 
-    from fedtee import crypto
+SCHEMAS = {
+    name: schema for name, schema in vars(transport).items() if isinstance(schema, transport.Schema)
+}
 
+_FIELD_VALUES = {
+    transport.U8: st.integers(0, 2**8 - 1),
+    transport.U32: st.integers(0, 2**32 - 1),
+    transport.U64: st.integers(0, 2**64 - 1),
+    transport.F64: st.floats(allow_nan=False),
+    transport.BYTES: st.binary(max_size=24),
+    transport.TEXT: st.text(max_size=12),
+    transport.U32S: st.lists(st.integers(0, 2**32 - 1), max_size=6).map(tuple),
+    transport.BLOBS: st.lists(st.binary(max_size=8), max_size=4).map(tuple),
+    transport.U32_ROWS: st.lists(
+        st.lists(st.integers(0, 2**32 - 1), max_size=4).map(tuple), max_size=4
+    ).map(tuple),
+    transport.ENVELOPE: st.builds(
+        crypto.Envelope,
+        nonce=st.binary(min_size=crypto.NONCE_BYTES, max_size=crypto.NONCE_BYTES),
+        aad=st.binary(max_size=12),
+        ciphertext=st.binary(max_size=24),
+        tag=st.binary(min_size=crypto.TAG_BYTES, max_size=crypto.TAG_BYTES),
+    ),
+}
+
+
+def check_body(schema, values):
+    """The body round-trips; every proper prefix and one extra byte are rejected."""
+    body = transport.pack(schema, *values)
+    assert transport.unpack(schema, body) == tuple(values)
+    for cut in range(len(body)):
+        with pytest.raises(ValueError):
+            transport.unpack(schema, body[:cut])
+    with pytest.raises(ValueError):
+        transport.unpack(schema, body + b"\x00")
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMAS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_schema_round_trip_and_exact_length(name, data):
+    schema = SCHEMAS[name]
+    values = [data.draw(_FIELD_VALUES[code]) for code in schema.fields]
+    check_body(schema, values)
+
+
+def _envelopes():
     key = crypto.SymKey(b"\x04" * 16)
     env_m = crypto.ae_encrypt(key, b"m-aad", b"model-bytes", rng=Random(0))
     env_k = crypto.ae_encrypt(key, b"k-aad", b"0123456789abcdef", rng=Random(1))
-    blob = transport.pack_model_envelope(b"tid", 7, 42, env_m, env_k)
-    taskid, rnd, sender, got_m, got_k = transport.unpack_model_envelope(blob)
-    assert (taskid, rnd, sender) == (b"tid", 7, 42)
-    assert got_m == env_m
-    assert got_k == env_k
+    return env_m, env_k
 
 
-def test_chunk_upload_codec():
-    blob = transport.pack_chunk_upload(b"tid", 3, 9, b"chunk-payload", b"sig-bytes")
-    taskid, rnd, idx, payload, sig = transport.unpack_chunk_upload(blob)
-    assert (taskid, rnd, idx, payload, sig) == (b"tid", 3, 9, b"chunk-payload", b"sig-bytes")
+@pytest.mark.parametrize(
+    "schema, values",
+    [
+        (transport.MODEL_ENVELOPE, (b"tid", 7, 42, *_envelopes())),
+        (transport.CHUNK_UPLOAD, (b"tid", 3, 9, b"chunk-payload", b"sig-bytes")),
+    ],
+    ids=["model-envelope", "chunk-upload"],
+)
+def test_codec_examples(schema, values):
+    check_body(schema, values)
+
+
+def test_ra_handshake1_cut_short_is_rejected():
+    point = crypto.ecdh_keypair(Random(3))[1]
+    body = transport.pack(transport.RA_HANDSHAKE1, b"tid", 5, "client:1", point)
+    with pytest.raises(ValueError):
+        transport.unpack(transport.RA_HANDSHAKE1, body[:-10])
+
+
+@pytest.mark.parametrize(
+    "schema, values",
+    [
+        (transport.RA_HANDSHAKE1, (b"tid", 5, "client:1", b"\x04" * 65)),
+        (transport.LEDGER_READ, (b"tid", 2)),
+    ],
+    ids=["ra-handshake1", "ledger-read"],
+)
+def test_trailing_bytes_are_rejected(schema, values):
+    with pytest.raises(ValueError):
+        transport.unpack(schema, transport.pack(schema, *values) + b"x")
+
+
+def test_reply_maps_known_errors_and_passes_results():
+    _, body = transport.ok(b"result")
+    assert transport.check_reply(body) == b"result"
+    _, body = transport.err(crypto.AuthFailure("tampered"))
+    with pytest.raises(crypto.AuthFailure, match="^tampered$"):
+        transport.check_reply(body)
+    _, body = transport.err(KeyError("no enclave 9"))
+    with pytest.raises(transport.RemoteError, match="KeyError"):
+        transport.check_reply(body)
