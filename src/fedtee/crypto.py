@@ -142,7 +142,7 @@ def ae_encrypt(key: SymKey, aad: bytes, plaintext: bytes, rng: Random | None = N
 def ae_decrypt(key: SymKey, env: Envelope) -> bytes:
     """Recover the plaintext; :class:`AuthFailure` if anything was altered."""
     try:
-        return AESGCM(key.raw).decrypt(env.nonce, env.ciphertext + env.tag, env.aad)
+        return AESGCM(key.raw).decrypt(env.nonce, b"".join((env.ciphertext, env.tag)), env.aad)
     except InvalidTag as exc:
         raise AuthFailure("envelope failed authentication") from exc
 

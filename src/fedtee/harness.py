@@ -432,8 +432,8 @@ class TaskRun:
                 f"(at {self.ledger.current_round(cfg.taskid_bytes)})"
             )
 
-        for uid in sorted(self.clients):
-            self.clients[uid].client_get_global(round_index)
+        for client in self.clients.values():
+            client.cached_payloads.clear()  # kept only for resends within the round
         global_model = self.owner.get_global_model(conf, round_index)
         self.report.round_models.append(global_model)
         self.report.round_model_digests.append(global_model.digest())

@@ -10,6 +10,7 @@ channel, never as plaintext on a frame.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from random import Random
 
 from . import crypto, model, transport
@@ -206,29 +207,29 @@ class LedgerParty:
             except (LedgerNotFound, LedgerIncomplete) as exc:
                 present = exc.present if isinstance(exc, LedgerIncomplete) else ()
                 return MessageKind.LedgerReply, pack(
-                    transport.LEDGER_ROUND, type(exc).__name__, present, (), ()
+                    transport.LEDGER_ROUND, type(exc).__name__, present, ()
                 )
             return MessageKind.LedgerReply, pack(
-                transport.LEDGER_ROUND, "", [c.index for c in chunks],
-                [c.payload for c in chunks], [c.sigma.raw for c in chunks],
+                transport.LEDGER_ROUND, "", [c.index for c in chunks], [c.payload for c in chunks]
             )
         return err(RemoteError(f"ledger cannot handle {kind.name}"))
 
 
 def read_round_chunks(router: Router, party: str, taskid: bytes, round_index: int):
-    """Framed ledger read; returns SignedChunks or raises Incomplete/KeyError."""
+    """Framed ledger read of a completed round: its chunk indices, ascending,
+    and their payloads; raises Incomplete or KeyError.
+
+    The ledger checked every chunk's signature when it stored it; what a
+    reader checks is the AEAD tag and context of each reassembled output."""
     _, reply, _ = router.call(
         party, "ledger", MessageKind.LedgerRead, pack(transport.LEDGER_READ, taskid, round_index)
     )
-    error, indices, payloads, sigs = unpack(transport.LEDGER_ROUND, reply)
+    error, indices, payloads = unpack(transport.LEDGER_ROUND, memoryview(reply))
     if error == "LedgerNotFound":
         raise KeyError(f"no chunks for round {round_index}")
     if error:
         raise Incomplete(f"indices present: {list(indices)}")
-    return [
-        SignedChunk(taskid, round_index, i, body, crypto.Signature(sig))
-        for i, body, sig in zip(indices, payloads, sigs)
-    ]
+    return indices, payloads
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +246,7 @@ class Client:
         self.rng = Random(derive_seed(seed, self.party))
         self.msk: SymKey | None = None
         self.m_glob: model.WeightVector | None = None
-        self.round = 0
+        self.round = 0  # the round m_glob is the start model of
         self.taskid: bytes | None = None
         self.measurement: bytes | None = None
         self.conf: Conf | None = None
@@ -317,11 +318,21 @@ class Client:
     def client_round(self, round_index: int) -> list[float]:
         """Train, slice per partition, encrypt, and deliver to assigned nodes.
 
-        Returns the arrival timestamps of the envelopes that got through;
-        slots whose delivery was dropped stay cached for the resend path.
+        A client trains from the previous round's global model, which it reads
+        from the ledger here unless it already holds it. Returns the arrival
+        timestamps of the envelopes that got through; slots whose delivery was
+        dropped stay cached for the resend path.
         """
-        if round_index != self.round:
+        if round_index < self.round:
             raise RuntimeError(f"client {self.uid} is at round {self.round}, not {round_index}")
+        if round_index > self.round:
+            try:
+                self.client_get_global(round_index - 1)
+            except (KeyError, Incomplete) as exc:
+                raise RuntimeError(
+                    f"client {self.uid} cannot start round {round_index}: "
+                    f"round {round_index - 1} is not on the ledger ({exc})"
+                ) from exc
         update = self.train(round_index)
         self.cached_payloads.clear()
         arrivals = []
@@ -374,29 +385,33 @@ class Client:
         got = decode_round_chunks(self.conf, self.msk, chunks, round_index)
         self.m_glob = got
         self.round = round_index + 1
-        self.cached_payloads.clear()
         return got
 
 
 def decode_round_chunks(conf: Conf, msk: SymKey, chunks, round_index: int) -> model.WeightVector:
-    """Reassemble per-slot ciphertexts, decrypt under the master key, merge.
+    """Split a round's chunks into one output envelope per slot, decrypt each
+    under the master key, and merge them.
 
-    Slots are consumed in ascending partition index, which is the combination
-    order the aggregation math expects.
+    Each slot's output starts on a fresh chunk, in ascending partition index
+    (the combination order the aggregation math expects), and its envelope
+    header gives its length. So the chunk runs are read off the data and not
+    off ``conf``'s layout, which by the time a client reads a round may be the
+    next round's. Each output must be bound to the chunk it starts at.
     """
-    by_index = {c.index: c for c in chunks}
-    parts = []
-    for slot in sorted(conf.slots, key=lambda s: s.index):
-        base, n = slot.chunk_base, slot.n_chunks
-        try:
-            blob = b"".join(by_index[base + i].payload for i in range(n))
-        except KeyError as exc:
-            raise Incomplete(f"round {round_index} missing chunk {exc}") from exc
-        env = Envelope.from_bytes(blob)
+    indices, payloads = chunks
+    starts = dict(zip(itertools.accumulate(map(len, payloads), initial=0), indices))
+    data = memoryview(b"".join(payloads))
+    parts, off = [], 0
+    for slot in conf.slots:
+        base = starts.get(off)
+        if base is None:
+            raise ValueError(f"round {round_index}: no output starts at byte {off}")
+        env, off = crypto.parse_envelope_at(data, off)
         if env.aad != crypto.output_aad(conf.taskid, round_index, base):
             raise AuthFailure(f"slot {slot.index} output bound to a different context")
-        payload = crypto.ae_decrypt(msk, env)
-        parts.append(model.decode_partial(payload))
+        parts.append(model.decode_partial(crypto.ae_decrypt(msk, env)))
+    if off != len(data):
+        raise ValueError(f"round {round_index}: {len(data) - off} bytes after the last output")
     return model.combine_partials(parts)
 
 

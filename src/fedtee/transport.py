@@ -45,20 +45,23 @@ class MessageKind(IntEnum):
     Ping = 16
 
 
+_FRAME_HEADER = struct.Struct(">IB")  # payload length, kind
+
+
 @dataclass(frozen=True)
 class Frame:
     kind: MessageKind
     payload: bytes
 
     def to_bytes(self) -> bytes:
-        return struct.pack(">IB", len(self.payload), int(self.kind)) + self.payload
+        return _FRAME_HEADER.pack(len(self.payload), int(self.kind)) + self.payload
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Frame":
-        if len(data) < 5:
+        if len(data) < _FRAME_HEADER.size:
             raise ValueError("frame shorter than header")
-        length, tag = struct.unpack_from(">IB", data, 0)
-        payload = data[5:]
+        length, tag = _FRAME_HEADER.unpack_from(data, 0)
+        payload = data[_FRAME_HEADER.size:]
         if len(payload) != length:
             raise ValueError("frame length mismatch")
         return cls(MessageKind(tag), payload)
@@ -154,12 +157,15 @@ class Router:
             raise UnknownParty(dest)
 
     def _pass_frame(self, src: str, dest: str, kind: MessageKind, payload: bytes) -> float:
-        """Tap, apply fault rules, and return the (virtual) arrival time."""
-        frame = Frame(kind, payload)
-        raw = frame.to_bytes()
-        self.bytes_by_kind[kind.name] = self.bytes_by_kind.get(kind.name, 0) + len(raw)
-        for tap in self.taps:
-            tap.observe(src, dest, raw)
+        """Tap, apply fault rules, and return the (virtual) arrival time.
+
+        The frame's bytes are built only for a tap; counting needs its size."""
+        size = _FRAME_HEADER.size + len(payload)
+        self.bytes_by_kind[kind.name] = self.bytes_by_kind.get(kind.name, 0) + size
+        if self.taps:
+            raw = Frame(kind, payload).to_bytes()
+            for tap in self.taps:
+                tap.observe(src, dest, raw)
         for rule in self.fault_rules:
             if rule.matches(kind, src, dest):
                 rule.count -= 1
@@ -171,7 +177,7 @@ class Router:
         if shaping is None:
             return now
         start = max(now, self._channel_free_at.get((src, dest), 0.0))
-        transfer = len(raw) / shaping.bytes_per_ms if shaping.bytes_per_ms else 0.0
+        transfer = size / shaping.bytes_per_ms if shaping.bytes_per_ms else 0.0
         arrival = start + transfer + shaping.fixed_delay_ms
         self._channel_free_at[(src, dest)] = start + transfer
         return arrival
@@ -333,8 +339,8 @@ CHUNK_UPLOAD = Schema(BYTES, U64, U32, BYTES, BYTES)  # taskid, round, index, pa
 RECEIPT = Schema(TEXT, U64, U32, TEXT)  # outcome, round, index, reason ("" for none)
 LEDGER_READ = Schema(BYTES, U64)  # taskid, round
 # A round's chunks as columns: error ("" if complete, else the ledger's
-# exception name, with the indices present so far), indices, payloads, signatures.
-LEDGER_ROUND = Schema(TEXT, U32S, BLOBS, BLOBS)
+# exception name, with the indices present so far), indices, payloads.
+LEDGER_ROUND = Schema(TEXT, U32S, BLOBS)
 HEARTBEAT = Schema(U64, F64)  # node, timestamp (ms)
 PING = Schema()
 REPLY = Schema(TEXT, BYTES)  # error ("" on success, else "Type: message"), result

@@ -58,22 +58,22 @@ CONFIGS = {
 }
 
 GOLDEN = {
-    "chunks-64": "63764e91d2ce00a32c7510ef73f22e85e34f6c9ab21210d6cb3109950e23281a",
-    "clientmax-float": "aedfef0953327a8109ada04b12931b2b3620fb4e344ba1e845eebf3abfaa8ab8",
-    "clientmax-int": "6417af4c1fc4174682f45bdc8f54ea888b63245f4100521d41d27b95f13e9940",
-    "drop": "177b78e5dc25937173a879ad52ce2d8ba1ef1bd9f0628274dece2c1c8e97d3f7",
-    "kill-between": "2098f201b3940ca5e5e414334b2cc169a66501be9110acb8127d434060b4a6e7",
-    "kill-collect": "d77c718d6c5efac7acf173361c9031d67cb837ed0b86ebee5087e70ef1f3d49e",
-    "layermax-float": "58e1e908f2dd3f572fda7aae6581affc7f1b8a384dfc31b726238b15fa9f1d4f",
-    "layermax-int": "cb3d39b6671ac42bcda710583312297ff44d3cdd1cf98cccd78c8919e2ea76aa",
-    "paging": "1df6a8dfda2a5588585d11b864562802193d62fba1385c920f5dc4f385d4b16e",
-    "sentinel-taps": "fc3769a65a90d57016b13c40735cd564b1da3e5eee0e02009e5874059637a393",
-    "single-float": "2e8a3e1c293c2086235a2cbeb011a190ab3d3c1e6f208783d4b5d27b3ebd5fe3",
-    "single-int": "30719085f62cbbc6a0c98db4ca132d797d00b6dfa72033f4c6f3a1ef79de7da7",
-    "straggler-exclude": "9c2619e714ea68c8c52ba83f257fcbc9823917e9cfc8a11d934c04ef082f8476",
-    "tamper-chunk": "e67ab3ea1ec7025b08213b5a7470260d6e3afce22306a4e61577fa4119672058",
-    "tamper-install": "7f499d8edbf0e6d6941e45ba38aac5e15ff8fc0ec4f4d29ce54ac955cdd540aa",
-    "uniform-tendermint": "69bc939583e54a3411980c42025c32f703eb04451ffa9247479538adf8386efb",
+    "chunks-64": "0e9e3ff15007eb87ac4d76fdb953a1e783c27a4a5a78d1347ed347b3aadd0fdf",
+    "clientmax-float": "5ea297ecd2db5d2fb6ebc384b9c4e8d769ef8f98b50295e7b1a9ac8b618becd8",
+    "clientmax-int": "8020166a1ac8100dfc90713a6d3109f2da6f3ac8736aae3c917361e69fbc8cfd",
+    "drop": "4b76a373c7b05866c317341bc059cb6a2e09dbb9f04c76dcde9bf20b5f59ca2b",
+    "kill-between": "00a6f16954374fb250f79d9e09801ce66633e0a1bcaa4c7955775b07e3694e0e",
+    "kill-collect": "fa3de0dbb5b207530dc905e039d64ad11f8fe34cf0608103b2c973e1fe7a0de6",
+    "layermax-float": "a82b2af952695d1c7b6fc7e694f0bbe38e7e54c3295c77bec408f03cb0819938",
+    "layermax-int": "b0d2ecdd80b1360d0f1fb40ed9821a7c0d760bb52987fcbd3bee3debcb140af2",
+    "paging": "ce97bbe52e540bca580e1df27d72f9afa171a61bce129c09066046bec597260a",
+    "sentinel-taps": "af54ab1ce1f8af929f6feb309c422cda872f6ae5ba53ef5de6c1a0d044155eee",
+    "single-float": "1d7550911dd3bd337d67be4c78dd4ce192767f83195106ed1bdac798c8f74fa3",
+    "single-int": "a198150eed0510c4715b8455e8f904f84ee3729c67208b0a31b9c4adb4b21db6",
+    "straggler-exclude": "4251cad87c25a8ef3b5b939cb7909fcab6fdc4d3f47d03b29d61624c911a99fa",
+    "tamper-chunk": "124a7289df8b87213c46b4b59e4936b322f695634d6a3840ad47e3d1bd1027cf",
+    "tamper-install": "0cb4b564fd8be8363e1cb617af3c9921ddd50d8241f34dc398fc52d0e0d80575",
+    "uniform-tendermint": "79f82f487561f0016f275659390ed44e9bbd4149e53c6df561dea9a6010247db",
 }
 
 

@@ -443,6 +443,17 @@ def test_traffic_accounting_nonzero_for_protocol_kinds():
         assert traffic.get(kind, 0) > 0
 
 
+def test_traffic_counts_do_not_depend_on_a_tap():
+    cfg = small_config(rounds=2, bandwidth_bytes_per_ms=50.0)
+    untapped = run_task(cfg)
+    run = TaskRun(cfg)
+    tap = run.router.add_tap()
+    tapped = run.run()
+    assert tapped.traffic_bytes_by_kind == untapped.traffic_bytes_by_kind
+    assert sum(len(raw) for _, _, raw in tap.frames) == sum(tapped.traffic_bytes_by_kind.values())
+    assert tapped.rounds == untapped.rounds  # shaped channels time the same frame sizes
+
+
 # ---------------------------------------------------------------------------
 # Config and CLI
 # ---------------------------------------------------------------------------

@@ -84,6 +84,25 @@ def test_excluded_client_cannot_decrypt_round_output():
         decode_round_chunks(run.committee.conf, intruder_key, chunks, 0)
 
 
+def test_decode_binds_each_output_to_the_chunk_it_starts_at():
+    from fedtee.roles import decode_round_chunks, read_round_chunks
+
+    run = TaskRun(small_config(strategy="layermax", epc_budget=400, tx_capacity=64))
+    run.setup()
+    run.run_round(0)
+    conf, msk = run.committee.conf, run.owner.msk
+    assert len(conf.slots) > 1 and conf.expected_chunks_per_round > len(conf.slots)
+    indices, payloads = read_round_chunks(run.router, "owner", run.cfg.taskid_bytes, 0)
+    got = decode_round_chunks(conf, msk, (indices, payloads), 0)
+    assert got.bit_equal(run.report.round_models[0])
+    with pytest.raises(crypto.AuthFailure):  # renumbered chunks
+        decode_round_chunks(conf, msk, ([i + 1 for i in indices], payloads), 0)
+    with pytest.raises(ValueError):  # a chunk past the last output
+        decode_round_chunks(conf, msk, ((*indices, len(indices)), (*payloads, b"x")), 0)
+    with pytest.raises(ValueError):  # an output cut short
+        decode_round_chunks(conf, msk, (indices[:-1], payloads[:-1]), 0)
+
+
 # ---------------------------------------------------------------------------
 # Client rounds
 # ---------------------------------------------------------------------------
@@ -146,18 +165,64 @@ def test_round_advances_only_after_chunks_accepted():
     run = TaskRun(small_config())
     run.setup()
     run.run_round(0)
-    for c in run.clients.values():
-        assert c.round == 1
     assert run.ledger.current_round(run.cfg.taskid_bytes) == 1
+    # a client reads round 0 only when it trains in round 1
+    assert all(c.round == 0 for c in run.clients.values())
+    run.run_round(1)
+    assert all(c.round == 1 for c in run.clients.values())
+    assert run.ledger.current_round(run.cfg.taskid_bytes) == 2
 
 
 def test_owner_and_clients_decode_identical_global_model():
     run = TaskRun(small_config())
     run.setup()
     run.run_round(0)
+    run.run_round(1)  # every client pulls round 0 to train from it
     owner_view = run.owner.get_global_model(run.committee.conf, 0)
     for c in run.clients.values():
         assert c.m_glob.bit_equal(owner_view)
+
+
+def test_clients_pull_the_global_only_when_selected():
+    cfg = small_config(
+        n_clients=8, rounds=4, participation=0.5, uniform_random_participants=True
+    )
+    run = TaskRun(cfg)
+    run.setup()
+    m_init = run.clients[0].m_glob
+    tap = run.router.add_tap(dest="ledger")
+    for r in range(cfg.rounds):
+        tap.frames.clear()
+        run.run_round(r)
+        participants = run.committee.conf.rounds[r].participants
+        readers = sorted(
+            src for src, _, raw in tap.frames
+            if transport.Frame.from_bytes(raw).kind == MessageKind.LedgerRead
+        )
+        pullers = [f"client:{uid}" for uid in participants] if r > 0 else []
+        assert readers == sorted(pullers + ["owner"])
+        start = run.report.round_models[r - 1] if r > 0 else m_init
+        for uid in participants:
+            assert run.clients[uid].m_glob.bit_equal(start)
+        assert not any(c.cached_payloads for c in run.clients.values())
+    assert len({run.committee.conf.rounds[r].participants for r in range(cfg.rounds)}) > 1
+
+
+def test_pull_decodes_a_round_laid_out_differently_from_the_next():
+    # Client 3's envelope is dropped once, so round 0 is re-planned without it
+    # and its output takes one chunk fewer; round 1 is laid out for all four
+    # again before its participants read round 0.
+    aad_len = len(crypto.output_aad(b"roles-task", 0, 0))
+    full = crypto.envelope_encoded_size(aad_len, model.encoded_partial_size(4, [8, 4]))
+    cfg = small_config(
+        tx_capacity=full - 1,
+        straggler_policy="exclude",
+        straggler_max_retries=0,
+        faults=[FaultEvent(kind="drop", message_kind="ModelEnvelope", src="client:3", count=1)],
+    )
+    report = run_task(cfg)
+    assert [rd["accepted"] for rd in report.rounds] == [1, 2]
+    assert report.ok
 
 
 # ---------------------------------------------------------------------------
