@@ -20,7 +20,7 @@ from random import Random
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives import hashes, serialization
-from cryptography.hazmat.primitives.asymmetric import ec
+from cryptography.hazmat.primitives.asymmetric import ec, utils
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 KEY_BYTES = 16
@@ -65,29 +65,39 @@ class SymKey:
 
 @dataclass(frozen=True)
 class Envelope:
-    """Authenticated ciphertext: nonce, associated data, ciphertext, 16-byte tag.
+    """Authenticated ciphertext: nonce, associated data, and ``sealed``, the
+    AES-GCM output (ciphertext followed by its 16-byte tag).
 
-    Any single-bit change to any field makes :func:`ae_decrypt` raise
-    :class:`AuthFailure`.
+    The fields may be bytes or read-only views of a larger buffer, such as the
+    frame an envelope arrived in. Any single-bit change to any of them makes
+    :func:`ae_decrypt` raise :class:`AuthFailure`.
     """
 
     nonce: bytes
     aad: bytes
-    ciphertext: bytes
-    tag: bytes
+    sealed: bytes
+
+    @property
+    def ciphertext(self) -> memoryview:
+        return memoryview(self.sealed)[:-TAG_BYTES].toreadonly()
+
+    @property
+    def tag(self) -> memoryview:
+        return memoryview(self.sealed)[-TAG_BYTES:].toreadonly()
+
+    def wire_parts(self) -> tuple:
+        """Wire encoding, in pieces to be joined:
+        nonce(12) + aad_len(u16 BE) + aad + ct_len(u32 BE) + ct + tag(16)."""
+        return (
+            self.nonce,
+            struct.pack(">H", len(self.aad)),
+            self.aad,
+            struct.pack(">I", len(self.sealed) - TAG_BYTES),
+            self.sealed,
+        )
 
     def to_bytes(self) -> bytes:
-        """Wire encoding: nonce(12) + aad_len(u16 BE) + aad + ct_len(u32 BE) + ct + tag(16)."""
-        return b"".join(
-            (
-                self.nonce,
-                struct.pack(">H", len(self.aad)),
-                self.aad,
-                struct.pack(">I", len(self.ciphertext)),
-                self.ciphertext,
-                self.tag,
-            )
-        )
+        return b"".join(self.wire_parts())
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Envelope":
@@ -98,7 +108,9 @@ class Envelope:
 
 
 def parse_envelope_at(data: bytes, off: int) -> tuple[Envelope, int]:
-    """Parse one wire-encoded envelope starting at ``off``; returns (env, end)."""
+    """Parse one wire-encoded envelope starting at ``off``; returns (env, end).
+
+    The fields are slices of ``data``, so a memoryview yields them as views."""
     if len(data) < off + NONCE_BYTES + 2:
         raise ValueError("envelope too short")
     nonce = data[off : off + NONCE_BYTES]
@@ -111,13 +123,11 @@ def parse_envelope_at(data: bytes, off: int) -> tuple[Envelope, int]:
         raise ValueError("envelope truncated before ciphertext length")
     (ct_len,) = struct.unpack_from(">I", data, off)
     off += 4
-    ciphertext = data[off : off + ct_len]
-    off += ct_len
-    tag = data[off : off + TAG_BYTES]
-    off += TAG_BYTES
-    if len(aad) != aad_len or len(ciphertext) != ct_len or len(tag) != TAG_BYTES:
+    end = off + ct_len + TAG_BYTES
+    sealed = data[off:end]
+    if len(aad) != aad_len or len(sealed) != ct_len + TAG_BYTES:
         raise ValueError("envelope truncated")
-    return Envelope(nonce, aad, ciphertext, tag), off
+    return Envelope(nonce, aad, sealed), end
 
 
 def envelope_encoded_size(aad_len: int, plaintext_len: int) -> int:
@@ -135,14 +145,13 @@ def ae_encrypt(key: SymKey, aad: bytes, plaintext: bytes, rng: Random | None = N
     if nonce in key._seen_nonces:
         raise RuntimeError("nonce reuse under one key within a run")
     key._seen_nonces.add(nonce)
-    sealed = AESGCM(key.raw).encrypt(nonce, plaintext, aad)
-    return Envelope(nonce=nonce, aad=aad, ciphertext=sealed[:-TAG_BYTES], tag=sealed[-TAG_BYTES:])
+    return Envelope(nonce, aad, AESGCM(key.raw).encrypt(nonce, plaintext, aad))
 
 
 def ae_decrypt(key: SymKey, env: Envelope) -> bytes:
     """Recover the plaintext; :class:`AuthFailure` if anything was altered."""
     try:
-        return AESGCM(key.raw).decrypt(env.nonce, b"".join((env.ciphertext, env.tag)), env.aad)
+        return AESGCM(key.raw).decrypt(env.nonce, env.sealed, env.aad)
     except InvalidTag as exc:
         raise AuthFailure("envelope failed authentication") from exc
 
@@ -189,16 +198,31 @@ def sig_keygen(seed: bytes) -> SigKeyPair:
     return SigKeyPair(public=secret.public_key(), secret=secret)
 
 
-def sig_sign(secret: ec.EllipticCurvePrivateKey, message: bytes) -> Signature:
+# The signed message is hashed here, part by part, so it is never joined; the
+# signature is the one ECDSA-SHA256 gives over the joined message.
+_PREHASHED = ec.ECDSA(utils.Prehashed(hashes.SHA256()))
+_PREHASHED_DETERMINISTIC = ec.ECDSA(utils.Prehashed(hashes.SHA256()), deterministic_signing=True)
+
+
+def _message_digest(parts) -> bytes:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part)
+    return h.digest()
+
+
+def sig_sign(secret: ec.EllipticCurvePrivateKey, *message: bytes) -> Signature:
+    """Sign the concatenation of the ``message`` parts."""
     # Deterministic nonces (RFC 6979 style) keep whole runs bit-reproducible.
-    return Signature(secret.sign(message, ec.ECDSA(hashes.SHA256(), deterministic_signing=True)))
+    return Signature(secret.sign(_message_digest(message), _PREHASHED_DETERMINISTIC))
 
 
-def sig_verify(public: ec.EllipticCurvePublicKey, message: bytes, sig: Signature) -> bool:
+def sig_verify(public: ec.EllipticCurvePublicKey, sig: Signature, *message: bytes) -> bool:
     """True iff ``sig`` was produced by the matching secret key over exactly
-    ``message``. Malformed signature bytes yield False, never an exception."""
+    the concatenation of the ``message`` parts. Malformed signature bytes
+    yield False, never an exception."""
     try:
-        public.verify(sig.raw, message, ec.ECDSA(hashes.SHA256()))
+        public.verify(sig.raw, _message_digest(message), _PREHASHED)
         return True
     except (InvalidSignature, ValueError, TypeError):
         return False

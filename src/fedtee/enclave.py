@@ -6,7 +6,8 @@ module; the hosting node only ever sees envelopes going in and signed chunks
 coming out. A resume decrypts the batch, checks that all clients delivered
 the same master key, runs the pluggable aggregation hook over the requested
 layers, re-encrypts under the master key, splits the ciphertext into
-transaction-sized chunks, and signs each chunk.
+transaction-sized chunks, and signs each chunk. The chunks are views of the
+one sealed output, and a chunk is signed without joining its signed message.
 """
 
 from __future__ import annotations
@@ -66,7 +67,9 @@ class EnclaveProgram:
 
 @dataclass(frozen=True)
 class SignedChunk:
-    """One upload unit: a ciphertext slice plus the enclave's signature."""
+    """One upload unit: a ciphertext slice plus the enclave's signature.
+
+    ``payload`` may be a read-only view of a larger buffer."""
 
     taskid: bytes
     round: int
@@ -82,9 +85,10 @@ class EnclaveOutput:
     paged_bytes: int  # bytes beyond the budget that went through paging
 
 
-def chunk_signing_bytes(taskid: bytes, round_index: int, index: int, payload: bytes) -> bytes:
-    """Canonical signed-message encoding, bit-exact on both sign and verify sides."""
-    return taskid + struct.pack(">QI", round_index, index) + payload
+def chunk_signed_parts(taskid: bytes, round_index: int, index: int, payload: bytes) -> tuple:
+    """The canonical signed message, in the pieces whose concatenation is
+    signed: taskid + round(u64 BE) + index(u32 BE) + payload."""
+    return taskid, struct.pack(">QI", round_index, index), payload
 
 
 @dataclass
@@ -287,14 +291,14 @@ class SgxHost:
                 payload,
                 rng=inst.rng,
             )
-            blob = env_out.to_bytes()
+            blob = memoryview(env_out.to_bytes())
             cap = inst.partition.tx_capacity
             chunks = []
             for i in range(0, len(blob), cap):
                 index = inst.partition.chunk_base + i // cap
                 piece = blob[i : i + cap]
                 sigma = crypto.sig_sign(
-                    inst.sk_vk, chunk_signing_bytes(inst.taskid, round_index, index, piece)
+                    inst.sk_vk, *chunk_signed_parts(inst.taskid, round_index, index, piece)
                 )
                 chunks.append(SignedChunk(inst.taskid, round_index, index, piece, sigma))
 

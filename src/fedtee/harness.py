@@ -510,7 +510,7 @@ class TaskRun:
         self.report.stalled = self.committee.stalled
         self.report.traffic_bytes_by_kind = dict(self.router.bytes_by_kind)
         if not failed:
-            self.report.final_model_digest = self.report.round_models[-1].digest()
+            self.report.final_model_digest = self.report.round_model_digests[-1]
             self.verify()
         return self.report
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from cryptography.hazmat.primitives.asymmetric import ec
 
 from . import crypto
-from .enclave import SignedChunk, chunk_signing_bytes
+from .enclave import SignedChunk, chunk_signed_parts
 
 
 class DuplicateTask(Exception):
@@ -172,8 +172,8 @@ class Ledger:
         # with no declared count, the bound is what the signed encoding's u32 holds
         if not 0 <= chunk.index < (2**32 if n is None else n):
             return Receipt("rejected", ident, "IndexOutOfRange")
-        message = chunk_signing_bytes(chunk.taskid, chunk.round, chunk.index, chunk.payload)
-        if rec.vk is None or not crypto.sig_verify(rec.vk, message, chunk.sigma):
+        message = chunk_signed_parts(chunk.taskid, chunk.round, chunk.index, chunk.payload)
+        if rec.vk is None or not crypto.sig_verify(rec.vk, chunk.sigma, *message):
             return Receipt("rejected", ident, "BadSignature")
         stored[chunk.index] = chunk
         # len() screens out all but about one check per round; all() keeps the

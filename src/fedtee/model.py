@@ -6,6 +6,10 @@ runs in ascending client-id order per layer, in 64-bit floats, with a single
 division at the end; partial aggregates preserve the scaled sums so that a
 partitioned execution merges to the same result (bit-exactly when weights are
 kept on a dyadic grid, within 1e-9 relative otherwise).
+
+Decoded layers are read-only views of the encoded bytes, and sliced layers
+share their arrays with the vector they were sliced from; neither copies a
+weight. Code that needs to write weights works on a fresh array.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+
+_F8 = np.dtype("<f8")  # every weight, in memory and encoded
 
 
 class MalformedModel(Exception):
@@ -68,13 +74,10 @@ class WeightVector:
 
     def slice_layers(self, layer_range: tuple[int, ...]) -> "WeightVector":
         wanted = set(layer_range)
-        picked = [Layer(l.index, l.values.copy()) for l in self.layers if l.index in wanted]
+        picked = [l for l in self.layers if l.index in wanted]
         if len(picked) != len(wanted):
             raise ShapeMismatch(f"missing layers {wanted - {l.index for l in picked}}")
         return WeightVector(picked)
-
-    def copy(self) -> "WeightVector":
-        return WeightVector([Layer(l.index, l.values.copy()) for l in self.layers])
 
     def allclose(self, other: "WeightVector", rel: float = 0.0, abs_tol: float = 0.0) -> bool:
         if self.structure() != other.structure():
@@ -85,8 +88,9 @@ class WeightVector:
         )
 
     def bit_equal(self, other: "WeightVector") -> bool:
+        """Bytewise equality: 0.0 differs from -0.0, a NaN equals its own bits."""
         return self.structure() == other.structure() and all(
-            a.values.tobytes() == b.values.tobytes()
+            np.array_equal(a.values.view(np.uint64), b.values.view(np.uint64))
             for a, b in zip(self.layers, other.layers)
         )
 
@@ -94,7 +98,7 @@ class WeightVector:
         h = hashlib.sha256()
         for l in self.layers:
             h.update(struct.pack(">IQ", l.index, len(l.values)))
-            h.update(l.values.astype("<f8").tobytes())
+            h.update(np.ascontiguousarray(l.values, dtype=_F8))
         return h.hexdigest()
 
 
@@ -153,17 +157,21 @@ def encoded_update_size(taskid_len: int, layer_elem_counts: list[int] | tuple[in
     )
 
 
-def _with_layers(parts: list[bytes], wv: WeightVector) -> bytes:
-    """``parts`` followed by layer_count(u32 BE) and every layer."""
+def _with_layers(parts: list, wv: WeightVector) -> bytes:
+    """``parts`` followed by layer_count(u32 BE) and every layer, joined once:
+    each layer's array is read in place."""
     parts.append(struct.pack(">I", len(wv.layers)))
     for l in wv.layers:
         parts.append(struct.pack(">IQ", l.index, len(l.values)))
-        parts.append(l.values.astype("<f8").tobytes())
+        parts.append(np.ascontiguousarray(l.values, dtype=_F8))
     return b"".join(parts)
 
 
 def _read_layers(data: bytes, off: int) -> WeightVector:
-    """The layer count and layers starting at ``off``, which must end ``data``."""
+    """The layer count and layers starting at ``off``, which must end ``data``.
+
+    Each layer is a read-only view of ``data``, even of a writable buffer."""
+    data = memoryview(data).toreadonly()
     (n_layers,) = struct.unpack_from(">I", data, off)
     off += 4
     layers = []
@@ -177,7 +185,7 @@ def _read_layers(data: bytes, off: int) -> WeightVector:
         end = off + 8 * count
         if end > len(data):
             raise MalformedModel("element count exceeds available bytes")
-        layers.append(Layer(idx, np.frombuffer(data[off:end], dtype="<f8").astype(np.float64)))
+        layers.append(Layer(idx, np.frombuffer(data, _F8, count, off)))
         off = end
     if off != len(data):
         raise MalformedModel("trailing bytes after last layer")
@@ -254,11 +262,20 @@ def fedavg(updates: list[LocalUpdate]) -> WeightVector:
     total = sum(u.dataset_size for u in ordered)
     out = []
     for pos, (idx, count) in enumerate(structure):
-        acc = np.zeros(count, dtype=np.float64)
-        for u in ordered:
-            acc += u.dataset_size * u.weights.layers[pos].values
-        out.append(Layer(idx, acc / total))
+        acc = _scaled_sum([(u.dataset_size, u.weights.layers[pos].values) for u in ordered], count)
+        acc /= total
+        out.append(Layer(idx, acc))
     return WeightVector(out)
+
+
+def _scaled_sum(terms: list[tuple[int, np.ndarray]], count: int) -> np.ndarray:
+    """sum(D * values) over ``terms`` in order, from 0.0, through one scratch array."""
+    acc = np.zeros(count, dtype=np.float64)
+    tmp = np.empty(count, dtype=np.float64)
+    for d, values in terms:
+        np.multiply(values, d, out=tmp)
+        acc += tmp
+    return acc
 
 
 def partial_aggregate(updates: list[LocalUpdate], layer_range: tuple[int, ...]) -> PartialAggregate:
@@ -274,10 +291,8 @@ def partial_aggregate(updates: list[LocalUpdate], layer_range: tuple[int, ...]) 
             raise ShapeMismatch(f"client {u.client} disagrees on sliced structure")
     out = []
     for pos, (idx, count) in enumerate(structure):
-        acc = np.zeros(count, dtype=np.float64)
-        for u, s in zip(ordered, sliced):
-            acc += u.dataset_size * s.layers[pos].values
-        out.append(Layer(idx, acc))
+        terms = [(u.dataset_size, s.layers[pos].values) for u, s in zip(ordered, sliced)]
+        out.append(Layer(idx, _scaled_sum(terms, count)))
     return PartialAggregate(
         scaled_sum=WeightVector(out),
         weight_sum=sum(u.dataset_size for u in ordered),
@@ -307,7 +322,7 @@ def combine_partials(parts: list[PartialAggregate]) -> WeightVector:
             slot["clients"].update(p.client_set)
             slot["weight"] += p.weight_sum
             if slot["acc"] is None:
-                slot["acc"] = l.values.copy()
+                slot["acc"] = l.values  # never written: the merge below makes a new array
             elif len(slot["acc"]) != len(l.values):
                 raise ShapeMismatch(f"layer {l.index} element counts disagree")
             else:
@@ -367,6 +382,6 @@ def synth_local_update(
         else:
             base = l.values
             delta = rng.uniform(-perturb, perturb, size=len(l.values))
-        layers.append(Layer(l.index, base + delta))
+        layers.append(Layer(l.index, np.add(base, delta, out=delta)))
     dataset_size = int(rng.integers(1, 1001))
     return LocalUpdate(taskid, client, round_index, WeightVector(layers), dataset_size)

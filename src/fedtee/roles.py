@@ -102,8 +102,11 @@ class Node:
         return ok()
 
     def _handle_model_envelope(self, payload: bytes):
-        taskid, round_index, sender, env_m, env_k = unpack(transport.MODEL_ENVELOPE, payload)
-        box = self.pending.setdefault((taskid, round_index), {})
+        # the envelopes stay views of the frame, buffered without a copy
+        taskid, round_index, sender, env_m, env_k = unpack(
+            transport.MODEL_ENVELOPE, memoryview(payload)
+        )
+        box = self.pending.setdefault((bytes(taskid), round_index), {})
         box[sender] = (env_m, env_k)
         return ok()
 
@@ -194,6 +197,9 @@ class LedgerParty:
 
     def handle(self, src: str, kind: MessageKind, payload: bytes):
         if kind == MessageKind.ChunkUpload:
+            # The ledger stores a copy of the payload, not a view of the frame:
+            # a view costs about 300 B per stored chunk (7% of a 4 KiB chunk),
+            # and the copy is cheap next to hashing the payload for its signature.
             taskid, round_index, index, body, sig_raw = unpack(transport.CHUNK_UPLOAD, payload)
             chunk = SignedChunk(taskid, round_index, index, body, crypto.Signature(sig_raw))
             receipt = self.ledger.upload_global_model(src, chunk)

@@ -264,7 +264,7 @@ def pack(schema: Schema, *values) -> bytes:
         if code == _FIXED:
             parts.append(st.pack(*values[i - n : i]))
         elif code == ENVELOPE:
-            parts.append(v.to_bytes())
+            parts += v.wire_parts()
         elif code == BYTES or code == TEXT:
             v = v.encode() if code == TEXT else v
             parts += (_LEN.pack(len(v)), v)

@@ -1,5 +1,6 @@
 """Shared helpers: directly provisioned enclaves and envelope builders."""
 
+import dataclasses
 from random import Random
 
 import numpy as np
@@ -28,6 +29,15 @@ def ra_key_exchange(initiator, host, eid, expected_measurement, rng):
             f"enclave {eid} quotes {quoted.hex()[:16]}…, expected {expected_measurement.hex()[:16]}…"
         )
     return crypto.derive_session_key(priv, enclave_point, initiator, eid, expected_measurement)
+
+
+def with_envelope_field(env, field, data):
+    """``env`` with its nonce, aad, ciphertext or tag replaced by ``data``."""
+    if field == "ciphertext":
+        return crypto.Envelope(env.nonce, env.aad, bytes(data) + env.tag)
+    if field == "tag":
+        return crypto.Envelope(env.nonce, env.aad, bytes(env.ciphertext) + bytes(data))
+    return dataclasses.replace(env, **{field: bytes(data)})
 
 
 def tap_bytes(tap):

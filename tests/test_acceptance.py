@@ -19,6 +19,7 @@ from conftest import (
     client_inputs,
     provision_enclave,
     simple_update,
+    with_envelope_field,
 )
 from fedtee import crypto, model
 from fedtee.committee import TaskSpec, schedule
@@ -243,7 +244,7 @@ def test_acceptance_05_authenticity_fuzz():
         field = rng.choice(["nonce", "ciphertext", "tag"])
         data = bytearray(getattr(env, field))
         data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
-        mutated_env = crypto.Envelope(**{**env.__dict__, field: bytes(data)})
+        mutated_env = with_envelope_field(env, field, data)
         trial = list(base_inputs)
         trial[which] = (
             (mutated_env, env_k, sender) if victim == "m" else (env_m, mutated_env, sender)
@@ -285,13 +286,13 @@ def test_acceptance_06_confidentiality(monkeypatch):
     # detector self-test: a cipher that embeds the plaintext must be flagged
     def leaky_encrypt(key, aad, plaintext, rng=None):
         tag = hashlib.sha256(key.raw + aad + plaintext).digest()[:16]
-        return crypto.Envelope(b"\x00" * 12, aad, plaintext, tag)
+        return crypto.Envelope(b"\x00" * 12, aad, plaintext + tag)
 
     def leaky_decrypt(key, env):
         tag = hashlib.sha256(key.raw + env.aad + env.ciphertext).digest()[:16]
         if tag != env.tag:
             raise crypto.AuthFailure("stub cipher tag mismatch")
-        return env.ciphertext
+        return bytes(env.ciphertext)
 
     monkeypatch.setattr(crypto, "ae_encrypt", leaky_encrypt)
     monkeypatch.setattr(crypto, "ae_decrypt", leaky_decrypt)

@@ -8,6 +8,7 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import with_envelope_field
 from fedtee import crypto
 from fedtee.crypto import (
     AuthFailure,
@@ -167,15 +168,41 @@ def _flip(data: bytes, bit: int) -> bytes:
 
 
 def test_single_bit_flips_anywhere_fail_auth():
+    """A flipped bit in the nonce, the aad, or the ciphertext or tag bytes of
+    ``sealed`` fails authentication, both in an envelope from ae_encrypt and
+    in one parsed out of a memoryview of its wire bytes."""
     key = SymKey(os.urandom(16))
-    env = ae_encrypt(key, b"aad-bytes", b"payload-payload", rng=Random(1))
+    aad, plaintext = b"aad-bytes", b"payload-payload"
+    env = ae_encrypt(key, aad, plaintext, rng=Random(1))
+    wire = env.to_bytes()
+    ct_at = crypto.NONCE_BYTES + 2 + len(aad) + 4
+    spans = {
+        "nonce": (0, crypto.NONCE_BYTES),
+        "aad": (crypto.NONCE_BYTES + 2, crypto.NONCE_BYTES + 2 + len(aad)),
+        "ciphertext": (ct_at, ct_at + len(plaintext)),
+        "tag": (ct_at + len(plaintext), len(wire)),
+    }
+    assert ae_decrypt(key, Envelope.from_bytes(memoryview(wire))) == plaintext
     rng = Random(2)
-    for field in ("nonce", "aad", "ciphertext", "tag"):
-        original = getattr(env, field)
+    for field, (start, end) in spans.items():
+        original = bytes(getattr(env, field))
+        assert wire[start:end] == original
         bit = rng.randrange(len(original) * 8)
-        mutated = Envelope(**{**env.__dict__, field: _flip(original, bit)})
         with pytest.raises(AuthFailure):
-            ae_decrypt(key, mutated)
+            ae_decrypt(key, with_envelope_field(env, field, _flip(original, bit)))
+        parsed = Envelope.from_bytes(memoryview(_flip(wire, 8 * start + bit)))
+        assert isinstance(parsed.sealed, memoryview)
+        with pytest.raises(AuthFailure):
+            ae_decrypt(key, parsed)
+
+
+def test_ciphertext_and_tag_are_read_only_views_of_sealed():
+    env = ae_encrypt(SymKey(b"\x07" * 16), b"", b"twelve bytes", rng=Random(6))
+    assert bytes(env.ciphertext) + bytes(env.tag) == env.sealed
+    assert len(env.tag) == crypto.TAG_BYTES
+    for view in (env.ciphertext, env.tag):
+        assert view.readonly
+        assert view.obj is env.sealed
 
 
 def test_wrong_key_same_length_fails():
@@ -223,16 +250,16 @@ def test_sig_keygen_is_deterministic():
 def test_sign_verify_roundtrip_and_binding():
     pair = sig_keygen(os.urandom(32))
     sig = sig_sign(pair.secret, b"message")
-    assert sig_verify(pair.public, b"message", sig)
-    assert not sig_verify(pair.public, b"message\x00", sig)
+    assert sig_verify(pair.public, sig, b"message")
+    assert not sig_verify(pair.public, sig, b"message\x00")
     other = sig_keygen(os.urandom(32))
-    assert not sig_verify(other.public, b"message", sig)
+    assert not sig_verify(other.public, sig, b"message")
 
 
 def test_malformed_signature_bytes_return_false():
     pair = sig_keygen(os.urandom(32))
-    assert not sig_verify(pair.public, b"m", crypto.Signature(b""))
-    assert not sig_verify(pair.public, b"m", crypto.Signature(b"\x00" * 70))
+    assert not sig_verify(pair.public, crypto.Signature(b""), b"m")
+    assert not sig_verify(pair.public, crypto.Signature(b"\x00" * 70), b"m")
 
 
 def test_signature_bit_mutation_fuzz():
@@ -244,7 +271,7 @@ def test_signature_bit_mutation_fuzz():
     for _ in range(1000):
         bit = rng.randrange(len(sig.raw) * 8)
         mutated = crypto.Signature(_flip(sig.raw, bit))
-        accepted += sig_verify(pair.public, message, mutated)
+        accepted += sig_verify(pair.public, mutated, message)
     assert accepted == 0
 
 
@@ -252,7 +279,7 @@ def test_secret_key_scalar_roundtrip():
     pair = sig_keygen(bytes(range(32)))
     restored = crypto.load_secret_key(pair.secret_scalar_bytes())
     sig = sig_sign(restored, b"x")
-    assert sig_verify(pair.public, b"x", sig)
+    assert sig_verify(pair.public, sig, b"x")
 
 
 # ---------------------------------------------------------------------------

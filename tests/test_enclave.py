@@ -25,7 +25,7 @@ from fedtee.enclave import (
     MskDisagreement,
     RoundMismatch,
     SgxHost,
-    chunk_signing_bytes,
+    chunk_signed_parts,
     make_eid_allocator,
 )
 
@@ -101,7 +101,7 @@ def test_getsk_tampered_envelope_rejected_and_key_absent():
     )
     flipped = bytearray(env.ciphertext)
     flipped[0] ^= 1
-    bad = Envelope(env.nonce, env.aad, bytes(flipped), env.tag)
+    bad = Envelope(env.nonce, env.aad, bytes(flipped) + env.tag)
     with pytest.raises(AuthFailure):
         host.getsk(eid, "committee", bad)
     assert host.instances[eid].sk_vk is None
@@ -170,8 +170,8 @@ def test_resume_output_chunks_are_signed_and_indexed():
     out = ctx["host"].resume(ctx["eid"], client_inputs(ctx, updates), (0,))
     assert [c.index for c in out.chunks] == [0, 1, 2]
     for c in out.chunks:
-        msg = chunk_signing_bytes(c.taskid, c.round, c.index, c.payload)
-        assert crypto.sig_verify(ctx["vk"].public, msg, c.sigma)
+        msg = chunk_signed_parts(c.taskid, c.round, c.index, c.payload)
+        assert crypto.sig_verify(ctx["vk"].public, c.sigma, *msg)
     assert all(len(c.payload) <= 40_000 for c in out.chunks)
 
 
@@ -182,7 +182,7 @@ def test_tampered_client_envelope_rejects_batch_and_names_sender():
     env_m, env_k, sender = inputs[1]
     flipped = bytearray(env_m.ciphertext)
     flipped[0] ^= 1
-    inputs[1] = (Envelope(env_m.nonce, env_m.aad, bytes(flipped), env_m.tag), env_k, sender)
+    inputs[1] = (Envelope(env_m.nonce, env_m.aad, bytes(flipped) + env_m.tag), env_k, sender)
     with pytest.raises(AuthFailure, match="client 2"):
         ctx["host"].resume(ctx["eid"], inputs, (0,))
     # whole batch rejected: the armed round is still live, and a clean batch works

@@ -189,13 +189,13 @@ def test_leaky_stub_cipher_trips_the_detector(monkeypatch):
 
     def leaky_encrypt(key, aad, plaintext, rng=None):
         tag = hashlib.sha256(key.raw + aad + plaintext).digest()[:16]
-        return crypto.Envelope(b"\x00" * 12, aad, plaintext, tag)
+        return crypto.Envelope(b"\x00" * 12, aad, plaintext + tag)
 
     def leaky_decrypt(key, env):
         tag = hashlib.sha256(key.raw + env.aad + env.ciphertext).digest()[:16]
         if tag != env.tag:
             raise crypto.AuthFailure("stub cipher tag mismatch")
-        return env.ciphertext
+        return bytes(env.ciphertext)
 
     monkeypatch.setattr(crypto, "ae_encrypt", leaky_encrypt)
     monkeypatch.setattr(crypto, "ae_decrypt", leaky_decrypt)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import TASKID, client_inputs, provision_enclave, simple_update
 from fedtee import crypto
-from fedtee.enclave import SignedChunk, chunk_signing_bytes
+from fedtee.enclave import SignedChunk, chunk_signed_parts
 from fedtee.ledger import (
     CHAIN_PRESETS,
     ChainParams,
@@ -236,8 +236,8 @@ def test_rotation_replaces_the_loaded_key():
     assert led.upload_global_model("node:0", chunks[1]).reason == "BadSignature"
     # ... and chunks signed with the new key do
     c = chunks[1]
-    message = chunk_signing_bytes(c.taskid, c.round, c.index, c.payload)
-    sigma = crypto.sig_sign(new_vk.secret, message)
+    message = chunk_signed_parts(c.taskid, c.round, c.index, c.payload)
+    sigma = crypto.sig_sign(new_vk.secret, *message)
     resigned = SignedChunk(c.taskid, c.round, c.index, c.payload, sigma)
     assert led.upload_global_model("node:0", resigned).accepted
     assert sorted(led.storage) == [(TASKID, 0, 0), (TASKID, 0, 1)]
@@ -273,7 +273,7 @@ OTHER_KEY = crypto.sig_keygen(b"\x22" * 32)
 def _chunk(taskid: bytes, round_index: int, index: int, good: bool) -> SignedChunk:
     payload = b"payload-%d-%d" % (round_index, index)
     key = TASK_KEY if good else OTHER_KEY
-    sigma = crypto.sig_sign(key.secret, chunk_signing_bytes(taskid, round_index, index, payload))
+    sigma = crypto.sig_sign(key.secret, *chunk_signed_parts(taskid, round_index, index, payload))
     return SignedChunk(taskid, round_index, index, payload, sigma)
 
 

@@ -1,5 +1,6 @@
 """Weight math: encoding, weighted averaging, and partial-sum combination."""
 
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from fedtee.model import (
     Layer,
     LocalUpdate,
     MalformedModel,
+    PartialAggregate,
     ShapeMismatch,
     WeightVector,
     combine_partials,
@@ -78,6 +80,104 @@ def test_encode_decode_roundtrip(n_layers, counts, client, dataset, data):
     assert decoded.round == 3
     assert decoded.dataset_size == dataset
     assert decoded.weights.bit_equal(u.weights)
+
+
+# Bit patterns a float64 may hold beyond plain numbers: -0.0, +-inf, and NaNs
+# with and without payloads, quiet and signalling.
+_SPECIAL_BITS = [
+    0x8000000000000000,
+    0x7FF0000000000000,
+    0xFFF0000000000000,
+    0x7FF8000000000000,
+    0x7FF0000000000001,
+    0xFFF8000000000ABC,
+]
+
+
+def _f64(bits) -> np.ndarray:
+    return np.array(bits, dtype="<u8").view("<f8")
+
+
+@st.composite
+def _layers(draw):
+    """Layers of any float64 bits, some empty, some strided views."""
+    out = []
+    index = -1
+    for _ in range(draw(st.integers(0, 4))):
+        index += draw(st.integers(1, 3))
+        bits = draw(
+            st.lists(
+                st.one_of(st.sampled_from(_SPECIAL_BITS), st.integers(0, 2**64 - 1)),
+                max_size=6,
+            )
+        )
+        step = draw(st.sampled_from([1, 2]))
+        values = np.repeat(_f64(bits), step)[::step]  # step 2 gives a strided view
+        out.append(Layer(index, values))
+    return WeightVector(out)
+
+
+def _layers_in_original_layout(wv: WeightVector) -> bytes:
+    """The layer encoding as first specified, each layer through ``tobytes``."""
+    parts = [struct.pack(">I", len(wv.layers))]
+    for l in wv.layers:
+        parts.append(struct.pack(">IQ", l.index, len(l.values)))
+        parts.append(l.values.astype("<f8").tobytes())
+    return b"".join(parts)
+
+
+@given(wv=_layers(), client=st.integers(0, 2**64 - 1), dataset=st.integers(1, 2**64 - 1))
+@settings(max_examples=60, deadline=None)
+def test_codecs_keep_the_original_byte_layout(wv, client, dataset):
+    u = LocalUpdate(TASK, client, 9, wv, dataset)
+    header = struct.pack(">H", len(TASK)) + TASK + struct.pack(">QQQ", 9, client, dataset)
+    encoded = encode_model(u)
+    assert encoded == header + _layers_in_original_layout(wv)
+    assert decode_model(encoded).weights.bit_equal(wv)
+
+    clients = (1, 5, 7)
+    p = PartialAggregate(wv, dataset, tuple(l.index for l in wv.layers), clients)
+    head = struct.pack(">QI3Q", dataset, len(clients), *clients)
+    encoded = model.encode_partial(p)
+    assert encoded == head + _layers_in_original_layout(wv)
+    assert model.decode_partial(encoded).scaled_sum.bit_equal(wv)
+
+
+def test_bit_equal_is_bytewise():
+    def vector(*bits):
+        return WeightVector([Layer(0, _f64(bits))])
+
+    assert not vector(0).bit_equal(vector(0x8000000000000000))  # 0.0 vs -0.0
+    assert vector(0).allclose(vector(0x8000000000000000))  # equal as numbers
+    nan = 0x7FF8000000000123
+    assert vector(nan, 1).bit_equal(vector(nan, 1))  # a NaN equals its own bits
+    assert not vector(nan).bit_equal(vector(0x7FF8000000000124))
+
+
+def test_decoded_layers_are_read_only_views_of_the_input():
+    u = make_update(1, [[1.0, 2.0], [], [3.0]], 5)
+    for encoded, decode in (
+        (encode_model(u), lambda data: decode_model(data).weights),
+        (
+            model.encode_partial(partial_aggregate([u], (0, 1, 2))),
+            lambda data: model.decode_partial(data).scaled_sum,
+        ),
+    ):
+        for data in (encoded, memoryview(encoded), bytearray(encoded)):
+            wv = decode(data)
+            for l in wv.layers:
+                if len(l.values):
+                    assert np.shares_memory(l.values, np.frombuffer(data, np.uint8))
+                with pytest.raises(ValueError):
+                    l.values[:1] = 0.0
+
+
+def test_slice_layers_shares_arrays():
+    wv = make_update(1, [[1.0], [2.0, 3.0], [4.0]], 1).weights
+    sliced = wv.slice_layers((0, 2))
+    assert [l.index for l in sliced.layers] == [0, 2]
+    for l in sliced.layers:
+        assert l.values is wv.layer(l.index).values
 
 
 def test_truncated_bytes_rejected():

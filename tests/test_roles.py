@@ -295,3 +295,36 @@ def test_node_buffers_expose_only_ciphertext():
 
     for node in run.nodes.values():
         assert SENTINEL not in node.buffer_bytes()
+
+
+def test_node_compute_memory_stays_within_budget(monkeypatch):
+    """One round's enclave batch and upload build each model-sized value once.
+
+    2 clients send one 2**20-element layer (8 MiB). Decoded inputs are views
+    of the decrypted plaintexts, aggregation reuses one scratch array, and the
+    chunks are views of the sealed output: about 6x the model's bytes at peak
+    (two plaintexts, the sum, its encoding, the sealed output and its wire
+    bytes). Copying decoded and sliced layers, as an earlier codec did, peaks
+    above 8x.
+    """
+    import tracemalloc
+
+    from fedtee.roles import Node
+
+    peaks = []
+    compute = Node.compute
+
+    def traced(self, *args):
+        tracemalloc.start()
+        try:
+            return compute(self, *args)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(Node, "compute", traced)
+    n = 2**20
+    report = run_task(small_config(n_clients=2, n_nodes=1, rounds=1, layers={0: n}))
+    assert report.ok
+    assert len(peaks) == 1
+    assert peaks[0] < 7 * 8 * n

@@ -154,8 +154,7 @@ _FIELD_VALUES = {
         crypto.Envelope,
         nonce=st.binary(min_size=crypto.NONCE_BYTES, max_size=crypto.NONCE_BYTES),
         aad=st.binary(max_size=12),
-        ciphertext=st.binary(max_size=24),
-        tag=st.binary(min_size=crypto.TAG_BYTES, max_size=crypto.TAG_BYTES),
+        sealed=st.binary(min_size=crypto.TAG_BYTES, max_size=24 + crypto.TAG_BYTES),
     ),
 }
 
