@@ -6,8 +6,10 @@ module; the hosting node only ever sees envelopes going in and signed chunks
 coming out. A resume decrypts the batch, checks that all clients delivered
 the same master key, runs the pluggable aggregation hook over the requested
 layers, re-encrypts under the master key, splits the ciphertext into
-transaction-sized chunks, and signs each chunk. The chunks are views of the
-one sealed output, and a chunk is signed without joining its signed message.
+transaction-sized chunks, and signs each chunk. The chunks are cut from the
+envelope's wire encoding without joining it: each is a view of the one sealed
+output, or a small join where the envelope's head ends. A chunk is signed
+without joining its signed message.
 """
 
 from __future__ import annotations
@@ -43,10 +45,6 @@ class CapacityExceeded(Exception):
 # Named, deterministic aggregation hooks; detection schemes plug in here.
 # A hook maps (updates, layer_range) -> PartialAggregate.
 HOOKS = {"fedavg": model.partial_aggregate}
-
-
-def register_hook(name: str, fn) -> None:
-    HOOKS[name] = fn
 
 
 def program_measurement(code_id: bytes) -> bytes:
@@ -291,12 +289,16 @@ class SgxHost:
                 payload,
                 rng=inst.rng,
             )
-            blob = memoryview(env_out.to_bytes())
-            cap = inst.partition.tx_capacity
+            head = b"".join(env_out.wire_parts()[:-1])  # every part before ``sealed``
+            sealed = memoryview(env_out.sealed)
+            n, cap = len(head), inst.partition.tx_capacity
             chunks = []
-            for i in range(0, len(blob), cap):
+            for i in range(0, n + len(sealed), cap):
                 index = inst.partition.chunk_base + i // cap
-                piece = blob[i : i + cap]
+                if i >= n:
+                    piece = sealed[i - n : i - n + cap]
+                else:
+                    piece = head[i : i + cap] + sealed[: max(0, i + cap - n)]
                 sigma = crypto.sig_sign(
                     inst.sk_vk, *chunk_signed_parts(inst.taskid, round_index, index, piece)
                 )

@@ -28,7 +28,7 @@ PHASE_SEND = "SendModeltoSGX"
 PHASE_AGG = "Aggregate"
 PHASE_CHAIN = "SendResulttoChain"
 
-# Leak scan: haystack bytes per block, and log2 of the prefix filter's size.
+# Leak scan: haystack bytes per block, and log2 of the window filter's size.
 SCAN_BLOCK = 1 << 20
 SCAN_TABLE_BITS = 20
 _HASH_MUL = np.uint64(0x9E3779B97F4A7C15)
@@ -149,67 +149,98 @@ def oracle_run(config: RunConfig, subsets_by_round: list[list[int]] | None = Non
 # Leak scan
 # ---------------------------------------------------------------------------
 
+class NeedleScan:
+    """A set of needles, indexed once, to count in any number of haystacks.
+
+    Every 8-byte window ``needle[k:k+8]`` with ``k`` in 0..min(7, L-8) is
+    marked in a hash table over 8-byte words. An occurrence of a needle of
+    length L covers L-7 consecutive word starts, so reading the words that
+    start at offsets 0..m-1 (mod 8) of a block, with
+    ``m = clamp(16 - shortest, 1, 8)``, sees a marked window of every
+    occurrence. With needles of at least 16 bytes m is 1: each 8-byte word
+    of the haystack is hashed once.
+    """
+
+    def __init__(self, needles) -> None:
+        self.needles = list(dict.fromkeys(needles))
+        if any(len(n) < 8 for n in self.needles):
+            raise ValueError("leak-scan needles must be at least 8 bytes long")
+        self.by_word: dict[int, list[tuple[bytes, int]]] = {}
+        for n in self.needles:
+            for k in range(min(7, len(n) - 8) + 1):
+                self.by_word.setdefault(int.from_bytes(n[k : k + 8], "little"), []).append((n, k))
+        self.table = np.zeros(1 << SCAN_TABLE_BITS, dtype=bool)
+        self.table[(np.fromiter(self.by_word, dtype=np.uint64) * _HASH_MUL) >> _HASH_SHIFT] = True
+        shortest = min(map(len, self.needles), default=16)
+        self.alignments = min(8, max(1, 16 - shortest))
+        self.keep = max(map(len, self.needles), default=8) - 1
+
+    def count(self, chunks) -> dict[bytes, int]:
+        """Count every needle in ``b"".join(chunks)``; see :func:`count_needles`."""
+        counts = dict.fromkeys(self.needles, 0)
+        if not counts:
+            return counts
+        table, by_word, keep = self.table, self.by_word, self.keep
+        free_from = dict.fromkeys(counts, 0)  # where each needle's next match may start
+        carry, base = b"", 0  # base: offset of the current buffer's first byte
+        for pieces in _blocks(chunks):
+            buf = b"".join([carry, *pieces])
+            found = set()  # one occurrence may hit several of its windows
+            for align in range(min(self.alignments, len(buf) - 7)):
+                words = np.frombuffer(buf, dtype="<u8", count=(len(buf) - align) // 8, offset=align)
+                slots = ((words * _HASH_MUL) >> _HASH_SHIFT).view(np.int64)  # no cast to index
+                hits = np.flatnonzero(table[slots])
+                for i, word in zip(hits.tolist(), words[hits].tolist()):
+                    for n, k in by_word.get(word, ()):
+                        start = align + 8 * i - k
+                        # a start before the buffer lies wholly in the one before
+                        if start >= 0 and buf.startswith(n, start):
+                            found.add((base + start, n))
+            # a match lying wholly in the carry was seen in the buffer before,
+            # and starts below free_from whether it was counted then or not
+            for pos, n in sorted(found):
+                if pos >= free_from[n]:
+                    counts[n] += 1
+                    free_from[n] = pos + len(n)
+            carry = buf[-keep:]
+            base += len(buf) - len(carry)
+        return counts
+
+
+def _blocks(chunks):
+    """The bytes of ``chunks`` in runs of views totalling ``SCAN_BLOCK``; the
+    last run may be shorter."""
+    pending, have = [], 0
+    for chunk in chunks:
+        while have + len(chunk) >= SCAN_BLOCK:
+            view = memoryview(chunk)
+            pending.append(view[: SCAN_BLOCK - have])
+            yield pending
+            chunk = view[SCAN_BLOCK - have :]
+            pending, have = [], 0
+        if len(chunk):
+            pending.append(chunk)
+            have += len(chunk)
+    if have:
+        yield pending
+
+
 def count_needles(chunks, needles) -> dict[bytes, int]:
     """Count every needle in ``b"".join(chunks)`` in one pass over the bytes.
 
     Each count equals ``b"".join(chunks).count(needle)``: matches do not
     overlap, and a match may cross chunk boundaries. The chunks are read in
     blocks of ``SCAN_BLOCK`` bytes, each led by the last ``max_len - 1`` bytes
-    of the block before. Every 8-byte word of a block, at each of the 8
-    alignments, is hashed into a table marking the needles' 8-byte prefixes;
-    only words that hit a marked slot are compared byte for byte. So the cost
-    is linear in the haystack whatever the number of needles, and the filter
-    can cost time but never change a count.
+    of the block before and joined with them once. Each 8-byte word read is
+    hashed into a table marking every 8-byte window of the needles; only
+    words that hit a marked slot are compared byte for byte, at the start
+    their window implies. When every needle is at least 16 bytes long, each
+    word of the haystack is read once; an 8-byte needle needs all 8
+    alignments (see :class:`NeedleScan`). So the cost is linear in the
+    haystack whatever the number of needles, and the filter can cost time
+    but never change a count.
     """
-    counts = dict.fromkeys(needles, 0)
-    if any(len(n) < 8 for n in counts):
-        raise ValueError("leak-scan needles must be at least 8 bytes long")
-    if not counts:
-        return counts
-    by_prefix: dict[int, list[bytes]] = {}
-    for n in counts:
-        by_prefix.setdefault(int.from_bytes(n[:8], "little"), []).append(n)
-    table = np.zeros(1 << SCAN_TABLE_BITS, dtype=bool)
-    table[(np.fromiter(by_prefix, dtype=np.uint64) * _HASH_MUL) >> _HASH_SHIFT] = True
-    keep = max(map(len, counts)) - 1
-    free_from = dict.fromkeys(counts, 0)  # where each needle's next match may start
-
-    def blocks():
-        pending, have = [], 0
-        for chunk in chunks:
-            view = memoryview(chunk)
-            while len(view):
-                piece = view[: SCAN_BLOCK - have]
-                pending.append(piece)
-                have += len(piece)
-                view = view[len(piece):]
-                if have == SCAN_BLOCK:
-                    yield b"".join(pending)
-                    pending, have = [], 0
-        if have:
-            yield b"".join(pending)
-
-    carry, base = b"", 0  # base: offset of the current block's first byte
-    for block in blocks():
-        buf = carry + block
-        found = []
-        for align in range(min(8, len(buf) - 7)):
-            words = np.frombuffer(buf, dtype="<u8", count=(len(buf) - align) // 8, offset=align)
-            slots = ((words * _HASH_MUL) >> _HASH_SHIFT).view(np.int64)  # no cast to index
-            for i in np.flatnonzero(table[slots]):
-                pos = align + 8 * int(i)
-                for n in by_prefix.get(int(words[i]), ()):
-                    if buf.startswith(n, pos):
-                        found.append((base + pos, n))
-        # a match lying wholly in the carry was seen in the block before, and
-        # starts below free_from whether it was counted then or not
-        for pos, n in sorted(found):
-            if pos >= free_from[n]:
-                counts[n] += 1
-                free_from[n] = pos + len(n)
-        carry = buf[-keep:]
-        base += len(buf) - len(carry)
-    return counts
+    return NeedleScan(needles).count(chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -470,9 +501,10 @@ class TaskRun:
         for node in self.nodes.values():
             haystacks.append([node.buffer_bytes()])
         haystacks.append([c.payload for c in self.ledger.storage.values()])
+        scan = NeedleScan([SENTINEL, *keys])
         hits = {"sentinel": 0, "keys": 0}
         for chunks in haystacks:
-            counts = count_needles(chunks, [SENTINEL, *keys])
+            counts = scan.count(chunks)
             hits["sentinel"] += counts[SENTINEL]
             hits["keys"] += sum(counts[k] for k in keys)
         return hits

@@ -80,10 +80,13 @@ class WeightVector:
         return WeightVector(picked)
 
     def allclose(self, other: "WeightVector", rel: float = 0.0, abs_tol: float = 0.0) -> bool:
+        """``np.allclose`` per layer. Equal layers with no NaN are close at any
+        tolerance, ±inf included, so ``np.array_equal`` decides them first."""
         if self.structure() != other.structure():
             return False
         return all(
-            np.allclose(a.values, b.values, rtol=rel, atol=abs_tol)
+            np.array_equal(a.values, b.values)
+            or np.allclose(a.values, b.values, rtol=rel, atol=abs_tol)
             for a, b in zip(self.layers, other.layers)
         )
 

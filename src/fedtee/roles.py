@@ -49,7 +49,6 @@ class Node:
         # (taskid, round) -> sender -> (env_m, env_k); ciphertext only
         self.pending: dict[tuple[bytes, int], dict[int, tuple[Envelope, Envelope]]] = {}
         self.confs: dict[bytes, Conf] = {}  # taskid -> the committee's schedule
-        self.last_output = None
         self.tamper_next = False  # fault injection: forge one chunk before uploading
         self.tamper_install = False  # fault injection: install altered program code
         router.register(self.party, handler=self.handle)
@@ -139,7 +138,6 @@ class Node:
         box = self.pending.get((taskid, round_index), {})
         inputs = [(box[c][0], box[c][1], c) for c in sorted(subset)]
         output = self.host.resume(eid, inputs, slot.layer_range)
-        self.last_output = output
         receipts = []
         uploaded = 0
 
@@ -173,15 +171,16 @@ class Node:
         )
 
     def buffer_bytes(self) -> bytes:
-        """Everything node-resident outside enclave state, for leak scans."""
+        """Everything node-resident outside enclave state, for leak scans.
+
+        That is the envelopes still pending. A node keeps no enclave output
+        after uploading it: accepted chunks are on the ledger, which the
+        scan reads, and a scanned run taps every upload frame."""
         parts = []
         for box in self.pending.values():
             for env_m, env_k in box.values():
                 parts.append(env_m.to_bytes())
                 parts.append(env_k.to_bytes())
-        if self.last_output is not None:
-            for chunk in self.last_output.chunks:
-                parts.append(chunk.payload)
         return b"".join(parts)
 
 
@@ -223,19 +222,24 @@ class LedgerParty:
 
 def read_round_chunks(router: Router, party: str, taskid: bytes, round_index: int):
     """Framed ledger read of a completed round: its chunk indices, ascending,
-    and their payloads; raises Incomplete or KeyError.
+    their payload lengths, and one read-only view of the payloads end to end;
+    raises Incomplete or KeyError.
 
-    The ledger checked every chunk's signature when it stored it; what a
-    reader checks is the AEAD tag and context of each reassembled output."""
+    The payloads are the reply's last field, so they already lie end to end
+    in the frame and are read without a copy. The ledger checked every
+    chunk's signature when it stored it; what a reader checks is the AEAD
+    tag and context of each reassembled output."""
     _, reply, _ = router.call(
         party, "ledger", MessageKind.LedgerRead, pack(transport.LEDGER_READ, taskid, round_index)
     )
-    error, indices, payloads = unpack(transport.LEDGER_ROUND, memoryview(reply))
+    body = memoryview(reply)
+    error, indices, payloads = unpack(transport.LEDGER_ROUND, body)
     if error == "LedgerNotFound":
         raise KeyError(f"no chunks for round {round_index}")
     if error:
         raise Incomplete(f"indices present: {list(indices)}")
-    return indices, payloads
+    lengths = [len(p) for p in payloads]
+    return indices, lengths, body[len(body) - sum(lengths) :]
 
 
 # ---------------------------------------------------------------------------
@@ -403,10 +407,13 @@ def decode_round_chunks(conf: Conf, msk: SymKey, chunks, round_index: int) -> mo
     header gives its length. So the chunk runs are read off the data and not
     off ``conf``'s layout, which by the time a client reads a round may be the
     next round's. Each output must be bound to the chunk it starts at.
+
+    ``chunks`` is ``(indices, lengths, data)`` as :func:`read_round_chunks`
+    returns it: ``data`` holds the payloads end to end.
     """
-    indices, payloads = chunks
-    starts = dict(zip(itertools.accumulate(map(len, payloads), initial=0), indices))
-    data = memoryview(b"".join(payloads))
+    indices, lengths, data = chunks
+    data = memoryview(data)
+    starts = dict(zip(itertools.accumulate(lengths, initial=0), indices))
     parts, off = [], 0
     for slot in conf.slots:
         base = starts.get(off)

@@ -175,6 +175,20 @@ def test_resume_output_chunks_are_signed_and_indexed():
     assert all(len(c.payload) <= 40_000 for c in out.chunks)
 
 
+@pytest.mark.parametrize("cap", [1, 20, 47, 48, 64])  # the envelope's head is 47 bytes
+def test_resume_chunks_cut_the_wire_envelope_at_any_capacity(cap):
+    ctx = provision_enclave(clients=(1, 2), layer_range=(0,), tx_capacity=cap)
+    updates = [simple_update(1, [[1.0, 3.0]]), simple_update(2, [[3.0, 5.0]])]
+    out = ctx["host"].resume(ctx["eid"], client_inputs(ctx, updates), (0,))
+    assert [c.index for c in out.chunks] == list(range(len(out.chunks)))
+    assert all(len(c.payload) == cap for c in out.chunks[:-1])
+    assert 0 < len(out.chunks[-1].payload) <= cap
+    for c in out.chunks:
+        msg = chunk_signed_parts(c.taskid, c.round, c.index, c.payload)
+        assert crypto.sig_verify(ctx["vk"].public, c.sigma, *msg)
+    assert model.combine_partials([decrypt_output(ctx, out)]).bit_equal(model.fedavg(updates))
+
+
 def test_tampered_client_envelope_rejects_batch_and_names_sender():
     ctx = provision_enclave(clients=(1, 2), layer_range=(0,))
     updates = [simple_update(1, [[1.0]]), simple_update(2, [[2.0]])]

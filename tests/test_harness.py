@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -220,9 +221,9 @@ _FILLER = bytes(range(256)) * (SCAN_BLOCK // 256 + 1)
 
 
 @st.composite
-def needle_haystacks(draw):
+def needle_haystacks(draw, needle=st.binary(min_size=8, max_size=40)):
     """Needles planted near chunk edges and, at times, the scan's block edge."""
-    needles = draw(st.lists(st.binary(min_size=8, max_size=24), min_size=1, max_size=3))
+    needles = draw(st.lists(needle, min_size=1, max_size=3))
     if draw(st.booleans()):
         needles.append(b"ab" * 8)  # overlaps itself
     if draw(st.booleans()):
@@ -233,7 +234,7 @@ def needle_haystacks(draw):
             st.one_of(
                 st.binary(max_size=12),
                 st.builds(lambda n, k: n * k, st.sampled_from(needles), st.integers(1, 3)),
-                st.builds(lambda n, k: n[:k], st.sampled_from(needles), st.integers(1, 23)),
+                st.builds(lambda n, k: n[:k], st.sampled_from(needles), st.integers(1, 39)),
                 st.just(b"a"),
             ),
             max_size=12,
@@ -254,6 +255,34 @@ def test_count_needles_equals_bytes_count(case):
     counts = count_needles(chunks, needles)
     for n in needles:
         assert counts[n] == joined.count(n)
+
+
+_KEY_SIZED = st.one_of(st.binary(min_size=16, max_size=16), st.binary(min_size=32, max_size=32))
+
+
+@given(needle_haystacks(_KEY_SIZED))
+@settings(max_examples=60, deadline=None)
+def test_count_needles_of_key_sizes_equals_bytes_count(case):
+    """16- and 32-byte needles, as the leak scan has: one aligned pass."""
+    chunks, needles = case
+    joined = b"".join(chunks)
+    counts = count_needles(chunks, needles)
+    for n in needles:
+        assert counts[n] == joined.count(n)
+
+
+def test_count_needles_counts_a_16_byte_needle_once_at_any_offset():
+    rng = random.Random(5)
+    needle, other = rng.randbytes(16), rng.randbytes(32)  # other sets a 31-byte carry
+    noise = rng.randbytes(2 * SCAN_BLOCK + 64)
+    # where the scan's buffers start and end: each after the first is led by the carry
+    edges = [0, SCAN_BLOCK - 31, SCAN_BLOCK, 2 * SCAN_BLOCK - 31, 2 * SCAN_BLOCK]
+    for pos in sorted({e + d for e in edges for d in range(-16, 17) if e + d >= 0} | {*range(8)}):
+        hay = noise[:pos] + needle + noise[pos + 16 :]
+        assert hay.count(needle) == 1 and other not in hay
+        a, b = sorted((pos + 5, SCAN_BLOCK + 3))  # one cut inside the needle
+        chunks = [hay[:a], hay[a:b], hay[b:]]
+        assert count_needles(chunks, [needle, other]) == {needle: 1, other: 0}, pos
 
 
 def test_count_needles_finds_a_needle_across_the_block_edge():

@@ -154,6 +154,33 @@ def test_bit_equal_is_bytewise():
     assert not vector(nan).bit_equal(vector(0x7FF8000000000124))
 
 
+_SPECIAL = st.sampled_from([0.0, -0.0, 1.0, 1.0 + 1e-12, 1.0 + 1e-6, np.inf, -np.inf, np.nan, 1e300])
+
+
+@st.composite
+def vector_pairs(draw):
+    """Two vectors of one structure: equal, near-equal, or special values."""
+    sizes = draw(st.lists(st.integers(0, 4), min_size=1, max_size=3))
+    value = st.one_of(_SPECIAL, st.floats(-1e3, 1e3))
+    pairs = []
+    for n in sizes:
+        a = draw(st.lists(value, min_size=n, max_size=n))
+        b = [draw(st.one_of(st.just(x), value, st.just(x * (1 + 1e-10)))) for x in a]
+        pairs.append((np.array(a, dtype=np.float64), np.array(b, dtype=np.float64)))
+    return [WeightVector([Layer(i, v[side]) for i, v in enumerate(pairs)]) for side in (0, 1)]
+
+
+@given(vector_pairs(), st.sampled_from([(0.0, 0.0), (1e-9, 1e-12), (1e-3, 0.0)]))
+@settings(max_examples=200, deadline=None)
+def test_allclose_agrees_with_numpy_per_layer(pair, tol):
+    a, b = pair
+    rel, abs_tol = tol
+    want = all(
+        np.allclose(x.values, y.values, rtol=rel, atol=abs_tol) for x, y in zip(a.layers, b.layers)
+    )
+    assert a.allclose(b, rel=rel, abs_tol=abs_tol) == want
+
+
 def test_decoded_layers_are_read_only_views_of_the_input():
     u = make_update(1, [[1.0, 2.0], [], [3.0]], 5)
     for encoded, decode in (

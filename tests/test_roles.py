@@ -92,15 +92,18 @@ def test_decode_binds_each_output_to_the_chunk_it_starts_at():
     run.run_round(0)
     conf, msk = run.committee.conf, run.owner.msk
     assert len(conf.slots) > 1 and conf.expected_chunks_per_round > len(conf.slots)
-    indices, payloads = read_round_chunks(run.router, "owner", run.cfg.taskid_bytes, 0)
-    got = decode_round_chunks(conf, msk, (indices, payloads), 0)
+    indices, lengths, data = read_round_chunks(run.router, "owner", run.cfg.taskid_bytes, 0)
+    assert data.readonly and len(data) == sum(lengths) and len(lengths) == len(indices)
+    got = decode_round_chunks(conf, msk, (indices, lengths, data), 0)
     assert got.bit_equal(run.report.round_models[0])
     with pytest.raises(crypto.AuthFailure):  # renumbered chunks
-        decode_round_chunks(conf, msk, ([i + 1 for i in indices], payloads), 0)
+        decode_round_chunks(conf, msk, ([i + 1 for i in indices], lengths, data), 0)
     with pytest.raises(ValueError):  # a chunk past the last output
-        decode_round_chunks(conf, msk, ((*indices, len(indices)), (*payloads, b"x")), 0)
+        decode_round_chunks(
+            conf, msk, ((*indices, len(indices)), (*lengths, 1), bytes(data) + b"x"), 0
+        )
     with pytest.raises(ValueError):  # an output cut short
-        decode_round_chunks(conf, msk, (indices[:-1], payloads[:-1]), 0)
+        decode_round_chunks(conf, msk, (indices[:-1], lengths[:-1], data[: -lengths[-1]]), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +305,11 @@ def test_node_compute_memory_stays_within_budget(monkeypatch):
 
     2 clients send one 2**20-element layer (8 MiB). Decoded inputs are views
     of the decrypted plaintexts, aggregation reuses one scratch array, and the
-    chunks are views of the sealed output: about 6x the model's bytes at peak
-    (two plaintexts, the sum, its encoding, the sealed output and its wire
-    bytes). Copying decoded and sliced layers, as an earlier codec did, peaks
-    above 8x.
+    chunks are cut from the sealed output without joining its wire bytes:
+    about 5.3x the model's bytes at peak (two plaintexts, the sum, its
+    encoding and the sealed output). Joining the wire bytes before chunking
+    peaks at 6.0x; copying decoded and sliced layers, as an earlier codec
+    did, peaks above 8x.
     """
     import tracemalloc
 
@@ -327,4 +331,4 @@ def test_node_compute_memory_stays_within_budget(monkeypatch):
     report = run_task(small_config(n_clients=2, n_nodes=1, rounds=1, layers={0: n}))
     assert report.ok
     assert len(peaks) == 1
-    assert peaks[0] < 7 * 8 * n
+    assert peaks[0] < 6 * 8 * n
