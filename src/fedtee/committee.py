@@ -406,12 +406,12 @@ class Committee:
     """
 
     def __init__(
-        self, seed: int, interval_ms: float = 500.0, threshold: int = 3,
-        uniform_random: bool = False, router: transport.Router | None = None, ledger=None,
+        self, seed: int, uniform_random: bool = False,
+        router: transport.Router | None = None, ledger=None,
     ) -> None:
         self.seed = seed
         self.rng = Random(derive_seed(seed, "committee"))
-        self.monitor = HeartbeatMonitor(interval_ms=interval_ms, threshold=threshold)
+        self.monitor = HeartbeatMonitor()
         self.uniform_random = uniform_random
         self.router = router
         self.ledger = ledger

@@ -1,4 +1,4 @@
-"""Run configuration: model presets, chain presets, cost model, fault schedule.
+"""Run configuration: model presets, chain presets, fault schedule.
 
 Config files are JSON with the same keys as :class:`RunConfig`. Model presets
 carry a declared parameter count and byte size; the synthetic layer
@@ -49,18 +49,6 @@ def preset_layer_meta(preset: ModelPreset, n_layers: int = 8) -> dict[int, int]:
     return {i: base + (1 if i < extra else 0) for i in range(n_layers)}
 
 
-@dataclass
-class CostModel:
-    """Virtual-clock charges; only ratios matter, the units are nanoseconds
-    per byte for compute and milliseconds for protocol steps."""
-
-    proc_ns_per_byte: float = 1.0
-    paging_ns_per_byte: float = 10.0
-    connect_ms_per_attestation: float = 5.0
-    reschedule_ms: float = 2.0
-    straggler_timeout_ms: float = 100.0
-
-
 FAULT_KINDS = ("kill_node", "drop", "tamper_chunk", "tamper_install")
 
 
@@ -104,23 +92,18 @@ class RunConfig:
     strategy: str = "single"  # single | clientmax | layermax
     chain: str = "fabric"
     model_preset: str | None = None
-    preset_layers: int = 8
     layers: dict[int, int] = field(default_factory=lambda: {0: 16, 1: 16})
     epc_budget: int = 128 * 1024 * 1024
     tx_capacity: int = 2 * 1024 * 1024
     seed: int = 0
     int_mode: bool = False
     paging: bool = False
-    perturb: float = 0.05
     sentinel: bool = False
     taps: bool = False
-    heartbeat_interval_ms: float = 500.0
-    failover_threshold: int = 3
     straggler_policy: str = "wait-all"  # or "exclude"
     straggler_max_retries: int = 5
     uniform_random_participants: bool = False
     bandwidth_bytes_per_ms: float | None = None  # client->node cap; None = unconstrained
-    cost: CostModel = field(default_factory=CostModel)
     faults: list[FaultEvent] = field(default_factory=list)
 
     def __post_init__(self) -> None:
@@ -128,10 +111,17 @@ class RunConfig:
         self.layers = {int(k): int(v) for k, v in self.layers.items()}
         preset, policy = self.model_preset, self.straggler_policy
         _require(preset in (None, *MODEL_PRESETS), f"unknown model_preset {preset!r}")
-        check_task_shape(self.rounds, self.participation, self.strategy, self.model_meta())
+        meta, bandwidth = self.model_meta(), self.bandwidth_bytes_per_ms
+        check_task_shape(self.rounds, self.participation, self.strategy, meta)
+        _require(min(meta) >= 0 and min(meta.values()) >= 0, "negative layer index or size")
+        _require(not self.sentinel or meta[min(meta)] >= 2, "sentinel needs 2 elements in layer 0")
+        _require(self.n_clients >= 1 and self.n_nodes >= 1, "n_clients and n_nodes must be >= 1")
+        _require(0 <= self.seed < 2**64, "seed must be in [0, 2**64)")
         _require(self.chain in CHAIN_PRESETS, f"unknown chain {self.chain!r}")
         _require(self.tx_capacity >= 1, "tx_capacity must be >= 1")
         _require(policy in ("wait-all", "exclude"), f"unknown straggler_policy {policy!r}")
+        _require(self.straggler_max_retries >= 0, "straggler_max_retries must be >= 0")
+        _require(bandwidth is None or bandwidth > 0, "bandwidth_bytes_per_ms must be > 0")
         for ev in self.faults:
             ev.check(self.n_nodes, self.rounds)
 
@@ -141,7 +131,7 @@ class RunConfig:
 
     def model_meta(self) -> dict[int, int]:
         if self.model_preset is not None:
-            return preset_layer_meta(MODEL_PRESETS[self.model_preset], self.preset_layers)
+            return preset_layer_meta(MODEL_PRESETS[self.model_preset])
         return dict(self.layers)
 
     def to_json(self) -> str:
@@ -152,8 +142,6 @@ class RunConfig:
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
         obj = json.loads(text)
-        if "cost" in obj and isinstance(obj["cost"], dict):
-            obj["cost"] = CostModel(**obj["cost"])
         if "faults" in obj:
             obj["faults"] = [FaultEvent(**f) for f in obj["faults"]]
         return cls(**obj)

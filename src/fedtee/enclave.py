@@ -107,7 +107,6 @@ class EnclaveInstance:
     epc_budget: int
     paging_enabled: bool
     rng: Random
-    memory_used: int = 0
     round_counter: int = 0
     expected_round: int | None = None
     sk_vk: object = None  # signing key, never visible to the hosting node
@@ -245,7 +244,6 @@ class SgxHost:
                 raise CapacityExceeded(
                     f"batch needs {plain_bytes} bytes, budget is {inst.epc_budget}"
                 )
-            inst.memory_used = min(plain_bytes, inst.epc_budget)
 
             updates = []
             msk: SymKey | None = None

@@ -28,6 +28,14 @@ PHASE_SEND = "SendModeltoSGX"
 PHASE_AGG = "Aggregate"
 PHASE_CHAIN = "SendResulttoChain"
 
+# Virtual-clock charges: nanoseconds per byte for enclave compute, and
+# milliseconds for protocol steps.
+PROC_NS_PER_BYTE = 1.0
+PAGING_NS_PER_BYTE = 10.0
+CONNECT_MS_PER_ATTESTATION = 5.0
+RESCHEDULE_MS = 2.0
+STRAGGLER_TIMEOUT_MS = 100.0
+
 # Leak scan: haystack bytes per block, and log2 of the window filter's size.
 SCAN_BLOCK = 1 << 20
 SCAN_TABLE_BITS = 20
@@ -134,7 +142,6 @@ def oracle_run(config: RunConfig, subsets_by_round: list[list[int]] | None = Non
             u = model.synth_local_update(
                 m, uid, r, config.seed,
                 taskid=config.taskid_bytes,
-                perturb=config.perturb,
                 int_mode=config.int_mode,
             )
             if config.sentinel:
@@ -251,8 +258,8 @@ class TaskRun:
     """Wires one task end to end over the in-process transport.
 
     The committee party sends its own frames; this class injects the faults,
-    keeps the virtual clock and cost model, drives the rounds, and checks the
-    result against the oracle.
+    keeps the virtual clock, drives the rounds, and checks the result against
+    the oracle.
     """
 
     def __init__(self, config: RunConfig):
@@ -263,8 +270,6 @@ class TaskRun:
         self.ledger_party = LedgerParty(self.ledger, self.router)
         self.committee = Committee(
             seed=config.seed,
-            interval_ms=config.heartbeat_interval_ms,
-            threshold=config.failover_threshold,
             uniform_random=config.uniform_random_participants,
             router=self.router,
             ledger=self.ledger,
@@ -275,15 +280,14 @@ class TaskRun:
         for uid in range(config.n_clients):
             c = Client(uid, self.router, config.seed)
             c.int_mode = config.int_mode
-            c.perturb = config.perturb
             c.sentinel = config.sentinel
             self.clients[uid] = c
         self.owner = TaskOwner(self.router, self.ledger, config.seed)
-        if config.bandwidth_bytes_per_ms:
-            shaping = transport.ChannelShaping(bytes_per_ms=config.bandwidth_bytes_per_ms)
+        bandwidth = config.bandwidth_bytes_per_ms
+        if bandwidth is not None:
             for uid in self.clients:
                 for i in self.nodes:
-                    self.router.shape_channel(f"client:{uid}", f"node:{i}", shaping)
+                    self.router.shape_channel(f"client:{uid}", f"node:{i}", bandwidth)
         self.program = EnclaveProgram(b"fedavg-aggregation-contract-v1", "fedavg")
         self.tap = self.router.add_tap() if (config.taps or config.sentinel) else None
         # the committee logs into the report's event list as it acts
@@ -342,7 +346,7 @@ class TaskRun:
         """Run heartbeat intervals until pending deaths are detected, then have
         the committee move the affected partitions (and optionally trigger
         re-sends)."""
-        committee, cost = self.committee, self.cfg.cost
+        committee = self.committee
         monitor = committee.monitor
         # a node that never beat is not watched, so it is never declared dead
         pending = {n for n in committee.gone - monitor.dead if n in monitor.last_beat}
@@ -359,19 +363,19 @@ class TaskRun:
                     break
             if not actions:
                 return
-            self.clock.advance(cost.reschedule_ms)
+            self.clock.advance(RESCHEDULE_MS)
             committee.move_partitions(actions, round_index, resend)
         except NoSpareNodes as exc:
             self.report.events.append(f"round {round_index}: stalled: {exc}")
             raise
         # one attestation for the committee and one per client reconnecting
         connect_ms = sum(
-            cost.connect_ms_per_attestation
+            CONNECT_MS_PER_ATTESTATION
             * (1 + len(committee.conf.subset(round_index, action.slot_index)))
             for action in actions
         )
         self.clock.advance(connect_ms)
-        self._failover_phases = {"Re-schedule": cost.reschedule_ms, "Connect": connect_ms}
+        self._failover_phases = {"Re-schedule": RESCHEDULE_MS, "Connect": connect_ms}
 
     # -- straggler handling ----------------------------------------------------
 
@@ -385,7 +389,7 @@ class TaskRun:
                     missing[slot.index] = gone
             if not missing:
                 return
-            self.clock.advance(cfg.cost.straggler_timeout_ms)
+            self.clock.advance(STRAGGLER_TIMEOUT_MS)
             if attempt == cfg.straggler_max_retries:
                 if cfg.straggler_policy == "exclude":
                     excluded = sorted({uid for uids in missing.values() for uid in uids})
@@ -437,8 +441,8 @@ class TaskRun:
                 node.tamper_next = True
             result = node.compute(cfg.taskid_bytes, round_index)
             dur = (
-                result["plain_input_bytes"] * cfg.cost.proc_ns_per_byte
-                + result["paged_bytes"] * cfg.cost.paging_ns_per_byte
+                result["plain_input_bytes"] * PROC_NS_PER_BYTE
+                + result["paged_bytes"] * PAGING_NS_PER_BYTE
             ) / 1e6
             if slot.serial:
                 serial_ms += dur
@@ -500,7 +504,9 @@ class TaskRun:
             haystacks.append([raw for _, _, raw in self.tap.frames])
         for node in self.nodes.values():
             haystacks.append([node.buffer_bytes()])
-        haystacks.append([c.payload for c in self.ledger.storage.values()])
+        haystacks.append(
+            [c.payload for stored in self.ledger.by_round.values() for c in stored.values()]
+        )
         scan = NeedleScan([SENTINEL, *keys])
         hits = {"sentinel": 0, "keys": 0}
         for chunks in haystacks:
@@ -517,7 +523,7 @@ class TaskRun:
         checks["end_to_end_matches_oracle"] = "pass" if end_to_end else "FAIL"
 
         expected_accepts = sum(r["accepted"] for r in self.report.rounds)
-        stored = len(self.ledger.storage)
+        stored = sum(len(s) for s in self.ledger.by_round.values())
         checks["ledger_stores_only_accepted"] = "pass" if stored == expected_accepts else "FAIL"
 
         if cfg.sentinel or cfg.taps:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from cryptography.hazmat.primitives.asymmetric import ec
 
@@ -83,17 +83,10 @@ class Receipt:
 
 @dataclass
 class _TaskRecord:
-    creator_eid: int
     round: int = 0
     expected_chunks: int | None = None
     vk_pk: bytes | None = None
     vk: ec.EllipticCurvePublicKey | None = None  # vk_pk loaded; None if it does not load
-
-
-@dataclass
-class LedgerEvent:
-    kind: str
-    detail: dict = field(default_factory=dict)
 
 
 class Ledger:
@@ -105,18 +98,15 @@ class Ledger:
         # accepted chunks: (taskid, round) -> {index: chunk}
         self.by_round: dict[tuple[bytes, int], dict[int, SignedChunk]] = {}
         self.tasks: dict[bytes, _TaskRecord] = {}
-        self.receipts: list[Receipt] = []
-        self.events: list[LedgerEvent] = []
         self._lock = threading.Lock()  # the consensus stand-in: one writer at a time
 
     # -- task lifecycle -----------------------------------------------------
 
-    def create_task(self, eid: int, taskid: bytes) -> None:
+    def create_task(self, taskid: bytes) -> None:
         with self._lock:
             if taskid in self.tasks:
                 raise DuplicateTask(taskid)
-            self.tasks[taskid] = _TaskRecord(creator_eid=eid)
-            self.events.append(LedgerEvent("create", {"taskid": taskid.hex(), "eid": eid}))
+            self.tasks[taskid] = _TaskRecord()
 
     def set_expected_chunks(self, sender: str, taskid: bytes, count: int) -> None:
         with self._lock:
@@ -130,15 +120,11 @@ class Ledger:
             rec = self._record(taskid)
             if sender != self.committee_id:
                 raise Unauthorized(f"{sender} may not upload a verification key")
-            rotated = rec.vk_pk is not None
             rec.vk_pk = vk_pk
             try:
                 rec.vk = crypto.load_public_key(vk_pk)
             except ValueError:  # every later chunk then fails its signature check
                 rec.vk = None
-            self.events.append(
-                LedgerEvent("upload_pk", {"taskid": taskid.hex(), "rotated": rotated})
-            )
             return Receipt("accepted", (taskid, rec.round, -1))
 
     def _record(self, taskid: bytes) -> _TaskRecord:
@@ -152,9 +138,7 @@ class Ledger:
     def upload_global_model(self, sender: str, chunk: SignedChunk) -> Receipt:
         """Store a chunk iff the success predicate holds; write-once per slot."""
         with self._lock:
-            receipt = self._try_store(chunk)
-            self.receipts.append(receipt)
-            return receipt
+            return self._try_store(chunk)
 
     def _try_store(self, chunk: SignedChunk) -> Receipt:
         ident = (chunk.taskid, chunk.round, chunk.index)
@@ -195,17 +179,6 @@ class Ledger:
             if rec.expected_chunks is not None and round_index >= rec.round:
                 raise LedgerIncomplete(present)
             return [stored[i] for i in present]
-
-    @property
-    def storage(self) -> dict[tuple[bytes, int, int], SignedChunk]:
-        """Every accepted chunk by (taskid, round, index), grouped by round in
-        acceptance order; a fresh flat copy of ``by_round``."""
-        with self._lock:
-            return {
-                (tid, rnd, idx): chunk
-                for (tid, rnd), stored in self.by_round.items()
-                for idx, chunk in stored.items()
-            }
 
     def current_round(self, taskid: bytes) -> int:
         with self._lock:

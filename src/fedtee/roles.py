@@ -265,7 +265,6 @@ class Client:
         self.cached_payloads: dict[int, bytes] = {}
         self.synth_seed = seed
         self.int_mode = False
-        self.perturb = 0.05
         self.sentinel = False  # plant SENTINEL in every update
         self._dh_priv = None
         router.register(self.party, handler=self.handle)
@@ -318,7 +317,6 @@ class Client:
             round_index,
             self.synth_seed,
             taskid=self.taskid,
-            perturb=self.perturb,
             int_mode=self.int_mode,
         )
         if self.sentinel:
@@ -442,19 +440,17 @@ class TaskOwner:
         self.rng = Random(derive_seed(seed, self.party))
         self.msk: SymKey | None = None
         self.taskid: bytes | None = None
-        self.phase = "created"
         router.register(self.party, handler=lambda s, k, p: ok())
 
     def owner_initialize(self, taskid: bytes, m_init: model.WeightVector, clients: list[int]) -> None:
         """Deploy the task record on the ledger and hand clients the initial model."""
         self.taskid = taskid
-        self.ledger.create_task(0, taskid)
+        self.ledger.create_task(taskid)
         encoded = model.encode_model(model.LocalUpdate(taskid, 0, 0, m_init, 1))
         body = pack(transport.INIT_MODEL, encoded)
         for uid in clients:
             _, reply, _ = self.router.call(self.party, f"client:{uid}", MessageKind.InitModel, body)
             check_reply(reply)
-        self.phase = "running"
 
     def owner_key_exchange(self, clients: list[int]) -> SymKey:
         """Generate the master key and deliver it pairwise, never in clear."""

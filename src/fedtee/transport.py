@@ -101,12 +101,6 @@ class Tap:
             self.frames.append((src, dest, raw))
 
 
-@dataclass
-class ChannelShaping:
-    bytes_per_ms: float | None = None  # None = unconstrained
-    fixed_delay_ms: float = 0.0
-
-
 class Router:
     """In-process loopback transport with per-channel FIFO and RPC calls.
 
@@ -122,7 +116,7 @@ class Router:
         self._unreachable: set[str] = set()
         self.taps: list[Tap] = []
         self.fault_rules: list[FaultRule] = []
-        self._shaping: dict[tuple[str, str], ChannelShaping] = {}
+        self._bytes_per_ms: dict[tuple[str, str], float] = {}  # unshaped if absent
         self._channel_free_at: dict[tuple[str, str], float] = {}
         self.bytes_by_kind: dict[str, int] = {}
 
@@ -145,8 +139,8 @@ class Router:
         self.taps.append(tap)
         return tap
 
-    def shape_channel(self, src: str, dest: str, shaping: ChannelShaping) -> None:
-        self._shaping[(src, dest)] = shaping
+    def shape_channel(self, src: str, dest: str, bytes_per_ms: float) -> None:
+        self._bytes_per_ms[(src, dest)] = bytes_per_ms
 
     # -- delivery -----------------------------------------------------------
 
@@ -173,13 +167,11 @@ class Router:
         if dest in self._unreachable:
             raise DeliveryDropped(f"party {dest} unreachable")
         now = self.clock.now_ms if self.clock is not None else 0.0
-        shaping = self._shaping.get((src, dest))
-        if shaping is None:
+        bytes_per_ms = self._bytes_per_ms.get((src, dest))
+        if bytes_per_ms is None:
             return now
         start = max(now, self._channel_free_at.get((src, dest), 0.0))
-        transfer = size / shaping.bytes_per_ms if shaping.bytes_per_ms else 0.0
-        arrival = start + transfer + shaping.fixed_delay_ms
-        self._channel_free_at[(src, dest)] = start + transfer
+        arrival = self._channel_free_at[(src, dest)] = start + size / bytes_per_ms
         return arrival
 
     def send(self, src: str, dest: str, kind: MessageKind, payload: bytes) -> None:

@@ -45,6 +45,16 @@ def tap_bytes(tap):
     return b"".join(raw for _, _, raw in tap.frames)
 
 
+def ledger_storage(ledger):
+    """Every accepted chunk by (taskid, round, index), grouped by round in
+    acceptance order: the ledger's ``by_round`` as one flat dict."""
+    return {
+        (tid, rnd, idx): chunk
+        for (tid, rnd), stored in ledger.by_round.items()
+        for idx, chunk in stored.items()
+    }
+
+
 def provision_enclave(
     *,
     clients=(1, 2),

@@ -17,6 +17,7 @@ from conftest import (
     arm_round,
     build_program,
     client_inputs,
+    ledger_storage,
     provision_enclave,
     simple_update,
     with_envelope_field,
@@ -200,7 +201,7 @@ def test_acceptance_05_authenticity_fuzz():
     assert len(chunks) >= 2
 
     led = Ledger("committee")
-    led.create_task(1, TASKID)
+    led.create_task(TASKID)
     led.upload_pk("committee", TASKID, ctx["vk"].public_bytes())
     led.set_expected_chunks("committee", TASKID, len(chunks))
 
@@ -227,7 +228,7 @@ def test_acceptance_05_authenticity_fuzz():
         receipt = led.upload_global_model("node:0", mutated)
         rejections += (not receipt.accepted)
     assert rejections == 1000
-    assert len(led.storage) == 0
+    assert len(ledger_storage(led)) == 0
 
     # tampered client envelopes: every single-bit mutation aborts the resume
     ctx2 = provision_enclave(clients=(1, 2), layer_range=(0,), round_index=0)
@@ -425,7 +426,7 @@ def test_acceptance_10_replay_protection():
     ]
     out = ctx["host"].resume(ctx["eid"], client_inputs(ctx, updates), (0,))
     led = Ledger("committee")
-    led.create_task(1, TASKID)
+    led.create_task(TASKID)
     led.upload_pk("committee", TASKID, ctx["vk"].public_bytes())
     led.set_expected_chunks("committee", TASKID, len(out.chunks))
     for c in out.chunks:

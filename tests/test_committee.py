@@ -249,7 +249,7 @@ def test_monitor_declares_dead_after_threshold_misses():
 
 
 def test_no_dropouts_empty_actions():
-    comm = Committee(seed=0, interval_ms=500, threshold=3)
+    comm = Committee(seed=0)
     comm.setup([0, 1, 2, 3])
     spec = make_spec(strategy="single")
     comm.accept_task(spec, epc_budget=1 << 30, tx_capacity=1 << 20)
@@ -259,7 +259,7 @@ def test_no_dropouts_empty_actions():
 
 
 def test_failover_moves_partition_to_lowest_spare():
-    comm = Committee(seed=0, interval_ms=500, threshold=3)
+    comm = Committee(seed=0)
     comm.setup([0, 1, 2, 3])
     spec = make_spec(strategy="single")
     conf = comm.accept_task(spec, epc_budget=1 << 30, tx_capacity=1 << 20)
@@ -275,7 +275,7 @@ def test_failover_moves_partition_to_lowest_spare():
 
 
 def test_no_spare_nodes_marks_stalled():
-    comm = Committee(seed=0, interval_ms=500, threshold=3)
+    comm = Committee(seed=0)
     comm.setup([0])
     spec = make_spec(strategy="single")
     comm.accept_task(spec, epc_budget=1 << 30, tx_capacity=1 << 20)

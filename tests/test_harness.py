@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import tap_bytes
+from conftest import ledger_storage, tap_bytes
 from fedtee import crypto, model
 from fedtee.cli import main as cli_main
 from fedtee.config import SENTINEL, FaultEvent, MODEL_PRESETS, RunConfig, preset_layer_meta
@@ -25,6 +25,7 @@ from fedtee.harness import (
     traffic_fedtee,
     traffic_vanilla_fl,
 )
+from fedtee.ledger import Ledger
 
 
 def small_config(**kw):
@@ -208,7 +209,8 @@ def test_leaky_stub_cipher_trips_the_detector(monkeypatch):
     keys = [run.owner.msk.raw, run.committee.vk.secret_scalar_bytes()]
     keys += [k.raw for c in run.clients.values() for k in c.ssk_by_enclave.values()]
     keys += [k.raw for k in run.committee.ssk_by_eid.values()]
-    haystacks = [tap_bytes(run.tap), b"".join(c.payload for c in run.ledger.storage.values())]
+    ledger_bytes = b"".join(c.payload for c in ledger_storage(run.ledger).values())
+    haystacks = [tap_bytes(run.tap), ledger_bytes]
     haystacks += [node.buffer_bytes() for node in run.nodes.values()]
     sentinel_hits = sum(hay.count(SENTINEL) for hay in haystacks)
     key_hits = sum(hay.count(k) for hay in haystacks for k in keys)
@@ -457,12 +459,19 @@ def test_hundred_clients_ten_percent_participation():
     assert faulty.round_models[-1].bit_equal(i_multi.round_models[-1])
 
 
-def test_honest_task_uploads_exactly_one_verification_key():
+def test_honest_task_uploads_exactly_one_verification_key(monkeypatch):
+    uploads = []
+    upload_pk = Ledger.upload_pk
+
+    def counted(self, *args):
+        uploads.append(args)
+        return upload_pk(self, *args)
+
+    monkeypatch.setattr(Ledger, "upload_pk", counted)
     run = TaskRun(small_config())
     run.setup()
-    uploads = [e for e in run.ledger.events if e.kind == "upload_pk"]
     assert len(uploads) == 1
-    assert uploads[0].detail["rotated"] is False
+    assert run.ledger.tasks[run.cfg.taskid_bytes].vk_pk == run.committee.vk.public_bytes()
 
 
 def test_traffic_accounting_nonzero_for_protocol_kinds():
@@ -539,6 +548,16 @@ def _faults(**kw):
         pytest.param(dict(straggler_policy="exclud"), id="unknown-straggler-policy"),
         pytest.param(dict(strategy="bogus"), id="unknown-strategy"),
         pytest.param(dict(rounds=0), id="rounds-0"),
+        pytest.param(dict(n_clients=0), id="n_clients-0"),
+        pytest.param(dict(n_nodes=0), id="n_nodes-0"),
+        pytest.param(dict(layers={-1: 4, 0: 4}), id="negative-layer-index"),
+        pytest.param(dict(layers={0: 4, 1: -1}), id="negative-layer-size"),
+        pytest.param(dict(sentinel=True, layers={1: 1, 2: 8}), id="sentinel-layer-too-small"),
+        pytest.param(dict(straggler_max_retries=-1), id="negative-straggler-retries"),
+        pytest.param(dict(bandwidth_bytes_per_ms=0), id="bandwidth-0"),
+        pytest.param(dict(bandwidth_bytes_per_ms=-1.0), id="bandwidth-negative"),
+        pytest.param(dict(seed=-1), id="seed-negative"),
+        pytest.param(dict(seed=2**64), id="seed-2**64"),
     ],
 )
 def test_bad_config_rejected_when_built(bad):
@@ -556,9 +575,16 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     two_rounds.write_text('{"rounds": 2}')
     late_kill = tmp_path / "late-kill.json"
     late_kill.write_text('[{"kind": "kill_node", "node": 0, "round": 7}]')
+    configs = []
+    for i, text in enumerate(
+        ['{"cost": {"reschedule_ms": 2.0}}', '{"preset_layers": 0}', '{"n_clients": 0}']
+    ):
+        configs.append(tmp_path / f"bad-{i}.json")
+        configs[-1].write_text(text)
     for argv in (["--config", str(cfg_path)], ["--faults", str(faults_path)],
                  ["--config", str(missing)],
-                 ["--config", str(two_rounds), "--faults", str(late_kill)]):
+                 ["--config", str(two_rounds), "--faults", str(late_kill)],
+                 *(["--config", str(path)] for path in configs)):
         with pytest.raises(SystemExit) as exc:
             cli_main(["run", *argv])
         assert exc.value.code == 2

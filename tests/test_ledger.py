@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import TASKID, client_inputs, provision_enclave, simple_update
+from conftest import TASKID, client_inputs, ledger_storage, provision_enclave, simple_update
 from fedtee import crypto
 from fedtee.enclave import SignedChunk, chunk_signed_parts
 from fedtee.ledger import (
@@ -47,14 +47,14 @@ def signed_round(n_chunks=3, tx_capacity=40_000, round_index=0):
 
 def test_create_task_and_duplicate():
     led = make_ledger()
-    led.create_task(7, TASKID)
+    led.create_task(TASKID)
     with pytest.raises(DuplicateTask):
-        led.create_task(7, TASKID)
+        led.create_task(TASKID)
 
 
 def test_read_before_any_upload_not_found():
     led = make_ledger()
-    led.create_task(7, TASKID)
+    led.create_task(TASKID)
     with pytest.raises(LedgerNotFound):
         led.read(TASKID, 0)
     with pytest.raises(LedgerNotFound):
@@ -63,7 +63,7 @@ def test_read_before_any_upload_not_found():
 
 def test_upload_pk_authorization_and_rotation():
     led = make_ledger()
-    led.create_task(7, TASKID)
+    led.create_task(TASKID)
     vk = crypto.sig_keygen(bytes(range(32)))
     with pytest.raises(Unauthorized):
         led.upload_pk("client:3", TASKID, vk.public_bytes())
@@ -77,7 +77,7 @@ def test_upload_pk_authorization_and_rotation():
 
 def _prepared_ledger(ctx, chunks):
     led = make_ledger()
-    led.create_task(1, TASKID)
+    led.create_task(TASKID)
     led.upload_pk(COMM, TASKID, ctx["vk"].public_bytes())
     led.set_expected_chunks(COMM, TASKID, len(chunks))
     return led
@@ -107,7 +107,7 @@ def test_missing_key_and_unknown_task_reasons():
     ctx, chunks = signed_round(n_chunks=1)
     led = make_ledger()
     assert led.upload_global_model("node:0", chunks[0]).reason == "UnknownTask"
-    led.create_task(1, TASKID)
+    led.create_task(TASKID)
     assert led.upload_global_model("node:0", chunks[0]).reason == "NoKey"
 
 
@@ -118,7 +118,7 @@ def test_duplicate_index_rejected_write_once():
     second = led.upload_global_model("node:0", chunks[0])
     assert not second.accepted
     assert second.reason == "DuplicateIndex"
-    assert len(led.storage) == 1
+    assert len(ledger_storage(led)) == 1
 
 
 def test_index_outside_declared_range_rejected_with_own_reason():
@@ -127,20 +127,20 @@ def test_index_outside_declared_range_rejected_with_own_reason():
     receipt = led.upload_global_model("node:0", chunks[-1])
     assert not receipt.accepted
     assert receipt.reason == "IndexOutOfRange"
-    assert not led.storage
+    assert not ledger_storage(led)
 
 
 @pytest.mark.parametrize("index", [-1, 2**32])
 def test_unencodable_index_rejected_without_expected_count(index):
     ctx, chunks = signed_round()
     led = make_ledger()
-    led.create_task(1, TASKID)
+    led.create_task(TASKID)
     led.upload_pk(COMM, TASKID, ctx["vk"].public_bytes())
     first = chunks[0]
     chunk = SignedChunk(first.taskid, first.round, index, first.payload, first.sigma)
     receipt = led.upload_global_model("node:0", chunk)
     assert (receipt.outcome, receipt.reason) == ("rejected", "IndexOutOfRange")
-    assert not led.storage
+    assert not ledger_storage(led)
 
 
 def test_wrong_round_rejected():
@@ -176,7 +176,7 @@ def test_single_bit_mutations_always_rejected():
         receipt = led.upload_global_model("node:0", mutated)
         accepted += receipt.accepted
     assert accepted == 0
-    assert len(led.storage) == 0
+    assert len(ledger_storage(led)) == 0
 
 
 def test_incomplete_read_reports_present_indices():
@@ -197,10 +197,11 @@ def test_final_state_independent_of_upload_order():
         led_a.upload_global_model("node:0", c)
     for c in reversed(chunks):
         led_b.upload_global_model("node:0", c)
-    assert led_a.storage.keys() == led_b.storage.keys()
+    stored_a, stored_b = ledger_storage(led_a), ledger_storage(led_b)
+    assert stored_a.keys() == stored_b.keys()
     assert led_a.current_round(TASKID) == led_b.current_round(TASKID) == 1
-    for key in led_a.storage:
-        assert led_a.storage[key].payload == led_b.storage[key].payload
+    for key in stored_a:
+        assert stored_a[key].payload == stored_b[key].payload
 
 
 def test_accepted_chunk_visible_to_subsequent_reads():
@@ -216,7 +217,7 @@ def test_chunk_cannot_be_replayed_into_another_task():
     ctx, chunks = signed_round(n_chunks=1)
     led = _prepared_ledger(ctx, chunks)
     other = b"second-task"
-    led.create_task(2, other)
+    led.create_task(other)
     led.upload_pk(COMM, other, ctx["vk"].public_bytes())
     led.set_expected_chunks(COMM, other, 1)
     c = chunks[0]
@@ -240,19 +241,19 @@ def test_rotation_replaces_the_loaded_key():
     sigma = crypto.sig_sign(new_vk.secret, *message)
     resigned = SignedChunk(c.taskid, c.round, c.index, c.payload, sigma)
     assert led.upload_global_model("node:0", resigned).accepted
-    assert sorted(led.storage) == [(TASKID, 0, 0), (TASKID, 0, 1)]
+    assert sorted(ledger_storage(led)) == [(TASKID, 0, 0), (TASKID, 0, 1)]
 
 
 @pytest.mark.parametrize("vk_pk", [b"", b"\x04" + b"\x00" * 64, b"not a curve point"])
 def test_malformed_key_gives_bad_signature_receipts(vk_pk):
     ctx, chunks = signed_round(n_chunks=2)
     led = make_ledger()
-    led.create_task(1, TASKID)
+    led.create_task(TASKID)
     assert led.upload_pk(COMM, TASKID, vk_pk).accepted
     led.set_expected_chunks(COMM, TASKID, len(chunks))
     for c in chunks:
         assert led.upload_global_model("node:0", c).reason == "BadSignature"
-    assert not led.storage
+    assert not ledger_storage(led)
     # a well-formed key uploaded afterwards is used from then on
     led.upload_pk(COMM, TASKID, ctx["vk"].public_bytes())
     assert all(led.upload_global_model("node:0", c).accepted for c in chunks)
@@ -347,7 +348,7 @@ _ops = st.lists(
 def test_ledger_matches_scan_reference_model(ops):
     led, ref = make_ledger(), ScanLedger()
     for tid in MODEL_TASKS:
-        led.create_task(1, tid)
+        led.create_task(tid)
         led.upload_pk(COMM, tid, TASK_KEY.public_bytes())
     for kind, tid, *args in ops:
         if kind == "expect":
@@ -360,7 +361,7 @@ def test_ledger_matches_scan_reference_model(ops):
             assert (got.outcome, got.id, got.reason) == ref.upload(chunk, good)
         for t in MODEL_TASKS:
             assert led.current_round(t) == ref.round[t]
-        assert led.storage.keys() == ref.storage.keys()
+        assert ledger_storage(led).keys() == ref.storage.keys()
     for t in MODEL_TASKS:
         for r in range(ref.round[t] + 2):
             assert _read(led, t, r) == ref.read(t, r)

@@ -35,7 +35,6 @@ def test_owner_initialize_registers_task_and_distributes_m_init():
     run = TaskRun(small_config())
     run.setup()
     assert run.cfg.taskid_bytes in run.ledger.tasks
-    assert run.owner.phase == "running"
     models = [c.m_glob for c in run.clients.values()]
     assert all(m is not None for m in models)
     first = models[0]

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from fedtee import crypto, transport
 from fedtee.transport import (
-    ChannelShaping,
     DeliveryDropped,
     FaultRule,
     Frame,
@@ -122,7 +121,7 @@ def test_bandwidth_shaping_delays_arrival():
     router = Router(clock=Clock())
     router.register("a")
     router.register("b", handler=lambda s, k, p: None)
-    router.shape_channel("a", "b", ChannelShaping(bytes_per_ms=10.0))
+    router.shape_channel("a", "b", 10.0)
     payload = b"\x00" * 95  # frame = 100 bytes -> 10 ms transfer
     _, _, arrival = router.call("a", "b", MessageKind.ModelEnvelope, payload)
     assert arrival == pytest.approx(10.0)
