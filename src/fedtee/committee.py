@@ -12,6 +12,7 @@ schedule.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import struct
 from dataclasses import dataclass, field
 from random import Random
@@ -75,16 +76,12 @@ class TaskSpec:
 
 @dataclass
 class Slot:
-    """One partition's fixed shape; the chunk run is laid out per round, and
-    node/eid are filled at install time and change on failover."""
+    """One partition: its layers, and the node and enclave holding it (the
+    eid is filled at install time; both change on failover)."""
 
     index: int
-    combine_group: int
-    serial: bool
     layer_range: tuple[int, ...]
-    chunk_base: int = 0
-    n_chunks: int = 0
-    node: int | None = None
+    node: int
     eid: int | None = None
 
 
@@ -110,7 +107,6 @@ class Conf:
     measurement: bytes  # of the enclave program clients must attest
     slots: list[Slot]
     rounds: dict[int, RoundConf]
-    expected_chunks_per_round: int = 0
 
     def subset(self, round_index: int, slot_index: int) -> tuple[int, ...]:
         return self.rounds[round_index].subsets[slot_index]
@@ -119,47 +115,22 @@ class Conf:
         rc = self.rounds[round_index]
         return [s for s in self.slots if client in rc.subsets[s.index]]
 
-    def lay_out_chunks(
-        self, round_index: int, model_meta: dict[int, int], tx_capacity: int
-    ) -> bool:
-        """Give each slot a contiguous run of chunk indices, in slot order from
-        zero, sized for this round's subsets; True if any run changed."""
-        aad_len = len(crypto.output_aad(self.taskid, 0, 0))
-        chunk_base = 0
-        changed = False
-        for slot in self.slots:
-            counts = [model_meta[i] for i in slot.layer_range]
-            payload = model.encoded_partial_size(len(self.subset(round_index, slot.index)), counts)
-            n_chunks = -(-envelope_encoded_size(aad_len, payload) // tx_capacity)
-            if (slot.chunk_base, slot.n_chunks) != (chunk_base, n_chunks):
-                slot.chunk_base, slot.n_chunks = chunk_base, n_chunks
-                changed = True
-            chunk_base += n_chunks
-        self.expected_chunks_per_round = chunk_base
-        return changed
-
     def to_bytes(self) -> bytes:
-        """The ``CONF_DELIVER`` body: one row per slot (its fields, eid 0
+        """The ``CONF_DELIVER`` body: one row per slot (index, node, eid 0
         while not installed, then its layers), then one row per round and
         slot, in that order, holding the slot's clients that round."""
         return pack(
-            transport.CONF_DELIVER, self.taskid, self.measurement, self.expected_chunks_per_round,
-            [
-                (s.index, s.combine_group, s.serial, s.chunk_base, s.n_chunks, s.node, s.eid or 0,
-                 *s.layer_range)
-                for s in self.slots
-            ],
+            transport.CONF_DELIVER, self.taskid, self.measurement,
+            [(s.index, s.node, s.eid or 0, *s.layer_range) for s in self.slots],
             [rc.subsets[s.index] for _, rc in sorted(self.rounds.items()) for s in self.slots],
         )
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Conf":
-        taskid, measurement, expected, slot_rows, subset_rows = unpack(
-            transport.CONF_DELIVER, data
-        )
+        taskid, measurement, slot_rows, subset_rows = unpack(transport.CONF_DELIVER, data)
         slots = [
-            Slot(index, group, bool(serial), tuple(layers), base, n_chunks, node, eid or None)
-            for index, group, serial, base, n_chunks, node, eid, *layers in slot_rows
+            Slot(index, tuple(layers), node, eid or None)
+            for index, node, eid, *layers in slot_rows
         ]
         k = len(slots)
         if not k or len(subset_rows) % k:
@@ -168,7 +139,7 @@ class Conf:
             r: RoundConf({s.index: subset_rows[r * k + j] for j, s in enumerate(slots)})
             for r in range(len(subset_rows) // k)
         }
-        return cls(taskid, measurement, slots, rounds, expected)
+        return cls(taskid, measurement, slots, rounds)
 
 
 # ---------------------------------------------------------------------------
@@ -205,12 +176,6 @@ def _per_client_bytes(layer_counts: list[int], taskid_len: int) -> int:
     return model.encoded_update_size(taskid_len, layer_counts) + crypto.KEY_BYTES
 
 
-def _client_capacity(
-    layer_group: list[int], model_meta: dict[int, int], budget: int, taskid_len: int
-) -> int:
-    return budget // _per_client_bytes([model_meta[i] for i in layer_group], taskid_len)
-
-
 def plan_partitions(
     strategy: str,
     n_participants: int,
@@ -218,91 +183,57 @@ def plan_partitions(
     epc_budget: int,
     taskid_len: int,
     paging: bool,
-) -> list[dict]:
+) -> list[tuple[tuple[int, ...], int, int]]:
     """Shape of the partition grid for one round (client ids filled in later).
 
-    Returns dicts with layer_range, combine_group, serial, and the client
-    block boundaries expressed as (start, size) over the sorted participants.
+    The layers form groups, and each group is cut into blocks of as many
+    clients as fit the budget. Returns one ``(layer_range, first, count)``
+    per partition: its layers, and its client block as a run over the sorted
+    participants.
     """
-    layer_indices = sorted(model_meta)
-    full_bytes = _per_client_bytes([model_meta[i] for i in layer_indices], taskid_len)
+    layers = sorted(model_meta)
 
+    def capacity(group: list[int]) -> int:
+        return epc_budget // _per_client_bytes([model_meta[i] for i in group], taskid_len)
+
+    full_bytes = _per_client_bytes([model_meta[i] for i in layers], taskid_len)
     if strategy == "single":
         need = n_participants * full_bytes
         if need > epc_budget and not paging:
             raise CapacityInfeasible(
                 f"single-enclave plan needs {need} bytes, budget {epc_budget} (paging off)"
             )
-        return [
-            {
-                "layer_range": tuple(layer_indices),
-                "combine_group": 0,
-                "serial": False,
-                "block": (0, n_participants),
-            }
-        ]
-
-    if strategy == "layermax":
-        cap = epc_budget // full_bytes
-        if cap == 0:
-            if not paging:
-                raise CapacityInfeasible(
-                    f"one client's full model ({full_bytes} bytes) exceeds budget {epc_budget}"
-                )
-            cap = 1
-        out = []
-        for start in range(0, n_participants, cap):
-            size = min(cap, n_participants - start)
-            out.append(
-                {
-                    "layer_range": tuple(layer_indices),
-                    "combine_group": 0,
-                    "serial": True,
-                    "block": (start, size),
-                }
+        groups, caps = [layers], [n_participants]
+    elif strategy == "layermax":
+        if full_bytes > epc_budget and not paging:
+            raise CapacityInfeasible(
+                f"one client's full model ({full_bytes} bytes) exceeds budget {epc_budget}"
             )
-        return out
-
-    # clientmax: client blocks take priority; contiguous layers merge into one
-    # group only while the group still admits every participant at once.
-    for idx in layer_indices:
-        if _per_client_bytes([model_meta[idx]], taskid_len) > epc_budget:
-            raise CapacityInfeasible(f"layer {idx} alone exceeds the enclave budget")
-    groups: list[list[int]] = []
-    i = 0
-    while i < len(layer_indices):
-        group = [layer_indices[i]]
-        i += 1
-        if _client_capacity(group, model_meta, epc_budget, taskid_len) >= n_participants:
-            while (
-                i < len(layer_indices)
-                and _client_capacity(group + [layer_indices[i]], model_meta, epc_budget, taskid_len)
-                >= n_participants
-            ):
-                group.append(layer_indices[i])
-                i += 1
-        groups.append(group)
-    out = []
-    for gi, group in enumerate(groups):
-        cap = min(_client_capacity(group, model_meta, epc_budget, taskid_len), n_participants)
-        for start in range(0, n_participants, cap):
-            size = min(cap, n_participants - start)
-            out.append(
-                {
-                    "layer_range": tuple(group),
-                    "combine_group": gi,
-                    "serial": False,
-                    "block": (start, size),
-                }
-            )
-    return out
+        groups, caps = [layers], [max(capacity(layers), 1)]
+    else:
+        # clientmax: client blocks take priority; contiguous layers merge into
+        # one group only while the group still admits every participant at once.
+        for idx in layers:
+            if capacity([idx]) == 0:
+                raise CapacityInfeasible(f"layer {idx} alone exceeds the enclave budget")
+        groups = []
+        for idx in layers:
+            if groups and capacity(groups[-1] + [idx]) >= n_participants:
+                groups[-1].append(idx)
+            else:
+                groups.append([idx])
+        caps = [min(capacity(group), n_participants) for group in groups]
+    return [
+        (tuple(group), first, min(cap, n_participants - first))
+        for group, cap in zip(groups, caps)
+        for first in range(0, n_participants, cap)
+    ]
 
 
 def schedule(
     spec: TaskSpec,
     alive: list[int],
     epc_budget: int,
-    tx_capacity: int,
     seed: int,
     paging: bool = False,
     uniform_random: bool = False,
@@ -310,47 +241,45 @@ def schedule(
     """Build the full task schedule deterministically.
 
     Partitions exactly cover the (layer x participant) grid each round, every
-    partition respects the memory budget, chunk indices are contiguous from
-    zero, and nodes are assigned lowest-id first.
+    partition respects the memory budget, and nodes are assigned lowest-id
+    first.
     """
     if not alive:
         raise NoNodes("no alive nodes to schedule on")
-    participants_by_round = {
-        r: select_participants(spec.clients, spec.participation, r, seed, uniform_random)
+    participants_by_round = [
+        sorted(select_participants(spec.clients, spec.participation, r, seed, uniform_random))
         for r in range(spec.rounds)
-    }
-    k = len(participants_by_round[0])
+    ]
     shapes = plan_partitions(
-        spec.strategy, k, spec.model_meta, epc_budget, len(spec.taskid), paging
+        spec.strategy, len(participants_by_round[0]), spec.model_meta, epc_budget,
+        len(spec.taskid), paging,
     )
     if len(shapes) > len(alive):
         raise InsufficientNodes(f"plan needs {len(shapes)} nodes, {len(alive)} alive")
-
-    nodes_sorted = sorted(alive)
-    slots = [
-        Slot(
-            index=idx,
-            combine_group=shape["combine_group"],
-            serial=shape["serial"],
-            layer_range=shape["layer_range"],
-            node=nodes_sorted[idx],
+    nodes = sorted(alive)
+    slots = [Slot(i, layer_range, nodes[i]) for i, (layer_range, _, _) in enumerate(shapes)]
+    rounds = {
+        r: RoundConf(
+            {i: tuple(ordered[first : first + count]) for i, (_, first, count) in enumerate(shapes)}
         )
-        for idx, shape in enumerate(shapes)
-    ]
-    rounds = {}
-    for r, participants in participants_by_round.items():
-        ordered = sorted(participants)
-        subsets = {}
-        for slot, shape in zip(slots, shapes):
-            start, size = shape["block"]
-            subsets[slot.index] = tuple(ordered[start : start + size])
-        rounds[r] = RoundConf(subsets)
+        for r, ordered in enumerate(participants_by_round)
+    }
+    return Conf(spec.taskid, spec.program.measurement, slots, rounds)
 
-    conf = Conf(
-        taskid=spec.taskid, measurement=spec.program.measurement, slots=slots, rounds=rounds
-    )
-    conf.lay_out_chunks(0, spec.model_meta, tx_capacity)
-    return conf
+
+def chunk_bases(
+    conf: Conf, round_index: int, model_meta: dict[int, int], tx_capacity: int
+) -> list[int]:
+    """Each slot's first chunk index in the round, in slot order from zero,
+    then the round's chunk count. Each slot's output takes a contiguous run
+    of chunks, sized for its subset that round."""
+    aad_len = len(crypto.output_aad(conf.taskid, 0, 0))
+    n_chunks = []
+    for slot in conf.slots:
+        counts = [model_meta[i] for i in slot.layer_range]
+        payload = model.encoded_partial_size(len(conf.subset(round_index, slot.index)), counts)
+        n_chunks.append(-(-envelope_encoded_size(aad_len, payload) // tx_capacity))
+    return list(itertools.accumulate(n_chunks, initial=0))
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +348,7 @@ class Committee:
         self.alive: list[int] = []
         self.spec: TaskSpec | None = None
         self.conf: Conf | None = None
+        self.chunk_bases: list[int] = []  # the open round's, see chunk_bases()
         self.vk: crypto.SigKeyPair | None = None
         self.ssk_by_eid: dict[int, crypto.SymKey] = {}
         self.gone: set[int] = set()  # nodes it no longer contacts
@@ -460,9 +390,7 @@ class Committee:
     ) -> Conf:
         self.spec = spec
         self.epc_budget, self.tx_capacity, self.paging = epc_budget, tx_capacity, paging
-        self.conf = schedule(
-            spec, self.alive, epc_budget, tx_capacity, self.seed, paging, self.uniform_random
-        )
+        self.conf = schedule(spec, self.alive, epc_budget, self.seed, paging, self.uniform_random)
         self.vk = crypto.sig_keygen(
             hashlib.sha256(struct.pack(">Q", self.seed) + b"vk" + spec.taskid).digest()
         )
@@ -519,16 +447,17 @@ class Committee:
             self.rng,
         )
         self._key_deliver(slot, transport.KEY_PURPOSE_SK, self.vk.secret_scalar_bytes())
-        self._deliver_partition(slot)
+        self._key_deliver(
+            slot, transport.KEY_PURPOSE_PARTITION,
+            pack(transport.PARTITION, slot.layer_range, self.tx_capacity),
+        )
         if arm_round is not None:
             self._arm(slot, arm_round)
 
-    def _deliver_partition(self, slot: Slot) -> None:
-        plain = pack(transport.PARTITION, slot.layer_range, (), slot.chunk_base, self.tx_capacity)
-        self._key_deliver(slot, transport.KEY_PURPOSE_PARTITION, plain)
-
     def _arm(self, slot: Slot, round_index: int) -> None:
-        plain = pack(transport.ROUND_ARM, self.spec.taskid, round_index)
+        plain = pack(
+            transport.ROUND_ARM, self.spec.taskid, round_index, self.chunk_bases[slot.index]
+        )
         self._key_deliver(slot, transport.KEY_PURPOSE_ROUND, plain)
 
     def _key_deliver(self, slot: Slot, purpose: int, plain: bytes) -> None:
@@ -554,20 +483,13 @@ class Committee:
     # -- rounds ----------------------------------------------------------------------
 
     def open_round(self, round_index: int) -> None:
-        """Lay out the round's chunks and arm every partition's enclave for it."""
-        self._lay_out(round_index)
+        """Lay out the round's chunks, tell the ledger how many to expect, and
+        arm every partition's enclave with the round and its chunk base."""
+        spec = self.spec
+        self.chunk_bases = chunk_bases(self.conf, round_index, spec.model_meta, self.tx_capacity)
+        self.ledger.set_expected_chunks(PARTY, spec.taskid, self.chunk_bases[-1])
         for slot in self.conf.slots:
             self._arm(slot, round_index)
-
-    def _lay_out(self, round_index: int, republish: bool = False) -> None:
-        """Lay out the round's chunk runs; when they changed (or on
-        ``republish``) send them to the enclaves and the schedule to all."""
-        spec = self.spec
-        if self.conf.lay_out_chunks(round_index, spec.model_meta, self.tx_capacity) or republish:
-            for slot in self.conf.slots:
-                self._deliver_partition(slot)
-            self.deliver_conf()
-        self.ledger.set_expected_chunks(PARTY, spec.taskid, self.conf.expected_chunks_per_round)
 
     def request_resend(self, uid: int, slot: Slot, round_index: int) -> None:
         """Ask a client to re-send its cached slice to the slot's enclave."""
@@ -577,14 +499,16 @@ class Committee:
         )
 
     def replan_excluding(self, round_index: int, excluded: list[int]) -> None:
-        """Drop the stragglers from this round's plan and publish the new layout."""
+        """Drop the stragglers from this round's plan, re-arm every enclave
+        for the new layout, and send the new schedule."""
         rc = self.conf.rounds[round_index]
         for slot in self.conf.slots:
             subset = tuple(u for u in rc.subsets[slot.index] if u not in excluded)
             if not subset:
                 raise RunFailed(f"partition {slot.index} lost all clients to stragglers")
             rc.subsets[slot.index] = subset
-        self._lay_out(round_index, republish=True)
+        self.open_round(round_index)
+        self.deliver_conf()
 
     # -- failover ----------------------------------------------------------------------
 
@@ -632,11 +556,12 @@ class Committee:
     def move_partitions(
         self, actions: list[FailoverAction], round_index: int, resend: bool
     ) -> None:
-        """Reinstall each moved partition armed for the round; with ``resend``
-        its clients re-send their cached slices to the new enclave."""
+        """Reinstall each moved partition. With ``resend`` the round is open:
+        the new enclave is armed for it, and the partition's clients re-send
+        their cached slices to it. Otherwise :meth:`open_round` arms it."""
         for action in actions:
             slot = self.conf.slots[action.slot_index]
-            self.install(slot, arm_round=round_index)
+            self.install(slot, arm_round=round_index if resend else None)
             if resend:
                 self.deliver_conf()
                 for uid in self.conf.subset(round_index, slot.index):

@@ -94,8 +94,6 @@ class PartitionConf:
     """The slice of the schedule one enclave is responsible for."""
 
     layer_range: tuple[int, ...]
-    client_subset: tuple[int, ...]
-    chunk_base: int
     tx_capacity: int
 
 
@@ -109,6 +107,7 @@ class EnclaveInstance:
     rng: Random
     round_counter: int = 0
     expected_round: int | None = None
+    chunk_base: int = 0  # the armed round's first chunk index
     sk_vk: object = None  # signing key, never visible to the hosting node
     ssk_by_peer: dict = field(default_factory=dict)
     partition: PartitionConf | None = None
@@ -189,16 +188,15 @@ class SgxHost:
         inst.sk_vk = crypto.load_secret_key(scalar)
 
     def set_round(self, eid: int, sender: str, env: Envelope) -> None:
-        """Arm the enclave for one round; same-value repeats are idempotent."""
+        """Arm the enclave for one round and its first chunk index; a round not
+        yet consumed may be re-armed, the latest arm holding."""
         inst, plain = self._open(eid, sender, env, b"round")
-        taskid, round_index = transport.unpack(transport.ROUND_ARM, plain)
+        taskid, round_index, chunk_base = transport.unpack(transport.ROUND_ARM, plain)
         if taskid != inst.taskid:
             raise RoundMismatch(f"round delivery for task {taskid!r}, enclave runs {inst.taskid!r}")
-        if inst.expected_round == round_index:
-            return
         if round_index < inst.round_counter:
             raise RoundMismatch(f"round {round_index} already consumed")
-        inst.expected_round = round_index
+        inst.expected_round, inst.chunk_base = round_index, chunk_base
 
     def load_partition(self, eid: int, sender: str, env: Envelope) -> None:
         inst, plain = self._open(eid, sender, env, b"partition")
@@ -206,18 +204,16 @@ class SgxHost:
 
     # -- execution ----------------------------------------------------------
 
-    def resume(
-        self,
-        eid: int,
-        inputs: list[tuple[Envelope, Envelope, int]],
-        layer_range: tuple[int, ...],
-    ) -> EnclaveOutput:
-        """Run one aggregation batch: decrypt, check, aggregate, seal, sign.
+    def resume(self, eid: int, inputs: list[tuple[Envelope, Envelope, int]]) -> EnclaveOutput:
+        """Run one aggregation batch over the partition's layers: decrypt,
+        check, aggregate, seal, sign.
 
         ``inputs`` is a list of (model envelope, master-key envelope, sender
         client id). Any tampered envelope rejects the whole batch and reports
         the offending sender. A batch for a round that was already consumed,
         or for a round the committee has not armed, never produces output.
+        The output is bound to the armed chunk base, and its chunks are
+        numbered from it.
         """
         inst = self._instance(eid)
         if inst.busy:
@@ -228,11 +224,7 @@ class SgxHost:
             raise RoundMismatch(f"enclave {eid} has no armed round")
         if inst.partition is None:
             raise RoundMismatch(f"enclave {eid} has no partition configuration")
-        if tuple(layer_range) != inst.partition.layer_range:
-            raise RoundMismatch(
-                f"resume asked for layers {layer_range}, partition covers {inst.partition.layer_range}"
-            )
-        round_index = inst.expected_round
+        round_index, chunk_base = inst.expected_round, inst.chunk_base
 
         inst.busy = True
         try:
@@ -279,11 +271,11 @@ class SgxHost:
                 updates.append(update)
 
             hook = HOOKS[inst.program.aggregation_hook]
-            result = hook(updates, tuple(layer_range))
+            result = hook(updates, inst.partition.layer_range)
             payload = model.encode_partial(result)
             env_out = crypto.ae_encrypt(
                 msk,
-                crypto.output_aad(inst.taskid, round_index, inst.partition.chunk_base),
+                crypto.output_aad(inst.taskid, round_index, chunk_base),
                 payload,
                 rng=inst.rng,
             )
@@ -292,7 +284,7 @@ class SgxHost:
             n, cap = len(head), inst.partition.tx_capacity
             chunks = []
             for i in range(0, n + len(sealed), cap):
-                index = inst.partition.chunk_base + i // cap
+                index = chunk_base + i // cap
                 if i >= n:
                     piece = sealed[i - n : i - n + cap]
                 else:

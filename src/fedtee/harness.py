@@ -17,7 +17,7 @@ import numpy as np
 
 from . import committee as committee_mod
 from . import model, transport
-from .committee import Committee, FailoverAction, NoSpareNodes, RunFailed, TaskSpec
+from .committee import Committee, FailoverAction, RunFailed, TaskSpec
 from .config import SENTINEL, RunConfig, initial_model, plant_sentinel
 from .enclave import EnclaveProgram, make_eid_allocator
 from .ledger import CHAIN_PRESETS, Ledger, apply_chain_model
@@ -351,23 +351,19 @@ class TaskRun:
         # a node that never beat is not watched, so it is never declared dead
         pending = {n for n in committee.gone - monitor.dead if n in monitor.last_beat}
         actions: list[FailoverAction] = []
-        try:
-            for _ in range(monitor.threshold + 2 if pending else 1):
-                self.clock.advance(monitor.interval_ms)
-                for i, node in self.nodes.items():
-                    if i not in committee.gone:
-                        node.send_heartbeat(self.clock.now_ms)
-                committee.read_heartbeats()
-                actions = committee.monitor_tick(self.clock.now_ms)
-                if actions:
-                    break
-            if not actions:
-                return
-            self.clock.advance(RESCHEDULE_MS)
-            committee.move_partitions(actions, round_index, resend)
-        except NoSpareNodes as exc:
-            self.report.events.append(f"round {round_index}: stalled: {exc}")
-            raise
+        for _ in range(monitor.threshold + 2 if pending else 1):
+            self.clock.advance(monitor.interval_ms)
+            for i, node in self.nodes.items():
+                if i not in committee.gone:
+                    node.send_heartbeat(self.clock.now_ms)
+            committee.read_heartbeats()
+            actions = committee.monitor_tick(self.clock.now_ms)
+            if actions:
+                break
+        if not actions:
+            return
+        self.clock.advance(RESCHEDULE_MS)
+        committee.move_partitions(actions, round_index, resend)
         # one attestation for the committee and one per client reconnecting
         connect_ms = sum(
             CONNECT_MS_PER_ATTESTATION
@@ -431,8 +427,7 @@ class TaskRun:
 
         self._resolve_stragglers(round_index)
 
-        serial_ms = 0.0
-        parallel_ms = 0.0
+        compute_ms = []
         accepted = rejected = 0
         upload_payload_bytes = 0
         for slot in conf.slots:
@@ -440,14 +435,12 @@ class TaskRun:
             if round_index in self.tamper_rounds:
                 node.tamper_next = True
             result = node.compute(cfg.taskid_bytes, round_index)
-            dur = (
-                result["plain_input_bytes"] * PROC_NS_PER_BYTE
-                + result["paged_bytes"] * PAGING_NS_PER_BYTE
-            ) / 1e6
-            if slot.serial:
-                serial_ms += dur
-            else:
-                parallel_ms = max(parallel_ms, dur)
+            compute_ms.append(
+                (
+                    result["plain_input_bytes"] * PROC_NS_PER_BYTE
+                    + result["paged_bytes"] * PAGING_NS_PER_BYTE
+                ) / 1e6
+            )
             upload_payload_bytes += result["uploaded_bytes"]
             for rec in result["receipts"]:
                 self.report.receipts.append(rec)
@@ -455,7 +448,8 @@ class TaskRun:
                     accepted += 1
                 else:
                     rejected += 1
-        aggregate_phase = serial_ms + parallel_ms
+        # layermax runs its partitions one after another, the others in parallel
+        aggregate_phase = sum(compute_ms) if cfg.strategy == "layermax" else max(compute_ms)
         self.clock.advance(aggregate_phase)
 
         chain_ms = apply_chain_model(upload_payload_bytes, self.ledger.params)
@@ -538,13 +532,19 @@ class TaskRun:
         self.report.ok = all(v == "pass" for v in checks.values()) and not self.report.stalled
 
     def run(self) -> RunReport:
+        """Set up, run every round, and verify; a run that cannot go on ends
+        with its reason as the last event, and is not verified."""
         failed = False
+        stage = "setup"
         try:
             self.setup()
             for r in range(self.cfg.rounds):
+                stage = f"round {r}"
                 self.run_round(r)
-        except RunFailed:
+        except RunFailed as exc:
             failed = True
+            outcome = "stalled" if self.committee.stalled else "failed"
+            self.report.events.append(f"{stage}: {outcome}: {exc}")
         self.report.stalled = self.committee.stalled
         self.report.traffic_bytes_by_kind = dict(self.router.bytes_by_kind)
         if not failed:

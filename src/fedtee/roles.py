@@ -133,11 +133,11 @@ class Node:
 
         Returns receipts plus the byte counts the timing model charges.
         """
-        slot, subset = self._my_slot(taskid, round_index)
+        _, subset = self._my_slot(taskid, round_index)
         eid = self.eid_by_task[taskid]
         box = self.pending.get((taskid, round_index), {})
         inputs = [(box[c][0], box[c][1], c) for c in sorted(subset)]
-        output = self.host.resume(eid, inputs, slot.layer_range)
+        output = self.host.resume(eid, inputs)
         receipts = []
         uploaded = 0
 

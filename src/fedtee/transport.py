@@ -323,7 +323,7 @@ RA_HANDSHAKE1 = Schema(BYTES, U64, TEXT, BYTES)  # taskid, eid, initiator, point
 RA_HANDSHAKE2 = Schema(BYTES, BYTES)  # point, measurement
 KEY_DELIVER = Schema(BYTES, U64, U8, ENVELOPE)  # taskid, eid, purpose, sealed plaintext
 MASTER_KEY = Schema(U8, BYTES, BYTES)  # owner to client: phase, owner's point, sealed key
-CONF_DELIVER = Schema(BYTES, BYTES, U32, U32_ROWS, U32_ROWS)  # see committee.Conf.to_bytes
+CONF_DELIVER = Schema(BYTES, BYTES, U32_ROWS, U32_ROWS)  # see committee.Conf.to_bytes
 INIT_MODEL = Schema(BYTES)  # model.encode_model bytes
 MODEL_ENVELOPE = Schema(BYTES, U64, U64, ENVELOPE, ENVELOPE)  # taskid, round, sender, model, key
 RESEND_REQUEST = Schema(U32, U64)  # slot, round
@@ -342,8 +342,8 @@ REPLY = Schema(TEXT, BYTES)  # error ("" on success, else "Type: message"), resu
 KEY_PURPOSE_SK = 1
 KEY_PURPOSE_ROUND = 2
 KEY_PURPOSE_PARTITION = 3
-PARTITION = Schema(U32S, U32S, U32, U32)  # enclave.PartitionConf's fields
-ROUND_ARM = Schema(BYTES, U64)  # taskid, round
+PARTITION = Schema(U32S, U32)  # enclave.PartitionConf's fields: layers, chunk capacity
+ROUND_ARM = Schema(BYTES, U64, U32)  # taskid, round, the partition's first chunk index
 
 
 # ---------------------------------------------------------------------------

@@ -87,13 +87,13 @@ def provision_enclave(
     )
     host.getsk(eid, "committee", env)
 
-    part = transport.pack(transport.PARTITION, layer_range, clients, chunk_base, tx_capacity)
+    part = transport.pack(transport.PARTITION, layer_range, tx_capacity)
     env = crypto.ae_encrypt(
         committee_ssk, crypto.keydeliver_aad(TASKID, b"partition"), part, rng=rng
     )
     host.load_partition(eid, "committee", env)
 
-    arm_round(host, eid, committee_ssk, round_index, rng)
+    arm_round(host, eid, committee_ssk, round_index, rng, chunk_base)
 
     ssk_by_client = {
         c: ra_key_exchange(f"client:{c}", host, eid, program.measurement, rng) for c in clients
@@ -111,8 +111,8 @@ def provision_enclave(
     }
 
 
-def arm_round(host, eid, committee_ssk, round_index, rng):
-    plain = transport.pack(transport.ROUND_ARM, TASKID, round_index)
+def arm_round(host, eid, committee_ssk, round_index, rng, chunk_base=0):
+    plain = transport.pack(transport.ROUND_ARM, TASKID, round_index, chunk_base)
     env = crypto.ae_encrypt(
         committee_ssk, crypto.keydeliver_aad(TASKID, b"round"), plain, rng=rng
     )

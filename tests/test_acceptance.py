@@ -89,15 +89,14 @@ def test_acceptance_02_clientmax_partition_shape():
         strategy="clientmax",
     )
     budget = (model.encoded_update_size(len(taskid), [100]) + 16) * 4  # 4 client blocks
-    conf = schedule(spec, alive=[0, 1, 2, 3], epc_budget=budget, tx_capacity=1 << 20, seed=0)
+    conf = schedule(spec, alive=[0, 1, 2, 3], epc_budget=budget, seed=0)
     first_layer = [s for s in conf.slots if s.layer_range == (0,)]
     assert len(first_layer) == 2
     assert conf.subset(0, first_layer[0].index) == (1, 2, 3, 4)
     assert conf.subset(0, first_layer[1].index) == (5, 6)
-    assert first_layer[0].combine_group == first_layer[1].combine_group
-    other_groups = {s.combine_group for s in conf.slots if s.layer_range != (0,)}
-    assert first_layer[0].combine_group not in other_groups
-    _line(2, "client-block partition: {c1..c4} | {c5,c6}, one combine group", t0, 1.0)
+    # each layer is its own group, cut into the same two client blocks
+    assert [s.layer_range for s in conf.slots] == [(0,), (0,), (1,), (1,)]
+    _line(2, "client-block partition: {c1..c4} | {c5,c6}, one layer group", t0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +195,7 @@ def test_acceptance_05_authenticity_fuzz():
         simple_update(1, [np.linspace(0, 1, 200)], dataset_size=3),
         simple_update(2, [np.linspace(1, 2, 200)], dataset_size=5),
     ]
-    out = ctx["host"].resume(ctx["eid"], client_inputs(ctx, updates), (0,))
+    out = ctx["host"].resume(ctx["eid"], client_inputs(ctx, updates))
     chunks = out.chunks
     assert len(chunks) >= 2
 
@@ -251,7 +250,7 @@ def test_acceptance_05_authenticity_fuzz():
             (mutated_env, env_k, sender) if victim == "m" else (env_m, mutated_env, sender)
         )
         try:
-            ctx2["host"].resume(ctx2["eid"], trial, (0,))
+            ctx2["host"].resume(ctx2["eid"], trial)
         except crypto.AuthFailure:
             failures += 1
     assert failures == 1000
@@ -424,7 +423,7 @@ def test_acceptance_10_replay_protection():
         simple_update(1, [np.linspace(0, 1, 100)], dataset_size=2),
         simple_update(2, [np.linspace(1, 2, 100)], dataset_size=3),
     ]
-    out = ctx["host"].resume(ctx["eid"], client_inputs(ctx, updates), (0,))
+    out = ctx["host"].resume(ctx["eid"], client_inputs(ctx, updates))
     led = Ledger("committee")
     led.create_task(TASKID)
     led.upload_pk("committee", TASKID, ctx["vk"].public_bytes())
@@ -443,13 +442,13 @@ def test_acceptance_10_replay_protection():
     # (b) prior-round client envelopes are refused by the enclave
     ctx2 = provision_enclave(clients=(1,), layer_range=(0,), round_index=0)
     stale = client_inputs(ctx2, [simple_update(1, [[1.0]], round_index=0)], round_index=0)
-    ctx2["host"].resume(ctx2["eid"], stale, (0,))
+    ctx2["host"].resume(ctx2["eid"], stale)
 
     refused = 0
     for trial in range(250):
         arm_round(ctx2["host"], ctx2["eid"], ctx2["committee_ssk"], trial + 1, ctx2["rng"])
         with pytest.raises(RoundMismatch):
-            ctx2["host"].resume(ctx2["eid"], stale, (0,))
+            ctx2["host"].resume(ctx2["eid"], stale)
         refused += 1
     assert refused == 250
     _line(10, "500/500 replays rejected (duplicate index / stale round)", t0, 10.0)

@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import build_program
-from fedtee import model
+from fedtee import crypto, model
 from fedtee.committee import (
     CapacityInfeasible,
     Committee,
@@ -14,6 +14,7 @@ from fedtee.committee import (
     NoSpareNodes,
     TaskSpec,
     _per_client_bytes,
+    chunk_bases,
     schedule,
     select_participants,
 )
@@ -94,7 +95,7 @@ def test_participant_selection_uniform_mode_is_seeded():
 
 def test_single_strategy_one_partition():
     spec = make_spec(strategy="single")
-    conf = schedule(spec, alive=[0], epc_budget=1 << 30, tx_capacity=1 << 20, seed=0)
+    conf = schedule(spec, alive=[0], epc_budget=1 << 30, seed=0)
     assert len(conf.slots) == 1
     slot = conf.slots[0]
     assert slot.layer_range == (0, 1)
@@ -104,34 +105,34 @@ def test_single_strategy_one_partition():
 def test_single_strategy_budget_violation_without_paging():
     spec = make_spec(strategy="single")
     with pytest.raises(CapacityInfeasible):
-        schedule(spec, alive=[0], epc_budget=1000, tx_capacity=1 << 20, seed=0)
-    conf = schedule(spec, alive=[0], epc_budget=1000, tx_capacity=1 << 20, seed=0, paging=True)
+        schedule(spec, alive=[0], epc_budget=1000, seed=0)
+    conf = schedule(spec, alive=[0], epc_budget=1000, seed=0, paging=True)
     assert len(conf.slots) == 1
 
 
 def test_clientmax_four_client_blocks_split_six_clients():
     # capacity of four single-layer client blocks per enclave, six clients:
-    # layer 0 goes {c1..c4} -> partition, {c5,c6} -> next partition, and the
-    # same-layer partitions share one combine group.
+    # layer 0 goes {c1..c4} -> partition, {c5,c6} -> next partition, and
+    # layer 1, a group of its own, is cut the same way.
     meta = {0: 100, 1: 100}
     clients = [1, 2, 3, 4, 5, 6]
     spec = make_spec(meta=meta, clients=clients)
     budget = budget_for_blocks(meta, 0, 4)
-    conf = schedule(spec, alive=[0, 1, 2, 3], epc_budget=budget, tx_capacity=1 << 20, seed=0)
+    conf = schedule(spec, alive=[0, 1, 2, 3], epc_budget=budget, seed=0)
     layer0 = [s for s in conf.slots if s.layer_range == (0,)]
     assert len(layer0) == 2
     assert conf.subset(0, layer0[0].index) == (1, 2, 3, 4)
     assert conf.subset(0, layer0[1].index) == (5, 6)
-    assert layer0[0].combine_group == layer0[1].combine_group
-    layer1 = [s for s in conf.slots if s.layer_range == (1,)]
-    assert {s.combine_group for s in layer1} != {layer0[0].combine_group}
+    assert [s.layer_range for s in conf.slots] == [(0,), (0,), (1,), (1,)]
+    layer1 = conf.slots[2:]
+    assert [conf.subset(0, s.index) for s in layer1] == [(1, 2, 3, 4), (5, 6)]
 
 
 def test_clientmax_groups_layers_when_everyone_fits():
     meta = {0: 10, 1: 10, 2: 10, 3: 10}
     spec = make_spec(n_clients=4, meta=meta)
     budget = budget_for_blocks(meta, 0, 64)  # plenty: all layers, all clients
-    conf = schedule(spec, alive=[0], epc_budget=budget, tx_capacity=1 << 20, seed=0)
+    conf = schedule(spec, alive=[0], epc_budget=budget, seed=0)
     assert len(conf.slots) == 1
     assert conf.slots[0].layer_range == (0, 1, 2, 3)
 
@@ -140,19 +141,30 @@ def test_clientmax_single_cell_too_big_is_infeasible():
     meta = {0: 10_000}
     spec = make_spec(meta=meta)
     with pytest.raises(CapacityInfeasible):
-        schedule(spec, alive=[0, 1], epc_budget=1_000, tx_capacity=1 << 20, seed=0)
+        schedule(spec, alive=[0, 1], epc_budget=1_000, seed=0)
+    with pytest.raises(CapacityInfeasible):  # paging does not split a layer
+        schedule(spec, alive=[0, 1], epc_budget=1_000, seed=0, paging=True)
 
 
 def test_layermax_full_model_per_client_subset_serialized():
     meta = {0: 100, 1: 100}
     spec = make_spec(n_clients=6, meta=meta, strategy="layermax")
     per_client = model.encoded_update_size(len(TASKID), [100, 100]) + 16
-    conf = schedule(spec, alive=[0, 1, 2], epc_budget=per_client * 2, tx_capacity=1 << 20, seed=0)
+    conf = schedule(spec, alive=[0, 1, 2], epc_budget=per_client * 2, seed=0)
     assert len(conf.slots) == 3
     for slot in conf.slots:
         assert slot.layer_range == (0, 1)
-        assert slot.serial
         assert len(conf.subset(0, slot.index)) == 2
+
+
+def test_layermax_full_model_over_budget_needs_paging():
+    meta = {0: 100, 1: 100}
+    spec = make_spec(n_clients=3, meta=meta, strategy="layermax")
+    budget = _per_client_bytes([100, 100], len(TASKID)) - 1  # one client's full model does not fit
+    with pytest.raises(CapacityInfeasible):
+        schedule(spec, alive=[0, 1, 2], epc_budget=budget, seed=0)
+    conf = schedule(spec, alive=[0, 1, 2], epc_budget=budget, seed=0, paging=True)
+    assert [conf.subset(0, s.index) for s in conf.slots] == [(0,), (1,), (2,)]
 
 
 def test_insufficient_nodes():
@@ -160,13 +172,13 @@ def test_insufficient_nodes():
     spec = make_spec(meta=meta)
     budget = budget_for_blocks(meta, 0, 1)  # one client block per enclave -> 6 partitions
     with pytest.raises(InsufficientNodes):
-        schedule(spec, alive=[0, 1], epc_budget=budget, tx_capacity=1 << 20, seed=0)
+        schedule(spec, alive=[0, 1], epc_budget=budget, seed=0)
 
 
 def test_single_client_single_node_any_strategy():
     for strategy in ("single", "clientmax", "layermax"):
         spec = make_spec(n_clients=1, strategy=strategy)
-        conf = schedule(spec, alive=[0], epc_budget=1 << 30, tx_capacity=1 << 20, seed=0)
+        conf = schedule(spec, alive=[0], epc_budget=1 << 30, seed=0)
         assert len(conf.slots) == 1
         assert conf.subset(0, 0) == (0,)
         assert conf.slots[0].layer_range == (0, 1)
@@ -180,8 +192,7 @@ def test_exact_cover_across_strategies_and_seeds():
             budget = (model.encoded_update_size(len(TASKID), [70]) + 16) * 3
             if strategy != "clientmax":
                 budget = 1 << 30
-            conf = schedule(spec, alive=list(range(8)), epc_budget=budget,
-                            tx_capacity=1 << 20, seed=seed)
+            conf = schedule(spec, alive=list(range(8)), epc_budget=budget, seed=seed)
             for r in range(spec.rounds):
                 assert exact_cover_holds(conf, meta, r)
 
@@ -190,24 +201,28 @@ def test_chunk_indices_contiguous_from_zero():
     meta = {0: 5000, 1: 5000}
     spec = make_spec(n_clients=6, meta=meta)
     budget = budget_for_blocks(meta, 0, 2)
-    conf = schedule(spec, alive=list(range(6)), epc_budget=budget, tx_capacity=10_000, seed=0)
-    seen = []
-    for slot in conf.slots:
-        seen.extend(range(slot.chunk_base, slot.chunk_base + slot.n_chunks))
-    assert sorted(seen) == list(range(conf.expected_chunks_per_round))
+    conf = schedule(spec, alive=list(range(6)), epc_budget=budget, seed=0)
+    bases = chunk_bases(conf, 0, meta, 10_000)
+    assert bases[0] == 0 and len(bases) == len(conf.slots) + 1
+    aad_len = len(crypto.output_aad(TASKID, 0, 0))
+    for slot, base, end in zip(conf.slots, bases, bases[1:]):
+        counts = [meta[i] for i in slot.layer_range]
+        payload = model.encoded_partial_size(len(conf.subset(0, slot.index)), counts)
+        # each output takes the fewest whole chunks that hold its envelope
+        assert end - base == -(-crypto.envelope_encoded_size(aad_len, payload) // 10_000) > 1
 
 
 def test_schedule_deterministic_given_seed():
     spec = make_spec(n_clients=10, participation=0.4)
-    a = schedule(spec, alive=[0, 1, 2, 3], epc_budget=1 << 30, tx_capacity=1 << 20, seed=7)
-    b = schedule(spec, alive=[0, 1, 2, 3], epc_budget=1 << 30, tx_capacity=1 << 20, seed=7)
+    a = schedule(spec, alive=[0, 1, 2, 3], epc_budget=1 << 30, seed=7)
+    b = schedule(spec, alive=[0, 1, 2, 3], epc_budget=1 << 30, seed=7)
     assert a.to_bytes() == b.to_bytes()
     assert Conf.from_bytes(a.to_bytes()) == a
 
 
 def test_nodes_assigned_lowest_id_first():
     spec = make_spec(strategy="single")
-    conf = schedule(spec, alive=[9, 4, 7], epc_budget=1 << 30, tx_capacity=1 << 20, seed=0)
+    conf = schedule(spec, alive=[9, 4, 7], epc_budget=1 << 30, seed=0)
     assert conf.slots[0].node == 4
 
 
@@ -219,7 +234,7 @@ def test_resnet18_partition_count_matches_packing_bound():
     meta = preset_layer_meta(MODEL_PRESETS["resnet18"])
     budget = 128 * 1024 * 1024
     spec = make_spec(clients=list(range(50)), meta=meta, participation=1.0)
-    conf = schedule(spec, alive=list(range(64)), epc_budget=budget, tx_capacity=2 << 20, seed=0)
+    conf = schedule(spec, alive=list(range(64)), epc_budget=budget, seed=0)
 
     per_client = model.encoded_update_size(len(TASKID), list(meta.values())) + 16
     assert _per_client_bytes(list(meta.values()), len(TASKID)) == per_client

@@ -49,7 +49,7 @@ def test_resume_before_getsk_is_missing_key():
     host = SgxHost(make_eid_allocator())
     eid = host.install(TASKID, build_program())
     with pytest.raises(MissingKey):
-        host.resume(eid, [], (0,))
+        host.resume(eid, [])
 
 
 # ---------------------------------------------------------------------------
@@ -128,11 +128,37 @@ def test_set_round_idempotent_and_replay_guard():
     # same value twice: idempotent accept
     arm_round(host, eid, ctx["committee_ssk"], 3, ctx["rng"])
     u = simple_update(1, [[1.0]], round_index=3)
-    out = host.resume(eid, client_inputs(ctx, [u], round_index=3), (0,))
+    out = host.resume(eid, client_inputs(ctx, [u], round_index=3))
     assert out.chunks
     # the round is consumed: re-arming an older round is refused
     with pytest.raises(RoundMismatch):
         arm_round(host, eid, ctx["committee_ssk"], 3, ctx["rng"])
+
+
+def test_rearming_an_unconsumed_round_moves_its_chunk_base():
+    ctx = provision_enclave(clients=(1, 2), layer_range=(0,), tx_capacity=48, chunk_base=3)
+    host, eid = ctx["host"], ctx["eid"]
+    arm_round(host, eid, ctx["committee_ssk"], 0, ctx["rng"], chunk_base=7)
+    updates = [simple_update(1, [[1.0, 3.0]]), simple_update(2, [[3.0, 5.0]])]
+    out = host.resume(eid, client_inputs(ctx, updates))
+    assert len(out.chunks) > 1
+    assert [c.index for c in out.chunks] == list(range(7, 7 + len(out.chunks)))
+    for c in out.chunks:
+        msg = chunk_signed_parts(c.taskid, c.round, c.index, c.payload)
+        assert crypto.sig_verify(ctx["vk"].public, c.sigma, *msg)
+    part = decrypt_output(ctx, out, chunk_base=7)  # asserts the output's AAD
+    assert model.combine_partials([part]).bit_equal(model.fedavg(updates))
+
+
+@pytest.mark.parametrize("chunk_base", [0, 5])
+def test_arming_a_consumed_round_raises_whatever_its_chunk_base(chunk_base):
+    ctx = provision_enclave(clients=(1,), layer_range=(0,))
+    host, eid = ctx["host"], ctx["eid"]
+    host.resume(eid, client_inputs(ctx, [simple_update(1, [[1.0]])]))
+    with pytest.raises(RoundMismatch):
+        arm_round(host, eid, ctx["committee_ssk"], 0, ctx["rng"], chunk_base=chunk_base)
+    with pytest.raises(RoundMismatch):  # not re-armed: the round stays consumed
+        host.resume(eid, client_inputs(ctx, [simple_update(1, [[1.0]])]))
 
 
 def test_round_mismatch_on_stale_client_envelope():
@@ -140,7 +166,7 @@ def test_round_mismatch_on_stale_client_envelope():
     u = simple_update(1, [[1.0]], round_index=2)
     inputs = client_inputs(ctx, [u], round_index=2)
     with pytest.raises(RoundMismatch):
-        ctx["host"].resume(ctx["eid"], inputs, (0,))
+        ctx["host"].resume(ctx["eid"], inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +179,7 @@ def test_resume_aggregates_and_matches_plaintext_oracle():
         simple_update(1, [[1.0, 3.0]], dataset_size=5),
         simple_update(2, [[3.0, 5.0]], dataset_size=5),
     ]
-    out = ctx["host"].resume(ctx["eid"], client_inputs(ctx, updates), (0,))
+    out = ctx["host"].resume(ctx["eid"], client_inputs(ctx, updates))
     part = decrypt_output(ctx, out)
     combined = model.combine_partials([part])
     assert np.array_equal(combined.layers[0].values, np.array([2.0, 4.0]))
@@ -167,7 +193,7 @@ def test_resume_output_chunks_are_signed_and_indexed():
         simple_update(1, [np.zeros(12_500)], dataset_size=1),
         simple_update(2, [np.ones(12_500)], dataset_size=1),
     ]
-    out = ctx["host"].resume(ctx["eid"], client_inputs(ctx, updates), (0,))
+    out = ctx["host"].resume(ctx["eid"], client_inputs(ctx, updates))
     assert [c.index for c in out.chunks] == [0, 1, 2]
     for c in out.chunks:
         msg = chunk_signed_parts(c.taskid, c.round, c.index, c.payload)
@@ -179,7 +205,7 @@ def test_resume_output_chunks_are_signed_and_indexed():
 def test_resume_chunks_cut_the_wire_envelope_at_any_capacity(cap):
     ctx = provision_enclave(clients=(1, 2), layer_range=(0,), tx_capacity=cap)
     updates = [simple_update(1, [[1.0, 3.0]]), simple_update(2, [[3.0, 5.0]])]
-    out = ctx["host"].resume(ctx["eid"], client_inputs(ctx, updates), (0,))
+    out = ctx["host"].resume(ctx["eid"], client_inputs(ctx, updates))
     assert [c.index for c in out.chunks] == list(range(len(out.chunks)))
     assert all(len(c.payload) == cap for c in out.chunks[:-1])
     assert 0 < len(out.chunks[-1].payload) <= cap
@@ -198,9 +224,9 @@ def test_tampered_client_envelope_rejects_batch_and_names_sender():
     flipped[0] ^= 1
     inputs[1] = (Envelope(env_m.nonce, env_m.aad, bytes(flipped) + env_m.tag), env_k, sender)
     with pytest.raises(AuthFailure, match="client 2"):
-        ctx["host"].resume(ctx["eid"], inputs, (0,))
+        ctx["host"].resume(ctx["eid"], inputs)
     # whole batch rejected: the armed round is still live, and a clean batch works
-    out = ctx["host"].resume(ctx["eid"], client_inputs(ctx, updates), (0,))
+    out = ctx["host"].resume(ctx["eid"], client_inputs(ctx, updates))
     assert out.chunks
 
 
@@ -215,16 +241,16 @@ def test_msk_disagreement_aborts():
     )
     inputs[1] = (inputs[1][0], env_k, 2)
     with pytest.raises(MskDisagreement):
-        ctx["host"].resume(ctx["eid"], inputs, (0,))
+        ctx["host"].resume(ctx["eid"], inputs)
 
 
 def test_replayed_batch_never_produces_output():
     ctx = provision_enclave(clients=(1,), layer_range=(0,))
     inputs = client_inputs(ctx, [simple_update(1, [[1.0]])])
-    out = ctx["host"].resume(ctx["eid"], inputs, (0,))
+    out = ctx["host"].resume(ctx["eid"], inputs)
     assert out.chunks
     with pytest.raises(RoundMismatch):
-        ctx["host"].resume(ctx["eid"], inputs, (0,))
+        ctx["host"].resume(ctx["eid"], inputs)
     assert ctx["host"].instances[ctx["eid"]].round_counter == 1
 
 
@@ -235,7 +261,7 @@ def test_capacity_exceeded_without_paging():
         simple_update(2, [np.zeros(1_000)]),
     ]
     with pytest.raises(CapacityExceeded):
-        ctx["host"].resume(ctx["eid"], client_inputs(ctx, updates), (0,))
+        ctx["host"].resume(ctx["eid"], client_inputs(ctx, updates))
 
 
 def test_paging_mode_accepts_oversized_batch_and_reports_overflow():
@@ -244,7 +270,7 @@ def test_paging_mode_accepts_oversized_batch_and_reports_overflow():
         simple_update(1, [np.zeros(1_000)]),
         simple_update(2, [np.zeros(1_000)]),
     ]
-    out = ctx["host"].resume(ctx["eid"], client_inputs(ctx, updates), (0,))
+    out = ctx["host"].resume(ctx["eid"], client_inputs(ctx, updates))
     assert out.paged_bytes > 0
     assert out.plain_input_bytes > 4_000
 
@@ -259,7 +285,7 @@ def test_estimate_small_example():
     clients = (1, 2, 3, 4)
     ctx = provision_enclave(clients=clients, layer_range=(0,))
     updates = [simple_update(c, [np.zeros(1_000)]) for c in clients]
-    out = ctx["host"].resume(ctx["eid"], client_inputs(ctx, updates), (0,))
+    out = ctx["host"].resume(ctx["eid"], client_inputs(ctx, updates))
     header = model.encoded_update_size(len(TASKID), [1000]) - 8 * 1000
     need = 4 * _per_client_bytes([1000], len(TASKID))
     assert need == 4 * 8 * 1000 + 4 * header + 4 * crypto.KEY_BYTES

@@ -64,22 +64,22 @@ CONFIGS = {
 }
 
 GOLDEN = {
-    "chunks-64": "0e9e3ff15007eb87ac4d76fdb953a1e783c27a4a5a78d1347ed347b3aadd0fdf",
-    "clientmax-float": "5ea297ecd2db5d2fb6ebc384b9c4e8d769ef8f98b50295e7b1a9ac8b618becd8",
-    "clientmax-int": "8020166a1ac8100dfc90713a6d3109f2da6f3ac8736aae3c917361e69fbc8cfd",
-    "drop": "4b76a373c7b05866c317341bc059cb6a2e09dbb9f04c76dcde9bf20b5f59ca2b",
-    "kill-between": "00a6f16954374fb250f79d9e09801ce66633e0a1bcaa4c7955775b07e3694e0e",
-    "kill-collect": "fa3de0dbb5b207530dc905e039d64ad11f8fe34cf0608103b2c973e1fe7a0de6",
-    "layermax-float": "a82b2af952695d1c7b6fc7e694f0bbe38e7e54c3295c77bec408f03cb0819938",
-    "layermax-int": "b0d2ecdd80b1360d0f1fb40ed9821a7c0d760bb52987fcbd3bee3debcb140af2",
-    "paging": "ce97bbe52e540bca580e1df27d72f9afa171a61bce129c09066046bec597260a",
-    "sentinel-taps": "af54ab1ce1f8af929f6feb309c422cda872f6ae5ba53ef5de6c1a0d044155eee",
-    "single-float": "1d7550911dd3bd337d67be4c78dd4ce192767f83195106ed1bdac798c8f74fa3",
-    "single-int": "a198150eed0510c4715b8455e8f904f84ee3729c67208b0a31b9c4adb4b21db6",
-    "straggler-exclude": "4251cad87c25a8ef3b5b939cb7909fcab6fdc4d3f47d03b29d61624c911a99fa",
-    "tamper-chunk": "124a7289df8b87213c46b4b59e4936b322f695634d6a3840ad47e3d1bd1027cf",
-    "tamper-install": "0cb4b564fd8be8363e1cb617af3c9921ddd50d8241f34dc398fc52d0e0d80575",
-    "uniform-tendermint": "79f82f487561f0016f275659390ed44e9bbd4149e53c6df561dea9a6010247db",
+    "chunks-64": "51aa9f2a2648fee5e36aabcb228e1d7d33002d64d8d838825b1adcabb416fb8a",
+    "clientmax-float": "f7301470fe42e47de5eb0c92502318f3c3d67c82ba03cb6aadb05a71069d00fc",
+    "clientmax-int": "86284a9c2750d21c57ba4c49ef7c1aa3d2ef752c2714521ca37b00ae4587433c",
+    "drop": "cf0ad2bf2fce7e0a47df5ca1cd90121291299d036ebb83f7ce1372935370b4f6",
+    "kill-between": "ccaecd83a142ca7ba10a283766287183823274e786fd73f36be7afc341605bce",
+    "kill-collect": "d305595bd53f358284b6f4ef6bc58f573ce1356a9062d5c0d22aba7783399ff8",
+    "layermax-float": "76753c3cf4e6c32853f8187225ad542a460f8f52ccc1284c5432db63d2e9bc4c",
+    "layermax-int": "83b36cda4e9d19b9120e72c5a000ce9b6ac76d423dafcbdabd2f7b4f26c6a7bd",
+    "paging": "e88e1b8fc5d4fda4d69eaac9c678daf8004c2fed6ea9b09c3694b940b9e27700",
+    "sentinel-taps": "63d45127b40930f47662d0ae228cfca27bbff5e3d0215b9238df481033171163",
+    "single-float": "202754bf26d43f7d5b90b588a4beae4049ebc2829b3085e19904f1f7355edf7d",
+    "single-int": "45e46617965d6e74d801403421f4da6b49fe6fcb8a83a8d52c997abb3ae6c58b",
+    "straggler-exclude": "ef14c7f824c856090080f14c286c20fa221ee977e5b157f1f2b4d7691461cbfb",
+    "tamper-chunk": "df0d0ffeb52605e53b700aa62bc604086c2a7f91e1b20505c09d3aadb66cb524",
+    "tamper-install": "ea2cb030e133ed7d934ed693216f086be97257706e2f1a23b00b35045fb41950",
+    "uniform-tendermint": "674018072f684cb1a91ec86112d34ccdad6309dfa05ec4d747d7a481ce0708f2",
 }
 
 MASKED = {

@@ -9,13 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ledger_storage, tap_bytes
-from fedtee import crypto, model
+from fedtee import crypto, model, transport
 from fedtee.cli import main as cli_main
+from fedtee.committee import _per_client_bytes
 from fedtee.config import SENTINEL, FaultEvent, MODEL_PRESETS, RunConfig, preset_layer_meta
 from fedtee.harness import (
     PHASE_AGG,
     PHASE_CHAIN,
     PHASE_SEND,
+    PROC_NS_PER_BYTE,
     SCAN_BLOCK,
     TaskRun,
     count_needles,
@@ -26,6 +28,8 @@ from fedtee.harness import (
     traffic_vanilla_fl,
 )
 from fedtee.ledger import Ledger
+from fedtee.roles import Node
+from fedtee.transport import Frame, MessageKind
 
 
 def small_config(**kw):
@@ -417,7 +421,72 @@ def test_failover_onto_only_tampered_spares_ends_stalled():
     report = run_task(small_config(n_nodes=3, faults=_kill_after_tampered_spares(1, 2)))
     assert report.stalled
     assert not report.ok
-    assert "round 1: stalled: no spare node for partition 0" in report.events
+    stalls = [e for e in report.events if "stalled" in e]
+    assert stalls == ["round 1: stalled: no spare node for partition 0"]  # logged once
+
+
+def _straggler_failure_config():
+    return RunConfig(
+        n_clients=6, n_nodes=6, rounds=2, strategy="clientmax", straggler_max_retries=0,
+        faults=[FaultEvent(kind="drop", message_kind="ModelEnvelope", src="client:0", count=1)],
+    )
+
+
+def test_failed_run_records_why_in_its_events():
+    report = run_task(_straggler_failure_config())
+    assert not report.ok and not report.stalled
+    assert report.rounds == [] and report.verification == {}
+    assert report.events == ["round 0: failed: stragglers never delivered: {0: [0]}"]
+
+
+@pytest.mark.parametrize("strategy, per_enclave", [("layermax", 2), ("clientmax", 3)])
+def test_aggregate_phase_runs_layermax_partitions_one_after_another(
+    strategy, per_enclave, monkeypatch
+):
+    # six clients in equal partitions: three full models of two clients
+    # (layermax), or each of two equal layers in two blocks of three (clientmax)
+    layers = {0: 8, 1: 8}
+    cell = list(layers.values()) if strategy == "layermax" else [8]
+    budget = per_enclave * _per_client_bytes(cell, len(b"harness-task"))
+    cfg = small_config(strategy=strategy, n_nodes=6, rounds=1, layers=layers, epc_budget=budget)
+    charges = []
+    compute = Node.compute
+
+    def charged(node, taskid, round_index):
+        result = compute(node, taskid, round_index)
+        assert result["paged_bytes"] == 0
+        charges.append(result["plain_input_bytes"] * PROC_NS_PER_BYTE / 1e6)
+        return result
+
+    monkeypatch.setattr(Node, "compute", charged)
+    report = run_task(cfg)
+    assert report.ok
+    assert len(charges) == 6 // per_enclave * len(layers) // len(cell) > 1
+    assert len(set(charges)) == 1  # equal partitions
+    expected = sum(charges) if strategy == "layermax" else max(charges)
+    assert report.rounds[0]["phases"][PHASE_AGG] == expected
+
+
+def test_round_after_straggler_exclusion_only_arms_the_enclaves():
+    from test_golden import CONFIGS, _config
+
+    run = TaskRun(_config(**CONFIGS["straggler-exclude"]))
+    tap = run.router.add_tap()
+    run.setup()
+    run.run_round(0)
+    assert "round 0: excluded stragglers [3], replanned layout" in run.report.events
+    start = len(tap.frames)
+    run.run_round(1)
+    # what the committee sends in round 1 before the first client frame
+    sent = []
+    for src, _, raw in tap.frames[start:]:
+        if src.startswith("client:"):
+            break
+        if src == "committee":
+            sent.append(Frame.from_bytes(raw))
+    assert [f.kind for f in sent] == [MessageKind.RoundDeliver] * len(run.committee.conf.slots)
+    purposes = [transport.unpack(transport.KEY_DELIVER, f.payload)[2] for f in sent]
+    assert purposes == [transport.KEY_PURPOSE_ROUND] * len(sent)
 
 
 def test_hundred_clients_ten_percent_participation():

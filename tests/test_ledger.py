@@ -39,9 +39,7 @@ def signed_round(n_chunks=3, tx_capacity=40_000, round_index=0):
         simple_update(1, [np.zeros(elems)], round_index=round_index),
         simple_update(2, [np.ones(elems)], round_index=round_index),
     ]
-    out = ctx["host"].resume(
-        ctx["eid"], client_inputs(ctx, updates, round_index=round_index), (0,)
-    )
+    out = ctx["host"].resume(ctx["eid"], client_inputs(ctx, updates, round_index=round_index))
     return ctx, out.chunks
 
 

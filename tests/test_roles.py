@@ -90,7 +90,7 @@ def test_decode_binds_each_output_to_the_chunk_it_starts_at():
     run.setup()
     run.run_round(0)
     conf, msk = run.committee.conf, run.owner.msk
-    assert len(conf.slots) > 1 and conf.expected_chunks_per_round > len(conf.slots)
+    assert len(conf.slots) > 1 and run.committee.chunk_bases[-1] > len(conf.slots)
     indices, lengths, data = read_round_chunks(run.router, "owner", run.cfg.taskid_bytes, 0)
     assert data.readonly and len(data) == sum(lengths) and len(lengths) == len(indices)
     got = decode_round_chunks(conf, msk, (indices, lengths, data), 0)
@@ -237,8 +237,7 @@ def test_node_reports_missing_senders():
     )
     run = TaskRun(cfg)
     run.setup()
-    for slot in run.committee.conf.slots:
-        run.committee._arm(slot, 0)
+    run.committee.open_round(0)
     for uid in sorted(run.clients):
         run.clients[uid].client_round(0)
     node = run.nodes[run.committee.conf.slots[0].node]
@@ -259,12 +258,11 @@ def test_client_read_of_half_uploaded_round_is_incomplete():
 
     run = TaskRun(small_config())
     run.setup()
+    run.committee.open_round(0)
     # declare more chunks than will arrive so round 0 stays open
     run.ledger.set_expected_chunks(
-        "committee", run.cfg.taskid_bytes, run.committee.conf.expected_chunks_per_round + 1
+        "committee", run.cfg.taskid_bytes, run.committee.chunk_bases[-1] + 1
     )
-    for slot in run.committee.conf.slots:
-        run.committee._arm(slot, 0)
     for uid in sorted(run.clients):
         run.clients[uid].client_round(0)
     for slot in run.committee.conf.slots:
@@ -289,8 +287,7 @@ def test_node_buffers_expose_only_ciphertext():
     cfg = small_config(sentinel=True)
     run = TaskRun(cfg)
     run.setup()
-    for slot in run.committee.conf.slots:
-        run.committee._arm(slot, 0)
+    run.committee.open_round(0)
     for uid in sorted(run.clients):
         run.clients[uid].client_round(0)
     from fedtee.config import SENTINEL
