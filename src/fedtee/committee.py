@@ -33,11 +33,11 @@ class NoNodes(Exception):
     pass
 
 
-class InsufficientNodes(Exception):
-    pass
+class InsufficientNodes(RunFailed):
+    """The plan needs more partitions than there are alive nodes."""
 
 
-class CapacityInfeasible(Exception):
+class CapacityInfeasible(RunFailed):
     """Even one (layer, client) cell exceeds the enclave budget."""
 
 
@@ -406,9 +406,12 @@ class Committee:
             self.install(slot)
         self.deliver_conf()
 
-    def install(self, slot: Slot, arm_round: int | None = None) -> None:
+    def install(
+        self, slot: Slot, arm_round: int | None = None, stage: str = "provisioning"
+    ) -> None:
         """Provision one partition; a node failing attestation is cut off and
-        the partition moves to the lowest spare node."""
+        the partition moves to the lowest spare node. ``stage`` names when,
+        in the events."""
         while True:
             try:
                 self._install(slot, arm_round)
@@ -417,10 +420,13 @@ class Committee:
                 bad = slot.node
                 self.mark_dead(bad)
                 self.cut_off(bad)
-                self.events.append(
-                    f"provisioning: node {bad} failed attestation, partition {slot.index} replaced"
-                )
-                slot.node, slot.eid = self._spare(slot), None
+                failed = f"{stage}: node {bad} failed attestation, partition {slot.index}"
+                try:
+                    slot.node, slot.eid = self._spare(slot), None
+                except NoSpareNodes:
+                    self.events.append(f"{failed} not replaced: no spare node")
+                    raise
+                self.events.append(f"{failed} replaced")
 
     def _call(self, node: int, kind: MessageKind, body: bytes) -> bytes:
         """One request to ``node``; a failure it reports ends the run."""
@@ -561,7 +567,7 @@ class Committee:
         their cached slices to it. Otherwise :meth:`open_round` arms it."""
         for action in actions:
             slot = self.conf.slots[action.slot_index]
-            self.install(slot, arm_round=round_index if resend else None)
+            self.install(slot, round_index if resend else None, f"round {round_index}")
             if resend:
                 self.deliver_conf()
                 for uid in self.conf.subset(round_index, slot.index):

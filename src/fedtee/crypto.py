@@ -8,16 +8,23 @@ enclave's program measurement.
 
 All operations are pure or take caller-supplied randomness, so they are safe
 to use concurrently from independent role instances.
+
+Every model-sized byte string on a round's path is written once, into a
+buffer from :func:`new_buffer`: a decrypted plaintext, or an envelope sealed
+in place inside the frame or output that carries it (:class:`Sealing`).
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import struct
 from dataclasses import dataclass, field
 from random import Random
+from typing import Callable, NamedTuple
 
+import numpy as np
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives import hashes, serialization
 from cryptography.hazmat.primitives.asymmetric import ec, utils
@@ -30,6 +37,13 @@ SEED_BYTES = 32
 
 _CURVE = ec.SECP256R1()
 _CURVE_ORDER = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
+
+
+def new_buffer(n: int) -> memoryview:
+    """``n`` writable, uninitialised bytes. numpy asks the kernel for
+    transparent huge pages on a large array, so writing a model-sized buffer
+    for the first time takes few page faults."""
+    return memoryview(np.empty(n, np.uint8))
 
 
 class AuthFailure(Exception):
@@ -51,10 +65,16 @@ class SymKey:
     raw: bytes
 
     def __post_init__(self) -> None:
+        self.raw = bytes(self.raw)  # never a view of a buffer that may change
         if len(self.raw) != KEY_BYTES:
             raise ValueError(f"symmetric key must be {KEY_BYTES} bytes, got {len(self.raw)}")
         # Nonces drawn under this key instance; reuse trips an assertion.
         self._seen_nonces: set[bytes] = set()
+
+    @functools.cached_property
+    def _cipher(self) -> AESGCM:
+        """Built once, on first use: building one costs as much as sealing 4 KiB."""
+        return AESGCM(self.raw)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SymKey) and other.raw == self.raw
@@ -68,9 +88,9 @@ class Envelope:
     """Authenticated ciphertext: nonce, associated data, and ``sealed``, the
     AES-GCM output (ciphertext followed by its 16-byte tag).
 
-    The fields may be bytes or read-only views of a larger buffer, such as the
-    frame an envelope arrived in. Any single-bit change to any of them makes
-    :func:`ae_decrypt` raise :class:`AuthFailure`.
+    The fields may be bytes or views of a larger buffer, such as the frame an
+    envelope arrived in or the one it was sealed into. Any single-bit change
+    to any of them makes :func:`ae_decrypt` raise :class:`AuthFailure`.
     """
 
     nonce: bytes
@@ -135,25 +155,72 @@ def envelope_encoded_size(aad_len: int, plaintext_len: int) -> int:
     return NONCE_BYTES + 2 + aad_len + 4 + plaintext_len + TAG_BYTES
 
 
-def ae_encrypt(key: SymKey, aad: bytes, plaintext: bytes, rng: Random | None = None) -> Envelope:
+def ae_encrypt(
+    key: SymKey, aad: bytes, plaintext: bytes, rng: Random | None = None, out=None
+) -> Envelope:
     """Encrypt under AES-GCM with a fresh 12-byte nonce drawn from ``rng``.
 
     Nonce uniqueness per key instance is asserted; a seeded ``rng`` keeps the
-    run reproducible, ``None`` falls back to OS entropy.
+    run reproducible, ``None`` falls back to OS entropy. With ``out``, a
+    writable buffer of ``len(plaintext) + TAG_BYTES`` bytes, the output is
+    written there and ``sealed`` is ``out``; ``plaintext`` may be
+    ``out[:-TAG_BYTES]``, which is then encrypted in place.
     """
     nonce = rng.randbytes(NONCE_BYTES) if rng is not None else os.urandom(NONCE_BYTES)
     if nonce in key._seen_nonces:
         raise RuntimeError("nonce reuse under one key within a run")
     key._seen_nonces.add(nonce)
-    return Envelope(nonce, aad, AESGCM(key.raw).encrypt(nonce, plaintext, aad))
+    if out is None:
+        return Envelope(nonce, aad, key._cipher.encrypt(nonce, plaintext, aad))
+    key._cipher.encrypt_into(nonce, plaintext, aad, out)
+    return Envelope(nonce, aad, out)
 
 
-def ae_decrypt(key: SymKey, env: Envelope) -> bytes:
-    """Recover the plaintext; :class:`AuthFailure` if anything was altered."""
+def ae_decrypt(key: SymKey, env: Envelope) -> memoryview:
+    """Recover the plaintext into a fresh buffer; :class:`AuthFailure` if
+    anything was altered. The ciphertext is never overwritten: it may lie in
+    a frame that others can see, and AES-GCM writes plaintext before it has
+    checked the tag."""
+    out = new_buffer(max(0, len(env.sealed) - TAG_BYTES))
     try:
-        return AESGCM(key.raw).decrypt(env.nonce, env.sealed, env.aad)
+        key._cipher.decrypt_into(env.nonce, env.sealed, env.aad, out)
     except InvalidTag as exc:
         raise AuthFailure("envelope failed authentication") from exc
+    return out
+
+
+class Sealing(NamedTuple):
+    """An envelope still to be sealed, straight into its wire encoding inside
+    a larger buffer. ``fill`` is the ``size``-byte plaintext, or a function
+    that writes it into the region it is given, where its ciphertext goes;
+    :func:`ae_encrypt` then seals it there in place. ``transport.pack`` takes
+    one wherever an envelope goes."""
+
+    key: SymKey
+    aad: bytes
+    size: int
+    fill: bytes | Callable[[memoryview], object]
+    rng: Random | None = None
+
+    @property
+    def wire_size(self) -> int:
+        return envelope_encoded_size(len(self.aad), self.size)
+
+    def seal_into(self, wire: memoryview) -> Envelope:
+        """Write the envelope's whole wire encoding into ``wire``, a writable
+        buffer of ``wire_size`` bytes; returns the envelope, whose ``sealed``
+        is a view of ``wire``."""
+        key, aad, size, fill, rng = self
+        head = NONCE_BYTES + 2 + len(aad) + 4
+        wire[NONCE_BYTES:head] = struct.pack(f">H{len(aad)}sI", len(aad), aad, size)
+        sealed = wire[head:]
+        if callable(fill):
+            fill(sealed[:size])
+        else:
+            sealed[:size] = fill
+        env = ae_encrypt(key, aad, sealed[:size], rng, out=sealed)
+        wire[:NONCE_BYTES] = env.nonce
+        return env
 
 
 # ---------------------------------------------------------------------------

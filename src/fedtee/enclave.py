@@ -5,15 +5,17 @@ node. Installed instances keep their keys and round state private to this
 module; the hosting node only ever sees envelopes going in and signed chunks
 coming out. A resume decrypts the batch, checks that all clients delivered
 the same master key, runs the pluggable aggregation hook over the requested
-layers, re-encrypts under the master key, splits the ciphertext into
-transaction-sized chunks, and signs each chunk. The chunks are cut from the
-envelope's wire encoding without joining it: each is a view of the one sealed
-output, or a small join where the envelope's head ends. A chunk is signed
-without joining its signed message.
+layers, seals the encoded result under the master key, splits the envelope's
+wire encoding into transaction-sized chunks, and signs each chunk. Each
+plaintext is decrypted into a fresh buffer the enclave owns, and the output
+is written once: its wire encoding is one buffer, the encoded result sealed
+in place inside it, and each chunk is a view of that buffer. A chunk is
+signed without joining its signed message.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import struct
@@ -272,23 +274,24 @@ class SgxHost:
 
             hook = HOOKS[inst.program.aggregation_hook]
             result = hook(updates, inst.partition.layer_range)
-            payload = model.encode_partial(result)
-            env_out = crypto.ae_encrypt(
-                msk,
-                crypto.output_aad(inst.taskid, round_index, chunk_base),
-                payload,
-                rng=inst.rng,
+            size = model.encoded_partial_size(
+                len(result.client_set), [len(l.values) for l in result.scaled_sum.layers]
             )
-            head = b"".join(env_out.wire_parts()[:-1])  # every part before ``sealed``
-            sealed = memoryview(env_out.sealed)
-            n, cap = len(head), inst.partition.tx_capacity
+            wire = transport.pack(
+                transport.ENCLAVE_OUTPUT,
+                crypto.Sealing(
+                    msk,
+                    crypto.output_aad(inst.taskid, round_index, chunk_base),
+                    size,
+                    functools.partial(model.encode_partial, result),
+                    inst.rng,
+                ),
+            )
+            cap = inst.partition.tx_capacity
             chunks = []
-            for i in range(0, n + len(sealed), cap):
+            for i in range(0, len(wire), cap):
                 index = chunk_base + i // cap
-                if i >= n:
-                    piece = sealed[i - n : i - n + cap]
-                else:
-                    piece = head[i : i + cap] + sealed[: max(0, i + cap - n)]
+                piece = wire[i : i + cap]
                 sigma = crypto.sig_sign(
                     inst.sk_vk, *chunk_signed_parts(inst.taskid, round_index, index, piece)
                 )

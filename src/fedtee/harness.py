@@ -462,7 +462,7 @@ class TaskRun:
             )
 
         for client in self.clients.values():
-            client.cached_payloads.clear()  # kept only for resends within the round
+            client.cached_updates.clear()  # kept only for resends within the round
         global_model = self.owner.get_global_model(conf, round_index)
         self.report.round_models.append(global_model)
         self.report.round_model_digests.append(global_model.digest())

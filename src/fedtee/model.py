@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .crypto import new_buffer
+
 _F8 = np.dtype("<f8")  # every weight, in memory and encoded
 
 
@@ -160,14 +162,20 @@ def encoded_update_size(taskid_len: int, layer_elem_counts: list[int] | tuple[in
     )
 
 
-def _with_layers(parts: list, wv: WeightVector) -> bytes:
-    """``parts`` followed by layer_count(u32 BE) and every layer, joined once:
-    each layer's array is read in place."""
-    parts.append(struct.pack(">I", len(wv.layers)))
+def _write_layers(out, off: int, wv: WeightVector):
+    """layer_count(u32 BE) and every layer into ``out`` from ``off``, which
+    they must fill to the end; each layer's array is copied once, in place."""
+    struct.pack_into(">I", out, off, len(wv.layers))
+    off += 4
     for l in wv.layers:
-        parts.append(struct.pack(">IQ", l.index, len(l.values)))
-        parts.append(np.ascontiguousarray(l.values, dtype=_F8))
-    return b"".join(parts)
+        n = len(l.values)
+        struct.pack_into(">IQ", out, off, l.index, n)
+        off += _LAYER_HEADER
+        np.frombuffer(out, _F8, n, off)[:] = l.values
+        off += 8 * n
+    if off != len(out):
+        raise ValueError(f"encoding takes {off} bytes, buffer holds {len(out)}")
+    return out
 
 
 def _read_layers(data: bytes, off: int) -> WeightVector:
@@ -195,10 +203,14 @@ def _read_layers(data: bytes, off: int) -> WeightVector:
     return WeightVector(layers)
 
 
-def encode_model(u: LocalUpdate) -> bytes:
-    parts = [struct.pack(">H", len(u.taskid)), u.taskid]
-    parts.append(struct.pack(">QQQ", u.round, u.client, u.dataset_size))
-    return _with_layers(parts, u.weights)
+def encode_model(u: LocalUpdate, out=None) -> memoryview:
+    """The update's encoding, written into ``out``, which it must fill
+    exactly, or, without it, into a fresh buffer; returns the buffer written."""
+    tid = len(u.taskid)
+    if out is None:
+        out = new_buffer(encoded_update_size(tid, [len(l.values) for l in u.weights.layers]))
+    struct.pack_into(f">H{tid}sQQQ", out, 0, tid, u.taskid, u.round, u.client, u.dataset_size)
+    return _write_layers(out, 2 + tid + 24, u.weights)
 
 
 def decode_model(data: bytes) -> LocalUpdate:
@@ -226,10 +238,13 @@ def encoded_partial_size(n_clients: int, layer_elem_counts: list[int] | tuple[in
     return 8 + 4 + 8 * n_clients + 4 + sum(_LAYER_HEADER + 8 * n for n in layer_elem_counts)
 
 
-def encode_partial(p: PartialAggregate) -> bytes:
-    parts = [struct.pack(">QI", p.weight_sum, len(p.client_set))]
-    parts.extend(struct.pack(">Q", cid) for cid in p.client_set)
-    return _with_layers(parts, p.scaled_sum)
+def encode_partial(p: PartialAggregate, out=None) -> memoryview:
+    """As :func:`encode_model`, for a partial aggregate."""
+    n = len(p.client_set)
+    if out is None:
+        out = new_buffer(encoded_partial_size(n, [len(l.values) for l in p.scaled_sum.layers]))
+    struct.pack_into(f">QI{n}Q", out, 0, p.weight_sum, n, *p.client_set)
+    return _write_layers(out, 12 + 8 * n, p.scaled_sum)
 
 
 def decode_partial(data: bytes) -> PartialAggregate:

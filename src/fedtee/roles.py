@@ -9,6 +9,7 @@ channel, never as plaintext on a frame.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 from random import Random
@@ -189,9 +190,16 @@ class Node:
 # ---------------------------------------------------------------------------
 
 class LedgerParty:
+    """The ledger's framed data plane: chunk uploads and round reads.
+
+    A closed round never changes, since the ledger stores chunks of the
+    current round only. So the reply to a read of a closed round is built
+    once and served to every reader; the party keeps the latest such reply."""
+
     def __init__(self, ledger: Ledger, router: Router) -> None:
         self.ledger = ledger
         self.router = router
+        self._closed: tuple[tuple[bytes, int], bytes] | None = None  # (taskid, round), reply
         router.register("ledger", handler=self.handle)
 
     def handle(self, src: str, kind: MessageKind, payload: bytes):
@@ -200,13 +208,18 @@ class LedgerParty:
             # a view costs about 300 B per stored chunk (7% of a 4 KiB chunk),
             # and the copy is cheap next to hashing the payload for its signature.
             taskid, round_index, index, body, sig_raw = unpack(transport.CHUNK_UPLOAD, payload)
-            chunk = SignedChunk(taskid, round_index, index, body, crypto.Signature(sig_raw))
+            chunk = SignedChunk(
+                bytes(taskid), round_index, index, bytes(body), crypto.Signature(bytes(sig_raw))
+            )
             receipt = self.ledger.upload_global_model(src, chunk)
             return MessageKind.LedgerReply, pack(
                 transport.RECEIPT, receipt.outcome, round_index, index, receipt.reason or ""
             )
         if kind == MessageKind.LedgerRead:
             taskid, round_index = unpack(transport.LEDGER_READ, payload)
+            key = (bytes(taskid), round_index)
+            if self._closed is not None and self._closed[0] == key:
+                return MessageKind.LedgerReply, self._closed[1]
             try:
                 chunks = self.ledger.read(taskid, round_index)
             except (LedgerNotFound, LedgerIncomplete) as exc:
@@ -214,9 +227,12 @@ class LedgerParty:
                 return MessageKind.LedgerReply, pack(
                     transport.LEDGER_ROUND, type(exc).__name__, present, ()
                 )
-            return MessageKind.LedgerReply, pack(
+            reply = pack(
                 transport.LEDGER_ROUND, "", [c.index for c in chunks], [c.payload for c in chunks]
             )
+            if round_index < self.ledger.current_round(taskid):
+                self._closed = (key, reply)
+            return MessageKind.LedgerReply, reply
         return err(RemoteError(f"ledger cannot handle {kind.name}"))
 
 
@@ -261,8 +277,8 @@ class Client:
         self.measurement: bytes | None = None
         self.conf: Conf | None = None
         self.ssk_by_enclave: dict[int, SymKey] = {}
-        # slot index -> encoded plaintext slice; re-encrypted on failover
-        self.cached_payloads: dict[int, bytes] = {}
+        # slot index -> this round's slice; re-encoded and re-sealed on a resend
+        self.cached_updates: dict[int, model.LocalUpdate] = {}
         self.synth_seed = seed
         self.int_mode = False
         self.sentinel = False  # plant SENTINEL in every update
@@ -342,7 +358,7 @@ class Client:
                     f"round {round_index - 1} is not on the ledger ({exc})"
                 ) from exc
         update = self.train(round_index)
-        self.cached_payloads.clear()
+        self.cached_updates.clear()
         arrivals = []
         for slot in self.conf.slots_for_client(round_index, self.uid):
             sliced = model.LocalUpdate(
@@ -352,25 +368,32 @@ class Client:
                 weights=update.weights.slice_layers(slot.layer_range),
                 dataset_size=update.dataset_size,
             )
-            encoded = model.encode_model(sliced)
-            self.cached_payloads[slot.index] = encoded
+            self.cached_updates[slot.index] = sliced
             try:
-                arrivals.append(self._encrypt_and_send(slot.node, slot.eid, round_index, encoded))
+                arrivals.append(self._seal_and_send(slot.node, slot.eid, sliced))
             except transport.DeliveryDropped:
                 pass  # the straggler path re-sends from cache
         return arrivals
 
-    def _encrypt_and_send(self, node: int, eid: int, round_index: int, encoded: bytes) -> float:
+    def _seal_and_send(self, node: int, eid: int, update: model.LocalUpdate) -> float:
+        """Encode the update straight into its frame, seal it there, and send."""
         if eid not in self.ssk_by_enclave:
             self.attest(node, eid)
         ssk = self.ssk_by_enclave[eid]
-        env_m = crypto.ae_encrypt(
-            ssk, crypto.model_aad(self.taskid, round_index, self.uid), encoded, rng=self.rng
+        r = update.round
+        counts = [len(l.values) for l in update.weights.layers]
+        size = model.encoded_update_size(len(self.taskid), counts)
+        payload = pack(
+            transport.MODEL_ENVELOPE, self.taskid, r, self.uid,
+            crypto.Sealing(
+                ssk, crypto.model_aad(self.taskid, r, self.uid), size,
+                functools.partial(model.encode_model, update), self.rng,
+            ),
+            crypto.Sealing(
+                ssk, crypto.msk_aad(self.taskid, r, self.uid), crypto.KEY_BYTES,
+                self.msk.raw, self.rng,
+            ),
         )
-        env_k = crypto.ae_encrypt(
-            ssk, crypto.msk_aad(self.taskid, round_index, self.uid), self.msk.raw, rng=self.rng
-        )
-        payload = pack(transport.MODEL_ENVELOPE, self.taskid, round_index, self.uid, env_m, env_k)
         _, reply, arrival = self.router.call(
             self.party, f"node:{node}", MessageKind.ModelEnvelope, payload
         )
@@ -379,13 +402,13 @@ class Client:
 
     def _resend(self, slot_index: int, round_index: int) -> None:
         """Fresh attestation to the slot's enclave as the latest schedule
-        places it, then re-encrypt the cached slice and re-send."""
-        encoded = self.cached_payloads.get(slot_index)
-        if encoded is None:
+        places it, then re-encode and re-seal the cached slice and re-send."""
+        update = self.cached_updates.get(slot_index)
+        if update is None or update.round != round_index:
             raise RemoteError(f"client {self.uid} has nothing cached for slot {slot_index}")
         slot = self.conf.slots[slot_index]
         self.attest(slot.node, slot.eid)
-        self._encrypt_and_send(slot.node, slot.eid, round_index, encoded)
+        self._seal_and_send(slot.node, slot.eid, update)
 
     def client_get_global(self, round_index: int) -> model.WeightVector:
         """Read the round's chunks, reassemble, decrypt, combine, advance."""

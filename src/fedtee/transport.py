@@ -244,11 +244,17 @@ class Schema:
         return f"Schema{self.fields}"
 
 
-def pack(schema: Schema, *values) -> bytes:
-    """Encode ``values`` field by field as ``schema`` lays them out."""
+def pack(schema: Schema, *values) -> bytes | memoryview:
+    """Encode ``values`` field by field as ``schema`` lays them out.
+
+    An envelope field takes a :class:`crypto.Envelope` or a
+    :class:`crypto.Sealing`. With a sealing, the body is written into one
+    fresh buffer, and each sealing is sealed in place there, in field order;
+    the body is then a read-only view of that buffer."""
     if len(values) != len(schema.fields):
         raise ValueError(f"{schema} takes {len(schema.fields)} values, got {len(values)}")
     parts = []
+    sealing = False
     i = 0
     for code, st, n in schema.steps:
         v = values[i]
@@ -256,7 +262,11 @@ def pack(schema: Schema, *values) -> bytes:
         if code == _FIXED:
             parts.append(st.pack(*values[i - n : i]))
         elif code == ENVELOPE:
-            parts += v.wire_parts()
+            if isinstance(v, crypto.Sealing):
+                parts.append(v)
+                sealing = True
+            else:
+                parts += v.wire_parts()
         elif code == BYTES or code == TEXT:
             v = v.encode() if code == TEXT else v
             parts += (_LEN.pack(len(v)), v)
@@ -267,7 +277,18 @@ def pack(schema: Schema, *values) -> bytes:
                 parts += v
             elif code == U32_ROWS:
                 parts.append(struct.pack(f">{sum(lengths)}I", *itertools.chain.from_iterable(v)))
-    return b"".join(parts)
+    if not sealing:
+        return b"".join(parts)
+    sizes = [p.wire_size if isinstance(p, crypto.Sealing) else len(p) for p in parts]
+    body = crypto.new_buffer(sum(sizes))
+    off = 0
+    for part, size in zip(parts, sizes):
+        if isinstance(part, crypto.Sealing):
+            part.seal_into(body[off : off + size])
+        else:
+            body[off : off + size] = part
+        off += size
+    return body.toreadonly()
 
 
 def unpack(schema: Schema, body: bytes) -> tuple:
@@ -344,6 +365,8 @@ KEY_PURPOSE_ROUND = 2
 KEY_PURPOSE_PARTITION = 3
 PARTITION = Schema(U32S, U32)  # enclave.PartitionConf's fields: layers, chunk capacity
 ROUND_ARM = Schema(BYTES, U64, U32)  # taskid, round, the partition's first chunk index
+# An enclave's output, sealed under the master key, before it is cut into chunks.
+ENCLAVE_OUTPUT = Schema(ENVELOPE)
 
 
 # ---------------------------------------------------------------------------

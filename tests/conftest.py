@@ -1,6 +1,7 @@
 """Shared helpers: directly provisioned enclaves and envelope builders."""
 
 import dataclasses
+import hashlib
 from random import Random
 
 import numpy as np
@@ -43,6 +44,53 @@ def with_envelope_field(env, field, data):
 def tap_bytes(tap):
     """Every frame the tap saw, joined."""
     return b"".join(raw for _, _, raw in tap.frames)
+
+
+_STUB_NONCE = b"\x00" * crypto.NONCE_BYTES
+
+
+def _stub_tag(key, aad, plaintext):
+    return hashlib.sha256(key.raw + bytes(aad) + bytes(plaintext)).digest()[:16]
+
+
+def use_leaky_cipher(monkeypatch):
+    """Swap AES-GCM for a stub that leaves the plaintext in the clear, as the
+    leak detector's self-test needs. Like the real cipher it honours ``out``:
+    it writes the plaintext, then its tag, there."""
+
+    def leaky_encrypt(key, aad, plaintext, rng=None, out=None):
+        sealed = bytes(plaintext) + _stub_tag(key, aad, plaintext)
+        if out is not None:
+            out[:] = sealed
+            sealed = out
+        return crypto.Envelope(_STUB_NONCE, aad, sealed)
+
+    def leaky_decrypt(key, env):
+        if bytes(env.tag) != _stub_tag(key, env.aad, env.ciphertext):
+            raise crypto.AuthFailure("stub cipher tag mismatch")
+        return bytes(env.ciphertext)
+
+    monkeypatch.setattr(crypto, "ae_encrypt", leaky_encrypt)
+    monkeypatch.setattr(crypto, "ae_decrypt", leaky_decrypt)
+
+
+def stub_sealed_model_envelopes(tap):
+    """The number of ModelEnvelope frames the tap saw, each checked to have
+    been sealed by the stub of :func:`use_leaky_cipher`: both envelopes carry
+    its nonce, and the model envelope holds the sender's update in the clear."""
+    seen = 0
+    for _, _, raw in tap.frames:
+        frame = transport.Frame.from_bytes(raw)
+        if frame.kind != transport.MessageKind.ModelEnvelope:
+            continue
+        _, round_index, sender, env_m, env_k = transport.unpack(
+            transport.MODEL_ENVELOPE, frame.payload
+        )
+        assert env_m.nonce == env_k.nonce == _STUB_NONCE
+        update = model.decode_model(env_m.ciphertext)
+        assert (update.client, update.round) == (sender, round_index)
+        seen += 1
+    return seen
 
 
 def ledger_storage(ledger):

@@ -5,7 +5,6 @@ plaintext oracle used throughout is a crypto-free, ledger-free re-execution
 with the same seeds.
 """
 
-import hashlib
 import time
 from random import Random
 
@@ -20,6 +19,8 @@ from conftest import (
     ledger_storage,
     provision_enclave,
     simple_update,
+    stub_sealed_model_envelopes,
+    use_leaky_cipher,
     with_envelope_field,
 )
 from fedtee import crypto, model
@@ -29,6 +30,7 @@ from fedtee.enclave import RoundMismatch, SignedChunk
 from fedtee.harness import (
     PHASE_AGG,
     PHASE_CHAIN,
+    TaskRun,
     oracle_run,
     run_task,
     traffic_fedtee,
@@ -284,20 +286,13 @@ def test_acceptance_06_confidentiality(monkeypatch):
     assert report.verification["confidentiality_key_hits"] == "pass"
 
     # detector self-test: a cipher that embeds the plaintext must be flagged
-    def leaky_encrypt(key, aad, plaintext, rng=None):
-        tag = hashlib.sha256(key.raw + aad + plaintext).digest()[:16]
-        return crypto.Envelope(b"\x00" * 12, aad, plaintext + tag)
-
-    def leaky_decrypt(key, env):
-        tag = hashlib.sha256(key.raw + env.aad + env.ciphertext).digest()[:16]
-        if tag != env.tag:
-            raise crypto.AuthFailure("stub cipher tag mismatch")
-        return bytes(env.ciphertext)
-
-    monkeypatch.setattr(crypto, "ae_encrypt", leaky_encrypt)
-    monkeypatch.setattr(crypto, "ae_decrypt", leaky_decrypt)
-    leaky_report = run_task(cfg)
+    use_leaky_cipher(monkeypatch)
+    leaky_run = TaskRun(cfg)
+    leaky_report = leaky_run.run()
     monkeypatch.undo()
+    conf = leaky_run.committee.conf
+    n_sends = sum(len(conf.subset(r, s.index)) for r in range(cfg.rounds) for s in conf.slots)
+    assert stub_sealed_model_envelopes(leaky_run.tap) == n_sends > 0
     assert leaky_report.verification["confidentiality_sentinel_hits"].startswith("FAIL")
     assert not leaky_report.ok
     _line(6, "zero sentinel/key leaks; leaky-cipher self-test trips detector", t0, 30.0)

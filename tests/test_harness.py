@@ -1,6 +1,5 @@
 """Orchestration: traffic model, phases, verification, faults, CLI."""
 
-import hashlib
 import json
 import random
 
@@ -8,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ledger_storage, tap_bytes
-from fedtee import crypto, model, transport
+from conftest import ledger_storage, stub_sealed_model_envelopes, tap_bytes, use_leaky_cipher
+from fedtee import model, transport
 from fedtee.cli import main as cli_main
 from fedtee.committee import _per_client_bytes
 from fedtee.config import SENTINEL, FaultEvent, MODEL_PRESETS, RunConfig, preset_layer_meta
@@ -192,22 +191,13 @@ def test_sentinel_clean_run_passes_confidentiality():
 
 def test_leaky_stub_cipher_trips_the_detector(monkeypatch):
     """Self-test: a cipher that embeds the plaintext must be caught."""
-
-    def leaky_encrypt(key, aad, plaintext, rng=None):
-        tag = hashlib.sha256(key.raw + aad + plaintext).digest()[:16]
-        return crypto.Envelope(b"\x00" * 12, aad, plaintext + tag)
-
-    def leaky_decrypt(key, env):
-        tag = hashlib.sha256(key.raw + env.aad + env.ciphertext).digest()[:16]
-        if tag != env.tag:
-            raise crypto.AuthFailure("stub cipher tag mismatch")
-        return bytes(env.ciphertext)
-
-    monkeypatch.setattr(crypto, "ae_encrypt", leaky_encrypt)
-    monkeypatch.setattr(crypto, "ae_decrypt", leaky_decrypt)
+    use_leaky_cipher(monkeypatch)
     run = TaskRun(small_config(sentinel=True, taps=True, rounds=1))
     report = run.run()
     assert not report.ok
+    conf = run.committee.conf
+    n_sends = sum(len(conf.subset(0, s.index)) for s in conf.slots)
+    assert stub_sealed_model_envelopes(run.tap) == n_sends > 0
 
     # brute-force recount over the same haystacks the scan reads
     keys = [run.owner.msk.raw, run.committee.vk.secret_scalar_bytes()]
@@ -423,6 +413,30 @@ def test_failover_onto_only_tampered_spares_ends_stalled():
     assert not report.ok
     stalls = [e for e in report.events if "stalled" in e]
     assert stalls == ["round 1: stalled: no spare node for partition 0"]  # logged once
+    # each attestation failure names the round, and whether a spare took the partition
+    assert report.events == [
+        "round 1: node 0 killed (between)",
+        "round 1: node 1 failed attestation, partition 0 replaced",
+        "round 1: node 2 failed attestation, partition 0 not replaced: no spare node",
+        "round 1: stalled: no spare node for partition 0",
+    ]
+
+
+@pytest.mark.parametrize(
+    "kw, reason",
+    [
+        (dict(epc_budget=0), "single-enclave plan needs"),
+        (dict(strategy="clientmax", epc_budget=0), "alone exceeds the enclave budget"),
+        (dict(strategy="clientmax", n_nodes=1, epc_budget=200), "plan needs 12 nodes, 1 alive"),
+    ],
+    ids=["single-capacity", "clientmax-capacity", "insufficient-nodes"],
+)
+def test_infeasible_plan_ends_in_a_setup_failure_report(kw, reason):
+    report = run_task(small_config(**kw))
+    assert not report.ok and not report.stalled
+    assert report.rounds == [] and report.verification == {}
+    assert len(report.events) == 1
+    assert report.events[0].startswith("setup: failed: ") and reason in report.events[0]
 
 
 def _straggler_failure_config():

@@ -213,7 +213,7 @@ def test_truncated_bytes_rejected():
     with pytest.raises(MalformedModel):
         decode_model(blob[:-8])
     with pytest.raises(MalformedModel):
-        decode_model(blob + b"\x00")
+        decode_model(bytes(blob) + b"\x00")
     with pytest.raises(MalformedModel):
         decode_model(blob[: len(blob) // 2])
 

@@ -206,7 +206,7 @@ def test_clients_pull_the_global_only_when_selected():
         start = run.report.round_models[r - 1] if r > 0 else m_init
         for uid in participants:
             assert run.clients[uid].m_glob.bit_equal(start)
-        assert not any(c.cached_payloads for c in run.clients.values())
+        assert not any(c.cached_updates for c in run.clients.values())
     assert len({run.committee.conf.rounds[r].participants for r in range(cfg.rounds)}) > 1
 
 
@@ -296,35 +296,152 @@ def test_node_buffers_expose_only_ciphertext():
         assert SENTINEL not in node.buffer_bytes()
 
 
-def test_node_compute_memory_stays_within_budget(monkeypatch):
-    """One round's enclave batch and upload build each model-sized value once.
-
-    2 clients send one 2**20-element layer (8 MiB). Decoded inputs are views
-    of the decrypted plaintexts, aggregation reuses one scratch array, and the
-    chunks are cut from the sealed output without joining its wire bytes:
-    about 5.3x the model's bytes at peak (two plaintexts, the sum, its
-    encoding and the sealed output). Joining the wire bytes before chunking
-    peaks at 6.0x; copying decoded and sliced layers, as an earlier codec
-    did, peaks above 8x.
-    """
+def _traced_peaks(monkeypatch, cls, name):
+    """The tracemalloc peak of every call of ``cls.name``, appended as it returns."""
     import tracemalloc
 
-    from fedtee.roles import Node
-
     peaks = []
-    compute = Node.compute
+    real = getattr(cls, name)
 
     def traced(self, *args):
         tracemalloc.start()
         try:
-            return compute(self, *args)
+            return real(self, *args)
         finally:
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
 
-    monkeypatch.setattr(Node, "compute", traced)
+    monkeypatch.setattr(cls, name, traced)
+    return peaks
+
+
+def test_node_compute_memory_stays_within_budget(monkeypatch):
+    """One round's enclave batch and upload build each model-sized value once.
+
+    2 clients send one 2**20-element layer (8 MiB). Each plaintext is
+    decrypted into a fresh buffer, decoded inputs are views of it, and the
+    aggregation sums into one array through one scratch array. The output's
+    wire encoding is one buffer with the encoded sum sealed in place, and
+    the chunks are views of it. So the peak is about 4.0x the model's bytes:
+    two plaintexts, the sum and its scratch array, which is freed before the
+    output is written. Encoding the sum and sealing it into separate
+    buffers, as an earlier enclave did, peaks at 5.25x.
+    """
+    from fedtee.roles import Node
+
+    peaks = _traced_peaks(monkeypatch, Node, "compute")
     n = 2**20
     report = run_task(small_config(n_clients=2, n_nodes=1, rounds=1, layers={0: n}))
     assert report.ok
     assert len(peaks) == 1
-    assert peaks[0] < 6 * 8 * n
+    assert peaks[0] < 4.5 * 8 * n
+
+
+def test_client_round_memory_stays_within_budget(monkeypatch):
+    """A client writes its update's encoding once, straight into the frame
+    that carries it, and seals it there: about 2.0x the model's bytes at
+    peak (the trained update and the frame). Encoding, sealing and framing
+    into three buffers, as an earlier client did, peaks at 4.0x."""
+    from fedtee.roles import Client
+
+    peaks = _traced_peaks(monkeypatch, Client, "client_round")
+    n = 2**20
+    report = run_task(small_config(n_clients=2, n_nodes=1, rounds=1, layers={0: n}))
+    assert report.ok
+    assert len(peaks) == 2
+    assert max(peaks) < 2.5 * 8 * n
+
+
+# ---------------------------------------------------------------------------
+# Ledger reads
+# ---------------------------------------------------------------------------
+
+def _count_ledger_reads(monkeypatch):
+    reads = []
+    real = Ledger.read
+
+    def counted(self, taskid, round_index):
+        reads.append(round_index)
+        return real(self, taskid, round_index)
+
+    monkeypatch.setattr(Ledger, "read", counted)
+    return reads
+
+
+def test_readers_of_a_closed_round_share_one_ledger_read(monkeypatch):
+    from fedtee.roles import decode_round_chunks, read_round_chunks
+
+    run = TaskRun(small_config(strategy="layermax", epc_budget=400, tx_capacity=64))
+    run.setup()
+    reads = _count_ledger_reads(monkeypatch)
+    run.run_round(0)  # the owner reads round 0 as it closes
+    taskid, conf = run.cfg.taskid_bytes, run.committee.conf
+    parties = ["owner"] + [c.party for c in run.clients.values()]
+    got = [read_round_chunks(run.router, p, taskid, 0) for p in parties]
+    assert reads == [0]
+    indices, lengths, data = got[0]
+    assert len(indices) == run.committee.chunk_bases[-1] > 1
+    for other in got[1:]:
+        assert other[:2] == (indices, lengths) and bytes(other[2]) == bytes(data)
+    for c in run.clients.values():
+        got_model = decode_round_chunks(conf, c.msk, (indices, lengths, data), 0)
+        assert got_model.bit_equal(run.report.round_models[0])
+
+
+def test_read_of_an_incomplete_round_is_not_kept(monkeypatch):
+    from fedtee.roles import Incomplete, decode_round_chunks, read_round_chunks
+
+    run = TaskRun(small_config(strategy="layermax", epc_budget=400, tx_capacity=64))
+    run.setup()
+    reads = _count_ledger_reads(monkeypatch)
+    taskid, conf = run.cfg.taskid_bytes, run.committee.conf
+    run.committee.open_round(0)
+    for uid in sorted(run.clients):
+        run.clients[uid].client_round(0)
+    first, *rest = conf.slots
+    assert rest
+    run.nodes[first.node].compute(taskid, 0)
+    for _ in range(2):
+        with pytest.raises(Incomplete):
+            read_round_chunks(run.router, "client:0", taskid, 0)
+    for slot in rest:
+        run.nodes[slot.node].compute(taskid, 0)
+    indices, lengths, data = read_round_chunks(run.router, "client:0", taskid, 0)
+    assert reads == [0, 0, 0]
+    assert list(indices) == list(range(run.committee.chunk_bases[-1]))
+    got = decode_round_chunks(conf, run.owner.msk, (indices, lengths, data), 0)
+    assert got.bit_equal(run.owner.get_global_model(conf, 0))
+    assert reads == [0, 0, 0]  # the owner's read was served the kept reply
+
+
+def test_read_of_a_round_without_a_declared_chunk_count_is_not_kept():
+    # With no count declared the ledger serves whatever a round holds so far.
+    from fedtee.roles import read_round_chunks
+
+    run = TaskRun(small_config(strategy="layermax", epc_budget=400, tx_capacity=64))
+    run.setup()
+    taskid, conf = run.cfg.taskid_bytes, run.committee.conf
+    run.committee.open_round(0)
+    for uid in sorted(run.clients):
+        run.clients[uid].client_round(0)
+    first, *rest = conf.slots
+    run.nodes[first.node].compute(taskid, 0)
+    run.ledger.tasks[taskid].expected_chunks = None
+    partial, _, _ = read_round_chunks(run.router, "owner", taskid, 0)
+    for slot in rest:
+        run.nodes[slot.node].compute(taskid, 0)
+    whole, _, _ = read_round_chunks(run.router, "owner", taskid, 0)
+    assert 0 < len(partial) < len(whole) == run.committee.chunk_bases[-1]
+
+
+def test_an_older_round_reads_after_a_newer_one_is_kept():
+    from fedtee.roles import decode_round_chunks, read_round_chunks
+
+    run = TaskRun(small_config(rounds=3))
+    run.setup()
+    for r in range(3):
+        run.run_round(r)  # the owner's read of round 2 is the one kept
+    taskid, conf, msk = run.cfg.taskid_bytes, run.committee.conf, run.owner.msk
+    for r in (0, 2, 1, 2):
+        chunks = read_round_chunks(run.router, "client:1", taskid, r)
+        assert decode_round_chunks(conf, msk, chunks, r).bit_equal(run.report.round_models[r])
