@@ -29,8 +29,8 @@ class RunFailed(Exception):
     """The task cannot go on; the run ends in a failed report."""
 
 
-class NoNodes(Exception):
-    pass
+class NoNodes(RunFailed):
+    """No node is registered, answers the initial ping, or is left alive."""
 
 
 class InsufficientNodes(RunFailed):

@@ -162,14 +162,12 @@ def initial_model(config: RunConfig) -> model.WeightVector:
     digest = hashlib.sha256(struct.pack(">Q", config.seed) + b"m_init").digest()
     rng = np.random.default_rng(int.from_bytes(digest[:8], "big"))
     meta = config.model_meta()
-    layers = []
-    for idx in sorted(meta):
-        if config.int_mode:
-            values = rng.integers(-256, 257, size=meta[idx]) * model.INT_MODE_QUANTUM
-        else:
-            values = rng.uniform(-1.0, 1.0, size=meta[idx])
-        layers.append(model.Layer(idx, values))
-    return model.WeightVector(layers)
+    idxs = sorted(meta)
+    if config.int_mode:
+        values = [rng.integers(-256, 257, size=meta[idx]) * model.INT_MODE_QUANTUM for idx in idxs]
+    else:
+        values = model.uniform_layers(rng, [meta[idx] for idx in idxs], -1.0, 1.0)
+    return model.WeightVector([model.Layer(idx, v) for idx, v in zip(idxs, values)])
 
 
 # Planted in every synthetic local update when leak detection is on: two

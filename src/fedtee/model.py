@@ -10,13 +10,22 @@ kept on a dyadic grid, within 1e-9 relative otherwise).
 Decoded layers are read-only views of the encoded bytes, and sliced layers
 share their arrays with the vector they were sliced from; neither copies a
 weight. Code that needs to write weights works on a fresh array.
+
+The model-sized numeric passes (synthetic draws, scaled sums, divisions) run
+one task per layer, on a thread pool once a model's layers are large enough
+for numpy's released GIL to pay; each task writes only its own layer's
+output, so the bits are those of the layer-by-layer loop.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -263,8 +272,119 @@ def decode_partial(data: bytes) -> PartialAggregate:
 
 
 # ---------------------------------------------------------------------------
+# Per-layer passes
+# ---------------------------------------------------------------------------
+
+# Layers from this many elements up run on the pool, one task per layer.
+PARALLEL_MIN = 2**18
+try:
+    _CPUS = len(os.sched_getaffinity(0))
+except AttributeError:  # no affinity call on this platform
+    _CPUS = os.cpu_count() or 1
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    """A forked child has none of the pool's threads, so it builds its own."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _threaded(sizes: list[int]) -> bool:
+    """Whether layers of these element counts go to the pool."""
+    return _CPUS >= 2 and len(sizes) >= 2 and max(sizes) >= PARALLEL_MIN
+
+
+def _each_layer(fn, outs: list[np.ndarray], *columns) -> None:
+    """``fn(outs[k], *(column[k] for column in columns))`` for every layer k.
+
+    The calls run on the pool when :func:`_threaded` holds, else inline in
+    layer order. Each call writes only into its own ``outs[k]``, which the
+    caller allocated, and may hold one layer-sized scratch array.
+    """
+    global _pool
+    if not _threaded([len(out) for out in outs]):
+        for args in zip(outs, *columns):
+            fn(*args)
+        return
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_CPUS, thread_name_prefix="fedtee-layer")
+    for _ in _pool.map(fn, outs, *columns):  # reads every result, so a task's error raises
+        pass
+
+
+def uniform_layers(rng: np.random.Generator, sizes: list[int], low: float, high: float,
+                   bases: list[np.ndarray] | None = None) -> list[np.ndarray]:
+    """``rng.uniform(low, high, n)`` for each ``n`` of ``sizes`` in order, each
+    plus its ``bases`` layer when given, and ``rng`` left after the last draw.
+
+    On the pool the draws are bit for bit the same: every double takes one
+    step of ``rng``'s PCG64 stream, so layer k draws from a copy advanced
+    past the layers before it, through numpy's own ``uniform`` formula.
+    """
+    bases = repeat(None) if bases is None else bases
+    if not _threaded(sizes):
+        return [_plus(rng.uniform(low, high, n), base) for n, base in zip(sizes, bases)]
+    outs = [np.empty(n) for n in sizes]
+    gens, offset = [], 0
+    for n in sizes:
+        bits = np.random.PCG64()
+        bits.state = rng.bit_generator.state
+        bits.advance(offset)
+        gens.append(np.random.Generator(bits))
+        offset += n
+    rng.bit_generator.advance(offset)
+    _each_layer(_uniform_into, outs, gens, repeat(low), repeat(high - low), bases)
+    return outs
+
+
+def _plus(out: np.ndarray, base: np.ndarray | None) -> np.ndarray:
+    if base is not None:
+        out += base
+    return out
+
+
+def _uniform_into(out: np.ndarray, rng: np.random.Generator, low: float, span: float,
+                  base: np.ndarray | None) -> None:
+    """numpy's ``uniform``, low + span * random(), written into ``out``; then + base."""
+    rng.random(out=out)
+    out *= span
+    out += low
+    _plus(out, base)
+
+
+def _scaled_sum(acc: np.ndarray, terms: list[tuple[int, np.ndarray]], total: int | None) -> None:
+    """acc (zeros) += D * values over ``terms`` in order, through one scratch
+    array, then acc /= ``total`` unless it is None."""
+    tmp = np.empty_like(acc)
+    for d, values in terms:
+        np.multiply(values, d, out=tmp)
+        acc += tmp
+    if total is not None:
+        acc /= total
+
+
+def _divide(out: np.ndarray, acc: np.ndarray, total: int) -> None:
+    np.divide(acc, total, out=out)
+
+
+# ---------------------------------------------------------------------------
 # Aggregation
 # ---------------------------------------------------------------------------
+
+def _sums(structure, terms: list[list[tuple[int, np.ndarray]]], total: int | None) -> WeightVector:
+    """One scaled sum per layer of ``structure`` over that layer's ``terms``,
+    each divided by ``total`` unless it is None."""
+    outs = [np.zeros(count) for _, count in structure]
+    _each_layer(_scaled_sum, outs, terms, repeat(total))
+    return WeightVector([Layer(idx, acc) for (idx, _), acc in zip(structure, outs)])
+
 
 def fedavg(updates: list[LocalUpdate]) -> WeightVector:
     """Dataset-size-weighted average, summed in ascending client-id order."""
@@ -277,23 +397,11 @@ def fedavg(updates: list[LocalUpdate]) -> WeightVector:
             raise ShapeMismatch(
                 f"client {u.client} has structure {u.weights.structure()}, expected {structure}"
             )
-    total = sum(u.dataset_size for u in ordered)
-    out = []
-    for pos, (idx, count) in enumerate(structure):
-        acc = _scaled_sum([(u.dataset_size, u.weights.layers[pos].values) for u in ordered], count)
-        acc /= total
-        out.append(Layer(idx, acc))
-    return WeightVector(out)
-
-
-def _scaled_sum(terms: list[tuple[int, np.ndarray]], count: int) -> np.ndarray:
-    """sum(D * values) over ``terms`` in order, from 0.0, through one scratch array."""
-    acc = np.zeros(count, dtype=np.float64)
-    tmp = np.empty(count, dtype=np.float64)
-    for d, values in terms:
-        np.multiply(values, d, out=tmp)
-        acc += tmp
-    return acc
+    terms = [
+        [(u.dataset_size, u.weights.layers[pos].values) for u in ordered]
+        for pos in range(len(structure))
+    ]
+    return _sums(structure, terms, sum(u.dataset_size for u in ordered))
 
 
 def partial_aggregate(updates: list[LocalUpdate], layer_range: tuple[int, ...]) -> PartialAggregate:
@@ -307,12 +415,12 @@ def partial_aggregate(updates: list[LocalUpdate], layer_range: tuple[int, ...]) 
     for u, s in zip(ordered[1:], sliced[1:]):
         if s.structure() != structure:
             raise ShapeMismatch(f"client {u.client} disagrees on sliced structure")
-    out = []
-    for pos, (idx, count) in enumerate(structure):
-        terms = [(u.dataset_size, s.layers[pos].values) for u, s in zip(ordered, sliced)]
-        out.append(Layer(idx, _scaled_sum(terms, count)))
+    terms = [
+        [(u.dataset_size, s.layers[pos].values) for u, s in zip(ordered, sliced)]
+        for pos in range(len(structure))
+    ]
     return PartialAggregate(
-        scaled_sum=WeightVector(out),
+        scaled_sum=_sums(structure, terms, None),
         weight_sum=sum(u.dataset_size for u in ordered),
         layer_range=wanted,
         client_set=tuple(u.client for u in ordered),
@@ -355,9 +463,11 @@ def combine_partials(parts: list[PartialAggregate]) -> WeightVector:
     if len(set(weights.values())) != 1:
         raise CoverageGap(f"per-layer weight sums disagree: {weights}")
     total = next(iter(weights.values()))
-    return WeightVector(
-        [Layer(idx, per_layer[idx]["acc"] / total) for idx in sorted(per_layer)]
-    )
+    idxs = sorted(per_layer)
+    accs = [per_layer[idx]["acc"] for idx in idxs]
+    outs = [np.empty(len(acc)) for acc in accs]
+    _each_layer(_divide, outs, accs, repeat(total))
+    return WeightVector([Layer(idx, out) for idx, out in zip(idxs, outs)])
 
 
 # ---------------------------------------------------------------------------
@@ -391,15 +501,24 @@ def synth_local_update(
     sums remain exact in 64-bit floats regardless of summation order.
     """
     rng = _derive_rng(seed, client, round_index)
-    layers = []
-    for l in global_model.layers:
-        if int_mode:
-            base = np.round(l.values / INT_MODE_QUANTUM) * INT_MODE_QUANTUM
-            steps = int(max(1, round(perturb / INT_MODE_QUANTUM)))
-            delta = rng.integers(-steps, steps + 1, size=len(l.values)) * INT_MODE_QUANTUM
-        else:
-            base = l.values
-            delta = rng.uniform(-perturb, perturb, size=len(l.values))
-        layers.append(Layer(l.index, np.add(base, delta, out=delta)))
+    sizes = [len(l.values) for l in global_model.layers]
+    if not int_mode and _threaded(sizes):
+        bases = [l.values for l in global_model.layers]
+        outs = uniform_layers(rng, sizes, -perturb, perturb, bases)
+        layers = [Layer(l.index, out) for l, out in zip(global_model.layers, outs)]
+    else:
+        # Layer by layer: a small model costs no pool set-up, and int mode's
+        # bounded integers take a varying number of steps, so its stream
+        # cannot be split by layer.
+        layers = []
+        for l in global_model.layers:
+            if int_mode:
+                base = np.round(l.values / INT_MODE_QUANTUM) * INT_MODE_QUANTUM
+                steps = int(max(1, round(perturb / INT_MODE_QUANTUM)))
+                delta = rng.integers(-steps, steps + 1, size=len(l.values)) * INT_MODE_QUANTUM
+            else:
+                base = l.values
+                delta = rng.uniform(-perturb, perturb, size=len(l.values))
+            layers.append(Layer(l.index, np.add(base, delta, out=delta)))
     dataset_size = int(rng.integers(1, 1001))
     return LocalUpdate(taskid, client, round_index, WeightVector(layers), dataset_size)

@@ -439,6 +439,15 @@ def test_infeasible_plan_ends_in_a_setup_failure_report(kw, reason):
     assert report.events[0].startswith("setup: failed: ") and reason in report.events[0]
 
 
+def test_no_node_answering_the_ping_ends_in_a_setup_failure_report():
+    report = run_task(small_config(n_clients=4, n_nodes=1, rounds=1, faults=[
+        FaultEvent(kind="drop", message_kind="Ping", dest="node:0"),
+    ]))
+    assert not report.ok and not report.stalled
+    assert report.rounds == [] and report.verification == {}
+    assert report.events == ["setup: failed: no node answered the initial ping"]
+
+
 def _straggler_failure_config():
     return RunConfig(
         n_clients=6, n_nodes=6, rounds=2, strategy="clientmax", straggler_max_retries=0,

@@ -1,5 +1,8 @@
 """Weight math: encoding, weighted averaging, and partial-sum combination."""
 
+import hashlib
+import os
+import signal
 import struct
 from fractions import Fraction
 
@@ -448,3 +451,152 @@ def test_synth_int_mode_stays_on_grid():
     for layer in u.weights.layers:
         scaled = layer.values * 256.0
         assert np.all(scaled == np.round(scaled))
+
+
+# ---------------------------------------------------------------------------
+# Per-layer passes: the pool and the inline loop give the same bits
+# ---------------------------------------------------------------------------
+
+def _through_pool(monkeypatch):
+    """Every model with 2 layers goes through the pool, even on one CPU."""
+    monkeypatch.setattr(model, "PARALLEL_MIN", 1)
+    monkeypatch.setattr(model, "_CPUS", max(model._CPUS, 2))
+
+
+def _pooled_and_inline(monkeypatch, fn):
+    """``fn()`` with every layer on the pool, then with every layer inline."""
+    _through_pool(monkeypatch)
+    pooled = fn()
+    monkeypatch.setattr(model, "PARALLEL_MIN", 2**62)
+    return pooled, fn()
+
+
+def _three_layers(sizes=(5, 1000, 37)):
+    rng = np.random.default_rng(11)
+    return WeightVector([Layer(i, rng.uniform(-1, 1, n)) for i, n in enumerate(sizes)])
+
+
+@pytest.mark.parametrize("sentinel", [False, True], ids=["plain", "sentinel"])
+def test_synth_float_same_bits_on_pool_and_inline(monkeypatch, sentinel):
+    from fedtee.config import plant_sentinel
+
+    def synth():
+        u = synth_local_update(_three_layers(), 4, 2, 42, taskid=TASK)
+        if sentinel:
+            plant_sentinel(u.weights)
+        return u
+
+    pooled, inline = _pooled_and_inline(monkeypatch, synth)
+    assert pooled.weights.bit_equal(inline.weights)
+    assert pooled.dataset_size == inline.dataset_size
+
+
+def test_initial_model_same_bits_on_pool_and_inline(monkeypatch):
+    from fedtee.config import RunConfig, initial_model
+
+    cfg = RunConfig(layers={0: 5, 1: 1000, 3: 37}, seed=8)
+    pooled, inline = _pooled_and_inline(monkeypatch, lambda: initial_model(cfg))
+    assert pooled.bit_equal(inline)
+
+
+def test_aggregation_same_bits_on_pool_and_inline(monkeypatch):
+    updates = [synth_local_update(_three_layers(), c, 0, 3, taskid=TASK) for c in range(5)]
+
+    def aggregate():
+        parts = [partial_aggregate(updates[:2], (0, 1, 2)), partial_aggregate(updates[2:], (0, 1, 2))]
+        return fedavg(updates), parts, combine_partials(parts)
+
+    (avg_p, parts_p, comb_p), (avg_i, parts_i, comb_i) = _pooled_and_inline(monkeypatch, aggregate)
+    assert avg_p.bit_equal(avg_i)
+    assert all(p.scaled_sum.bit_equal(i.scaled_sum) for p, i in zip(parts_p, parts_i))
+    assert comb_p.bit_equal(comb_i)
+
+
+def test_large_layers_match_layer_by_layer_uniform(monkeypatch):
+    """At the default threshold, 3 layers of >= 2**18 elements go through the
+    pool and still draw what layer-by-layer ``rng.uniform`` draws."""
+    from fedtee.config import RunConfig, initial_model
+
+    monkeypatch.setattr(model, "_CPUS", max(model._CPUS, 2))
+    sizes = (2**18, 2**18 + 3, 2**18 + 1)
+    cfg = RunConfig(layers=dict(enumerate(sizes)), seed=6)
+    digest = hashlib.sha256(struct.pack(">Q", cfg.seed) + b"m_init").digest()
+    rng = np.random.default_rng(int.from_bytes(digest[:8], "big"))
+    want_init = [rng.uniform(-1.0, 1.0, size=n) for n in sizes]
+    got_init = initial_model(cfg)
+    assert all(np.array_equal(w, g.values) for w, g in zip(want_init, got_init.layers))
+
+    rng = model._derive_rng(3, 7, 1)
+    want = [np.add(base, rng.uniform(-0.05, 0.05, size=len(base))) for base in want_init]
+    want_size = int(rng.integers(1, 1001))
+    got = synth_local_update(got_init, 7, 1, 3, taskid=TASK)
+    assert WeightVector([Layer(i, w) for i, w in enumerate(want)]).bit_equal(got.weights)
+    assert got.dataset_size == want_size
+
+
+def test_int_mode_synth_is_drawn_in_layer_order(monkeypatch):
+    g = _three_layers()
+    rng = model._derive_rng(42, 4, 2)
+    want = []
+    for l in g.layers:
+        base = np.round(l.values / model.INT_MODE_QUANTUM) * model.INT_MODE_QUANTUM
+        want.append(base + rng.integers(-13, 14, size=len(l.values)) * model.INT_MODE_QUANTUM)
+    want_size = int(rng.integers(1, 1001))
+    for u in _pooled_and_inline(
+        monkeypatch, lambda: synth_local_update(g, 4, 2, 42, taskid=TASK, int_mode=True)
+    ):
+        assert u.weights.bit_equal(WeightVector([Layer(i, w) for i, w in enumerate(want)]))
+        assert u.dataset_size == want_size
+
+
+def test_inline_path_makes_no_pool_call(monkeypatch):
+    class NoPool:
+        def map(self, *args):
+            raise AssertionError("inline path used the pool")
+
+    monkeypatch.setattr(model, "_pool", NoPool())
+    g = WeightVector([Layer(0, np.zeros(2**18)), Layer(1, np.zeros(2**18))])
+    monkeypatch.setattr(model, "_CPUS", 1)
+    fedavg([synth_local_update(g, c, 0, 1, taskid=TASK) for c in range(2)])
+    monkeypatch.setattr(model, "_CPUS", 2)
+    small = _three_layers()
+    fedavg([synth_local_update(small, c, 0, 1, taskid=TASK) for c in range(2)])
+
+
+def test_fedavg_memory_is_outputs_plus_one_scratch_layer_per_worker():
+    import tracemalloc
+
+    n, layers = 2**18, 8
+    g = WeightVector([Layer(i, np.zeros(n)) for i in range(layers)])
+    updates = [synth_local_update(g, c, 0, 1, taskid=TASK) for c in range(4)]
+    tracemalloc.start()
+    try:
+        out = fedavg(updates)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.structure() == g.structure()
+    outputs = layers * 8 * n
+    assert peak <= outputs + min(model._CPUS, layers) * 8 * n + 64 * 1024
+
+
+@pytest.mark.parametrize("name", ["single-float", "clientmax-float", "layermax-float"])
+def test_golden_reports_through_the_pool(monkeypatch, name):
+    from fedtee.harness import run_task
+    from test_golden import CONFIGS, GOLDEN, _config
+
+    _through_pool(monkeypatch)
+    assert run_task(_config(**CONFIGS[name])).digest() == GOLDEN[name]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_forked_child_builds_its_own_pool(monkeypatch):
+    _through_pool(monkeypatch)
+    updates = [synth_local_update(_three_layers(), c, 0, 3, taskid=TASK) for c in range(3)]
+    want = fedavg(updates)  # the parent's pool exists from here on
+    pid = os.fork()
+    if pid == 0:  # a child that waited on the parent's threads would hang until the alarm
+        signal.alarm(10)
+        os._exit(0 if fedavg(updates).bit_equal(want) else 1)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
