@@ -328,9 +328,11 @@ def uniform_layers(rng: np.random.Generator, sizes: list[int], low: float, high:
     step of ``rng``'s PCG64 stream, so layer k draws from a copy advanced
     past the layers before it, through numpy's own ``uniform`` formula.
     """
-    bases = repeat(None) if bases is None else bases
     if not _threaded(sizes):
-        return [_plus(rng.uniform(low, high, n), base) for n, base in zip(sizes, bases)]
+        outs = [rng.uniform(low, high, n) for n in sizes]
+        for out, base in zip(outs, bases or ()):
+            out += base
+        return outs
     outs = [np.empty(n) for n in sizes]
     gens, offset = [], 0
     for n in sizes:
@@ -340,7 +342,8 @@ def uniform_layers(rng: np.random.Generator, sizes: list[int], low: float, high:
         gens.append(np.random.Generator(bits))
         offset += n
     rng.bit_generator.advance(offset)
-    _each_layer(_uniform_into, outs, gens, repeat(low), repeat(high - low), bases)
+    _each_layer(_uniform_into, outs, gens, repeat(low), repeat(high - low),
+                repeat(None) if bases is None else bases)
     return outs
 
 
@@ -501,24 +504,18 @@ def synth_local_update(
     sums remain exact in 64-bit floats regardless of summation order.
     """
     rng = _derive_rng(seed, client, round_index)
-    sizes = [len(l.values) for l in global_model.layers]
-    if not int_mode and _threaded(sizes):
-        bases = [l.values for l in global_model.layers]
-        outs = uniform_layers(rng, sizes, -perturb, perturb, bases)
-        layers = [Layer(l.index, out) for l, out in zip(global_model.layers, outs)]
-    else:
-        # Layer by layer: a small model costs no pool set-up, and int mode's
-        # bounded integers take a varying number of steps, so its stream
-        # cannot be split by layer.
+    if int_mode:
+        # Layer by layer: bounded integers take a varying number of steps,
+        # so this stream cannot be split by layer.
+        steps = int(max(1, round(perturb / INT_MODE_QUANTUM)))
         layers = []
         for l in global_model.layers:
-            if int_mode:
-                base = np.round(l.values / INT_MODE_QUANTUM) * INT_MODE_QUANTUM
-                steps = int(max(1, round(perturb / INT_MODE_QUANTUM)))
-                delta = rng.integers(-steps, steps + 1, size=len(l.values)) * INT_MODE_QUANTUM
-            else:
-                base = l.values
-                delta = rng.uniform(-perturb, perturb, size=len(l.values))
+            base = np.round(l.values / INT_MODE_QUANTUM) * INT_MODE_QUANTUM
+            delta = rng.integers(-steps, steps + 1, size=len(l.values)) * INT_MODE_QUANTUM
             layers.append(Layer(l.index, np.add(base, delta, out=delta)))
+    else:
+        outs = uniform_layers(rng, [len(l.values) for l in global_model.layers],
+                              -perturb, perturb, [l.values for l in global_model.layers])
+        layers = [Layer(l.index, out) for l, out in zip(global_model.layers, outs)]
     dataset_size = int(rng.integers(1, 1001))
     return LocalUpdate(taskid, client, round_index, WeightVector(layers), dataset_size)

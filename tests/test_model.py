@@ -512,13 +512,15 @@ def test_aggregation_same_bits_on_pool_and_inline(monkeypatch):
     assert comb_p.bit_equal(comb_i)
 
 
-def test_large_layers_match_layer_by_layer_uniform(monkeypatch):
-    """At the default threshold, 3 layers of >= 2**18 elements go through the
-    pool and still draw what layer-by-layer ``rng.uniform`` draws."""
+@pytest.mark.parametrize("sizes", [(5, 1000, 37), (2**18, 2**18 + 3, 2**18 + 1)],
+                         ids=["inline", "pool"])
+def test_large_layers_match_layer_by_layer_uniform(monkeypatch, sizes):
+    """At the default threshold, small layers stay inline and 3 layers of
+    >= 2**18 elements go through the pool; both draw what layer-by-layer
+    ``rng.uniform`` draws."""
     from fedtee.config import RunConfig, initial_model
 
     monkeypatch.setattr(model, "_CPUS", max(model._CPUS, 2))
-    sizes = (2**18, 2**18 + 3, 2**18 + 1)
     cfg = RunConfig(layers=dict(enumerate(sizes)), seed=6)
     digest = hashlib.sha256(struct.pack(">Q", cfg.seed) + b"m_init").digest()
     rng = np.random.default_rng(int.from_bytes(digest[:8], "big"))
@@ -597,6 +599,10 @@ def test_forked_child_builds_its_own_pool(monkeypatch):
     pid = os.fork()
     if pid == 0:  # a child that waited on the parent's threads would hang until the alarm
         signal.alarm(10)
-        os._exit(0 if fedavg(updates).bit_equal(want) else 1)
+        ok = False
+        try:  # an error must end the child here, not hand it back to the test runner
+            ok = fedavg(updates).bit_equal(want)
+        finally:
+            os._exit(0 if ok else 1)
     _, status = os.waitpid(pid, 0)
     assert os.waitstatus_to_exitcode(status) == 0
