@@ -364,14 +364,12 @@ class Committee:
         unpack(transport.SUBMIT_TASK, payload)
         return transport.ok()
 
-    def setup(self, nodes: list[int], responding: set[int] | None = None) -> list[int]:
+    def setup(self, nodes: list[int]) -> list[int]:
         """Register nodes and keep the ones answering the initial ping."""
         if not nodes:
             raise NoNodes("no nodes registered")
-        if responding is None and self.router is not None:
-            responding = {n for n in nodes if self._answers_ping(n)}
         self.registered = sorted(nodes)
-        self.alive = sorted(n for n in nodes if responding is None or n in responding)
+        self.alive = sorted(n for n in nodes if self.router is None or self._answers_ping(n))
         if not self.alive:
             raise NoNodes("no node answered the initial ping")
         for n in self.alive:
@@ -477,6 +475,7 @@ class Committee:
 
     def deliver_conf(self) -> None:
         body = self.conf.to_bytes()
+        holders = {slot.node for slot in self.conf.slots}
         for uid in self.spec.clients:
             self.router.call(PARTY, f"client:{uid}", MessageKind.ConfDeliver, body)
         for node in self.registered:
@@ -484,7 +483,8 @@ class Committee:
                 try:
                     self.router.call(PARTY, f"node:{node}", MessageKind.ConfDeliver, body)
                 except transport.DeliveryDropped:
-                    pass
+                    if node in holders:  # only a spare may miss the schedule
+                        raise
 
     # -- rounds ----------------------------------------------------------------------
 
@@ -526,9 +526,8 @@ class Committee:
                 self.monitor.beat(*unpack(transport.HEARTBEAT, payload))
 
     def cut_off(self, node: int) -> None:
-        """Stop contacting ``node``, which is off the network from now on."""
+        """Stop contacting ``node``."""
         self.gone.add(node)
-        self.router.set_unreachable(f"node:{node}")
 
     def monitor_tick(self, now: float) -> list[FailoverAction]:
         """Detect deaths and plan partition migration to spare nodes.

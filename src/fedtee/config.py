@@ -68,8 +68,9 @@ class FaultEvent:
     dest: str | None = None
     count: int = 1
 
-    def check(self, n_nodes: int, rounds: int) -> None:
-        """Reject a fault naming a kind, node, round, phase or message the run lacks."""
+    def check(self, n_clients: int, n_nodes: int, rounds: int) -> None:
+        """Reject a fault naming a kind, node, round, phase, message or party
+        the run lacks, and a drop of no frames."""
         _require(self.kind in FAULT_KINDS, f"unknown fault kind {self.kind!r}")
         if self.kind in ("kill_node", "tamper_chunk"):
             _require(self.round in range(rounds), f"{self.kind}: no round {self.round!r}")
@@ -80,6 +81,12 @@ class FaultEvent:
         if self.kind == "drop":
             kinds = (None, *MessageKind.__members__)
             _require(self.message_kind in kinds, f"unknown message kind {self.message_kind!r}")
+            _require(self.count >= 1, f"drop: count {self.count!r} drops no frame")
+            parties = {"owner", "committee", "ledger"}
+            parties.update(f"client:{i}" for i in range(n_clients))
+            parties.update(f"node:{j}" for j in range(n_nodes))
+            for end in (self.src, self.dest):
+                _require(end is None or end in parties, f"drop: no party {end!r}")
 
 
 @dataclass
@@ -123,7 +130,7 @@ class RunConfig:
         _require(self.straggler_max_retries >= 0, "straggler_max_retries must be >= 0")
         _require(bandwidth is None or bandwidth > 0, "bandwidth_bytes_per_ms must be > 0")
         for ev in self.faults:
-            ev.check(self.n_nodes, self.rounds)
+            ev.check(self.n_clients, self.n_nodes, self.rounds)
 
     @property
     def taskid_bytes(self) -> bytes:

@@ -257,15 +257,15 @@ def count_needles(chunks, needles) -> dict[bytes, int]:
 class TaskRun:
     """Wires one task end to end over the in-process transport.
 
-    The committee party sends its own frames; this class injects the faults,
-    keeps the virtual clock, drives the rounds, and checks the result against
-    the oracle.
+    The committee party sends its own frames; this class builds the fault
+    plan, keeps the virtual clock, drives the rounds, and checks the result
+    against the oracle.
     """
 
     def __init__(self, config: RunConfig):
         self.cfg = config
         self.clock = VirtualClock()
-        self.router = Router(self.clock)
+        self.router = Router(self.clock, transport.FaultPlan(config.faults))
         self.ledger = Ledger("committee", CHAIN_PRESETS[config.chain])
         self.ledger_party = LedgerParty(self.ledger, self.router)
         self.committee = Committee(
@@ -292,22 +292,6 @@ class TaskRun:
         self.tap = self.router.add_tap() if (config.taps or config.sentinel) else None
         # the committee logs into the report's event list as it acts
         self.report = RunReport(config_json=config.to_json(), events=self.committee.events)
-        self._kills = {}
-        for ev in config.faults:
-            if ev.kind == "kill_node":
-                self._kills.setdefault((ev.round, ev.phase), []).append(ev.node)
-            elif ev.kind == "drop":
-                self.router.fault_rules.append(
-                    transport.FaultRule(
-                        kind=MessageKind[ev.message_kind] if ev.message_kind else None,
-                        src=ev.src,
-                        dest=ev.dest,
-                        count=ev.count,
-                    )
-                )
-            elif ev.kind == "tamper_install":
-                self.nodes[ev.node].tamper_install = True
-        self.tamper_rounds = {ev.round for ev in config.faults if ev.kind == "tamper_chunk"}
 
     # -- setup ---------------------------------------------------------------
 
@@ -335,8 +319,8 @@ class TaskRun:
 
     # -- failure machinery -----------------------------------------------------
 
-    def _apply_kills(self, round_index: int, phase: str) -> bool:
-        victims = self._kills.get((round_index, phase), [])
+    def _kill_nodes(self, round_index: int, phase: str) -> bool:
+        victims = self.router.faults.kills(round_index, phase)
         for node_id in victims:
             self.committee.cut_off(node_id)
             self.report.events.append(f"round {round_index}: node {node_id} killed ({phase})")
@@ -412,7 +396,7 @@ class TaskRun:
         cfg, conf = self.cfg, self.committee.conf
         self._failover_phases = {"Re-schedule": 0.0, "Connect": 0.0}
 
-        self._apply_kills(round_index, "between")
+        self._kill_nodes(round_index, "between")
         self._detect_and_failover(round_index, resend=False)
         self.committee.open_round(round_index)
 
@@ -422,7 +406,7 @@ class TaskRun:
             arrivals.extend(self.clients[uid].client_round(round_index))
         send_phase = max(arrivals, default=round_start) - round_start
 
-        if self._apply_kills(round_index, "collect"):
+        if self._kill_nodes(round_index, "collect"):
             self._detect_and_failover(round_index, resend=True)
 
         self._resolve_stragglers(round_index)
@@ -431,10 +415,7 @@ class TaskRun:
         accepted = rejected = 0
         upload_payload_bytes = 0
         for slot in conf.slots:
-            node = self.nodes[slot.node]
-            if round_index in self.tamper_rounds:
-                node.tamper_next = True
-            result = node.compute(cfg.taskid_bytes, round_index)
+            result = self.nodes[slot.node].compute(cfg.taskid_bytes, round_index)
             compute_ms.append(
                 (
                     result["plain_input_bytes"] * PROC_NS_PER_BYTE
@@ -532,22 +513,25 @@ class TaskRun:
         self.report.ok = all(v == "pass" for v in checks.values()) and not self.report.stalled
 
     def run(self) -> RunReport:
-        """Set up, run every round, and verify; a run that cannot go on ends
-        with its reason as the last event, and is not verified."""
-        failed = False
+        """Set up, run every round, and verify; a run that cannot go on, or
+        loses a frame it cannot do without, ends with its reason as the last
+        event, and is not verified."""
+        reason = None
         stage = "setup"
         try:
             self.setup()
             for r in range(self.cfg.rounds):
                 stage = f"round {r}"
                 self.run_round(r)
+        except transport.DeliveryDropped as exc:
+            reason = f"failed: dropped {exc}"
         except RunFailed as exc:
-            failed = True
-            outcome = "stalled" if self.committee.stalled else "failed"
-            self.report.events.append(f"{stage}: {outcome}: {exc}")
+            reason = f"{'stalled' if self.committee.stalled else 'failed'}: {exc}"
+        if reason is not None:
+            self.report.events.append(f"{stage}: {reason}")
         self.report.stalled = self.committee.stalled
         self.report.traffic_bytes_by_kind = dict(self.router.bytes_by_kind)
-        if not failed:
+        if reason is None:
             self.report.final_model_digest = self.report.round_model_digests[-1]
             self.verify()
         return self.report

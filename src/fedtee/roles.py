@@ -15,7 +15,7 @@ import itertools
 from random import Random
 
 from . import crypto, model, transport
-from .committee import Conf, Slot, derive_seed
+from .committee import Conf, RunFailed, Slot, derive_seed
 from .config import plant_sentinel
 from .crypto import AuthFailure, Envelope, SymKey
 from .enclave import EnclaveProgram, SgxHost, SignedChunk, attest
@@ -23,7 +23,7 @@ from .ledger import Ledger, LedgerIncomplete, LedgerNotFound
 from .transport import MessageKind, RemoteError, Router, check_reply, err, ok, pack, unpack
 
 
-class DeliveryFailure(Exception):
+class DeliveryFailure(RunFailed):
     """A client could not be reached during key distribution."""
 
 
@@ -50,8 +50,6 @@ class Node:
         # (taskid, round) -> sender -> (env_m, env_k); ciphertext only
         self.pending: dict[tuple[bytes, int], dict[int, tuple[Envelope, Envelope]]] = {}
         self.confs: dict[bytes, Conf] = {}  # taskid -> the committee's schedule
-        self.tamper_next = False  # fault injection: forge one chunk before uploading
-        self.tamper_install = False  # fault injection: install altered program code
         router.register(self.party, handler=self.handle)
 
     def handle(self, src: str, kind: MessageKind, payload: bytes):
@@ -82,7 +80,7 @@ class Node:
         taskid, code_id, hook, epc_budget, paging, rng_seed = unpack(
             transport.INSTALL_PROG, payload
         )
-        if self.tamper_install:
+        if self.router.faults.bad_install(self.node_id):
             code_id += b"\xee"  # a corrupt node loads something else
         program = EnclaveProgram(code_id, hook)
         eid = self.host.install(taskid, program, epc_budget, bool(paging), rng_seed)
@@ -148,12 +146,11 @@ class Node:
             outcome, rnd, index, reason = unpack(transport.RECEIPT, reply)
             receipts.append(dict(outcome=outcome, round=rnd, index=index, reason=reason or None))
 
-        if self.tamper_next and output.chunks:
-            first = output.chunks[0]
+        if self.router.faults.forges(round_index) and output.chunks:
+            first = output.chunks[0]  # a corrupt node uploads a forged copy first
             mutated = bytearray(first.payload)
             mutated[0] ^= 0x01
             upload(first, bytes(mutated))
-            self.tamper_next = False
         for chunk in output.chunks:
             upload(chunk, chunk.payload)
             uploaded += len(chunk.payload)

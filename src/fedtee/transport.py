@@ -23,7 +23,7 @@ class UnknownParty(Exception):
 
 
 class DeliveryDropped(Exception):
-    """A fault-injection rule consumed the frame; no reply will come."""
+    """The fault plan refused the frame; no reply will come."""
 
 
 class MessageKind(IntEnum):
@@ -67,25 +67,49 @@ class Frame:
         return cls(MessageKind(tag), payload)
 
 
-@dataclass
-class FaultRule:
-    """Drop matching frames ``count`` times, then lie dormant."""
+class FaultPlan:
+    """A run's fault schedule, built once from its ``FaultEvent`` list; each
+    seam asks it one question. Drop counts are the plan's own, so the events
+    are never used up."""
 
-    kind: MessageKind | None = None
-    src: str | None = None
-    dest: str | None = None
-    count: int = 1
+    def __init__(self, events=()) -> None:
+        self._drops = []  # [kind or None, src or None, dest or None, frames left]
+        self._killed_at: dict[tuple[int, str], list[int]] = {}
+        self._down: set[str] = set()  # the parties of killed nodes
+        self._bad_installs: set[int] = set()
+        self._forged_rounds: set[int] = set()
+        for ev in events:
+            if ev.kind == "drop":
+                kind = MessageKind[ev.message_kind] if ev.message_kind else None
+                self._drops.append([kind, ev.src, ev.dest, ev.count])
+            elif ev.kind == "kill_node":
+                self._killed_at.setdefault((ev.round, ev.phase), []).append(ev.node)
+            elif ev.kind == "tamper_install":
+                self._bad_installs.add(ev.node)
+            elif ev.kind == "tamper_chunk":
+                self._forged_rounds.add(ev.round)
 
-    def matches(self, kind: MessageKind, src: str, dest: str) -> bool:
-        if self.count <= 0:
-            return False
-        if self.kind is not None and kind != self.kind:
-            return False
-        if self.src is not None and src != self.src:
-            return False
-        if self.dest is not None and dest != self.dest:
-            return False
-        return True
+    def check(self, kind: MessageKind, src: str, dest: str) -> None:
+        """Raise DeliveryDropped if a drop rule with frames left matches,
+        using one of them up, or if ``dest`` is a killed node's party."""
+        for rule in self._drops:
+            if rule[3] and all(want in (None, got) for want, got in zip(rule, (kind, src, dest))):
+                rule[3] -= 1
+                raise DeliveryDropped(f"{kind.name} {src}->{dest}")
+        if dest in self._down:
+            raise DeliveryDropped(f"party {dest} unreachable")
+
+    def kills(self, round_index: int, phase: str) -> list[int]:
+        """The nodes killed at this point; their parties refuse frames from now on."""
+        victims = self._killed_at.get((round_index, phase), [])
+        self._down.update(f"node:{n}" for n in victims)
+        return victims
+
+    def bad_install(self, node: int) -> bool:
+        return node in self._bad_installs
+
+    def forges(self, round_index: int) -> bool:
+        return round_index in self._forged_rounds
 
 
 @dataclass
@@ -109,13 +133,12 @@ class Router:
     All frames, both directions, pass through the taps.
     """
 
-    def __init__(self, clock=None) -> None:
+    def __init__(self, clock=None, faults: FaultPlan | None = None) -> None:
         self.clock = clock
+        self.faults = faults if faults is not None else FaultPlan()
         self._mailboxes: dict[str, deque] = {}
         self._handlers: dict[str, object] = {}
-        self._unreachable: set[str] = set()
         self.taps: list[Tap] = []
-        self.fault_rules: list[FaultRule] = []
         self._bytes_per_ms: dict[tuple[str, str], float] = {}  # unshaped if absent
         self._channel_free_at: dict[tuple[str, str], float] = {}
         self.bytes_by_kind: dict[str, int] = {}
@@ -126,13 +149,6 @@ class Router:
         self._mailboxes[party] = deque()
         if handler is not None:
             self._handlers[party] = handler
-        self._unreachable.discard(party)
-
-    def set_unreachable(self, party: str, value: bool = True) -> None:
-        if value:
-            self._unreachable.add(party)
-        else:
-            self._unreachable.discard(party)
 
     def add_tap(self, src: str | None = None, dest: str | None = None) -> Tap:
         tap = Tap(src=src, dest=dest)
@@ -151,7 +167,7 @@ class Router:
             raise UnknownParty(dest)
 
     def _pass_frame(self, src: str, dest: str, kind: MessageKind, payload: bytes) -> float:
-        """Tap, apply fault rules, and return the (virtual) arrival time.
+        """Count, tap and check the frame with the fault plan; return its (virtual) arrival time.
 
         The frame's bytes are built only for a tap; counting needs its size."""
         size = _FRAME_HEADER.size + len(payload)
@@ -160,12 +176,7 @@ class Router:
             raw = Frame(kind, payload).to_bytes()
             for tap in self.taps:
                 tap.observe(src, dest, raw)
-        for rule in self.fault_rules:
-            if rule.matches(kind, src, dest):
-                rule.count -= 1
-                raise DeliveryDropped(f"{kind.name} {src}->{dest}")
-        if dest in self._unreachable:
-            raise DeliveryDropped(f"party {dest} unreachable")
+        self.faults.check(kind, src, dest)
         now = self.clock.now_ms if self.clock is not None else 0.0
         bytes_per_ms = self._bytes_per_ms.get((src, dest))
         if bytes_per_ms is None:
@@ -192,7 +203,7 @@ class Router:
     def call(self, src: str, dest: str, kind: MessageKind, payload: bytes):
         """Deliver a frame to ``dest``'s handler and return its framed reply.
 
-        Raises DeliveryDropped when a fault rule eats the request (the caller
+        Raises DeliveryDropped when the fault plan eats the request (the caller
         models its own timeout/retry policy on top).
         """
         self._check_parties(src, dest)

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import build_program
 from fedtee import crypto, model
+from fedtee.config import FaultEvent
 from fedtee.committee import (
     CapacityInfeasible,
     Committee,
@@ -18,6 +19,7 @@ from fedtee.committee import (
     schedule,
     select_participants,
 )
+from fedtee.transport import FaultPlan, Router
 
 TASKID = b"sched-task-16byt"
 
@@ -62,8 +64,12 @@ def budget_for_blocks(meta, layer, n_clients, taskid_len=len(TASKID)):
 def test_setup_alive_sets():
     comm = Committee(seed=1)
     assert comm.setup([1, 2, 3]) == [1, 2, 3]
-    comm = Committee(seed=1)
-    assert comm.setup([1, 2, 3], responding={1, 3}) == [1, 3]
+    ping_lost = FaultEvent(kind="drop", message_kind="Ping", dest="node:2")
+    router = Router(faults=FaultPlan([ping_lost]))
+    for n in (1, 2, 3):
+        router.register(f"node:{n}", handler=lambda src, kind, payload: None)
+    comm = Committee(seed=1, router=router)
+    assert comm.setup([1, 2, 3]) == [1, 3]
     with pytest.raises(NoNodes):
         Committee(seed=1).setup([])
 

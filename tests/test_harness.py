@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -448,6 +449,34 @@ def test_no_node_answering_the_ping_ends_in_a_setup_failure_report():
     assert report.events == ["setup: failed: no node answered the initial ping"]
 
 
+@pytest.mark.parametrize("kind", list(MessageKind), ids=lambda kind: kind.name)
+@pytest.mark.parametrize("strategy", ["single", "clientmax", "layermax"])
+def test_every_dropped_frame_ends_in_a_report(strategy, kind):
+    report = run_task(small_config(n_nodes=6, rounds=2, strategy=strategy, faults=[
+        FaultEvent(kind="drop", message_kind=kind.name, count=1),
+    ]))
+    assert report.ok or re.match(r"(setup|round \d+): failed: ", report.events[-1])
+
+
+@pytest.mark.parametrize("dest, ok", [("node:0", False), ("node:3", True)], ids=["holder", "spare"])
+def test_schedule_dropped_on_its_way_to_a_node(dest, ok):
+    # node 0 holds the one partition and cannot work without the schedule;
+    # spare node 3 is sent it again if a partition ever moves there
+    report = run_task(small_config(faults=[
+        FaultEvent(kind="drop", message_kind="ConfDeliver", dest=dest),
+    ]))
+    assert report.ok is ok
+    if not ok:
+        assert report.events == ["setup: failed: dropped ConfDeliver committee->node:0"]
+
+
+def test_dropped_frame_event_names_the_frame():
+    report = run_task(small_config(faults=[FaultEvent(kind="drop", message_kind="SubmitTask")]))
+    assert not report.ok and not report.stalled
+    assert report.rounds == [] and report.verification == {}
+    assert report.events == ["setup: failed: dropped SubmitTask owner->committee"]
+
+
 def _straggler_failure_config():
     return RunConfig(
         n_clients=6, n_nodes=6, rounds=2, strategy="clientmax", straggler_max_retries=0,
@@ -631,6 +660,10 @@ def _faults(**kw):
         pytest.param(dict(tx_capacity=0), id="tx_capacity-0"),
         pytest.param(dict(chain="nope"), id="unknown-chain"),
         pytest.param(_faults(kind="drop", message_kind="NoSuchKind"), id="drop-unknown-kind"),
+        pytest.param(_faults(kind="drop", count=0), id="drop-count-0"),
+        pytest.param(_faults(kind="drop", count=-3), id="drop-count-negative"),
+        pytest.param(_faults(kind="drop", dest="node:9"), id="drop-missing-dest"),
+        pytest.param(_faults(kind="drop", src="cleint:0"), id="drop-misspelt-src"),
         pytest.param(_faults(kind="tamper_install", node=4), id="tamper-missing-node"),
         pytest.param(_faults(kind="explode"), id="unknown-fault-kind"),
         pytest.param(_faults(kind="kill_node", node=99), id="kill-missing-node"),
@@ -669,7 +702,9 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     late_kill.write_text('[{"kind": "kill_node", "node": 0, "round": 7}]')
     configs = []
     for i, text in enumerate(
-        ['{"cost": {"reschedule_ms": 2.0}}', '{"preset_layers": 0}', '{"n_clients": 0}']
+        ['{"cost": {"reschedule_ms": 2.0}}', '{"preset_layers": 0}', '{"n_clients": 0}',
+         '{"faults": [{"kind": "drop", "count": 0}]}',
+         '{"faults": [{"kind": "drop", "src": "cleint:0"}]}']
     ):
         configs.append(tmp_path / f"bad-{i}.json")
         configs[-1].write_text(text)

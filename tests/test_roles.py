@@ -59,15 +59,15 @@ def test_all_clients_share_msk_and_it_never_hits_the_wire():
 
 
 def test_msk_delivery_failure_reports_client():
-    router = Router()
+    # only client 1 exists, and the plan drops every frame to it
+    drop_all = FaultEvent(kind="drop", dest="client:1", count=2**31)
+    router = Router(faults=transport.FaultPlan([drop_all]))
     ledger = Ledger("committee")
     owner = TaskOwner(router, ledger, seed=1)
-    # only client 1 exists and is immediately unreachable
     from fedtee.roles import Client
 
     Client(1, router, seed=1)
-    router.set_unreachable("client:1")
-    with pytest.raises(DeliveryFailure, match="1"):
+    with pytest.raises(DeliveryFailure, match=r"clients \[1\]$"):
         owner.owner_key_exchange([1])
 
 

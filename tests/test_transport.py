@@ -1,4 +1,4 @@
-"""Framing, loopback router, taps, fault rules, and the message-body codec."""
+"""Framing, loopback router, taps, the fault plan, and the message-body codec."""
 
 import os
 from random import Random
@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedtee import crypto, transport
+from fedtee.config import FaultEvent
 from fedtee.transport import (
     DeliveryDropped,
-    FaultRule,
+    FaultPlan,
     Frame,
     MessageKind,
     Router,
@@ -74,11 +75,14 @@ def test_tap_sees_every_frame_in_delivery_order():
         assert Frame.from_bytes(raw).payload == p
 
 
+def _drop(**kw):
+    return FaultEvent(kind="drop", **kw)
+
+
 def test_drop_rule_consumes_matching_frames_only():
-    router = Router()
+    router = Router(faults=FaultPlan([_drop(message_kind="ModelEnvelope", count=1)]))
     router.register("a")
     router.register("b")
-    router.fault_rules.append(FaultRule(kind=MessageKind.ModelEnvelope, count=1))
     router.send("a", "b", MessageKind.ModelEnvelope, b"gone")
     router.send("a", "b", MessageKind.ModelEnvelope, b"kept")
     router.send("a", "b", MessageKind.Heartbeat, b"hb")
@@ -89,29 +93,48 @@ def test_drop_rule_consumes_matching_frames_only():
 
 
 def test_call_roundtrip_and_drop():
-    router = Router()
+    router = Router(faults=FaultPlan([_drop(dest="svc", count=1)]))
     router.register("caller")
     router.register("svc", handler=lambda src, kind, payload: (MessageKind.Ack, payload[::-1]))
-    kind, reply, _ = router.call("caller", "svc", MessageKind.LedgerRead, b"abc")
-    assert kind == MessageKind.Ack
-    assert reply == b"cba"
-    router.fault_rules.append(FaultRule(dest="svc", count=1))
-    with pytest.raises(DeliveryDropped):
+    with pytest.raises(DeliveryDropped, match="^LedgerRead caller->svc$"):
         router.call("caller", "svc", MessageKind.LedgerRead, b"abc")
     # rule consumed; next call goes through
-    _, reply, _ = router.call("caller", "svc", MessageKind.LedgerRead, b"xy")
-    assert reply == b"yx"
+    kind, reply, _ = router.call("caller", "svc", MessageKind.LedgerRead, b"xy")
+    assert (kind, reply) == (MessageKind.Ack, b"yx")
 
 
-def test_unreachable_party_drops():
-    router = Router()
+def test_killed_node_party_refuses_frames_after_kills():
+    plan = FaultPlan([FaultEvent(kind="kill_node", node=1, round=2, phase="collect")])
+    router = Router(faults=plan)
     router.register("a")
-    router.register("b", handler=lambda s, k, p: None)
-    router.set_unreachable("b")
-    with pytest.raises(DeliveryDropped):
-        router.call("a", "b", MessageKind.Ping, b"")
-    router.set_unreachable("b", False)
-    router.call("a", "b", MessageKind.Ping, b"")
+    router.register("node:1", handler=lambda s, k, p: None)
+    assert plan.kills(2, "between") == []
+    router.call("a", "node:1", MessageKind.Ping, b"")
+    assert plan.kills(2, "collect") == [1]
+    with pytest.raises(DeliveryDropped, match="^party node:1 unreachable$"):
+        router.call("a", "node:1", MessageKind.Ping, b"")
+    router.send("node:1", "a", MessageKind.Heartbeat, b"hb")  # only frames to it are refused
+    assert router.recv("a")[2] == b"hb"
+
+
+def test_fault_plan_names_the_bad_install_and_forged_rounds():
+    plan = FaultPlan([
+        FaultEvent(kind="tamper_install", node=2),
+        FaultEvent(kind="tamper_chunk", round=1),
+    ])
+    assert [plan.bad_install(n) for n in range(4)] == [False, False, True, False]
+    assert [plan.forges(r) for r in range(3)] == [False, True, False]
+    clean = Router().faults  # a router built without a plan injects nothing
+    assert not clean.bad_install(2) and not clean.forges(1)
+    clean.check(MessageKind.Ping, "a", "node:0")
+
+
+def test_fault_plan_leaves_the_events_unused():
+    events = [_drop(message_kind="Ping", count=1)]
+    for _ in range(2):  # two runs of one config each drop the frame
+        with pytest.raises(DeliveryDropped):
+            FaultPlan(events).check(MessageKind.Ping, "committee", "node:0")
+    assert events[0].count == 1
 
 
 def test_bandwidth_shaping_delays_arrival():
