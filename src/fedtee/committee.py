@@ -1,12 +1,12 @@
-"""The committee party: task parsing, partition planning, keys, failover.
+"""The committee party: task parsing, partition planning, keys, recovery.
 
 The committee receives a task, selects the per-round participants, splits the
 (layer x client) grid into partitions that respect the enclave memory budget,
 assigns partitions to alive nodes, attests and provisions each enclave, sends
-the schedule to every party, and watches heartbeats so a dead node's
-partitions migrate to spares without stalling the task. Planning is
-deterministic: one seed, one spec, and one alive set always produce the same
-schedule.
+the schedule to every party, watches heartbeats so a dead node's partitions
+migrate to spares without stalling the task, and chases missing client
+uploads. Planning is deterministic: one seed, one spec, and one alive set
+always produce the same schedule.
 """
 
 from __future__ import annotations
@@ -286,19 +286,20 @@ def chunk_bases(
 # Heartbeat monitor
 # ---------------------------------------------------------------------------
 
-@dataclass
-class FailoverAction:
-    dead_node: int
-    slot_index: int
-    new_node: int
+# The failure detector: each node is polled for a heartbeat once per
+# interval, and declared dead after this many missed beats.
+HEARTBEAT_INTERVAL_MS = 500.0
+FAILOVER_THRESHOLD = 3
+# Virtual-clock charges of recovery, in milliseconds.
+CONNECT_MS_PER_ATTESTATION = 5.0
+RESCHEDULE_MS = 2.0
+STRAGGLER_TIMEOUT_MS = 100.0
 
 
 @dataclass
 class HeartbeatMonitor:
-    """Declares a node dead after ``threshold`` missed beats."""
+    """Declares a node dead after ``FAILOVER_THRESHOLD`` missed beats."""
 
-    interval_ms: float = 500.0
-    threshold: int = 3
     last_beat: dict[int, float] = field(default_factory=dict)
     dead: set[int] = field(default_factory=set)
 
@@ -311,12 +312,10 @@ class HeartbeatMonitor:
         newly = [
             node
             for node, last in self.last_beat.items()
-            if node not in self.dead and now - last > self.interval_ms * self.threshold
+            if node not in self.dead and now - last > HEARTBEAT_INTERVAL_MS * FAILOVER_THRESHOLD
         ]
         self.dead.update(newly)
         return sorted(newly)
-
-
 
 
 # Per key-delivery purpose: the AAD label the enclave checks, and the frame kind.
@@ -330,13 +329,19 @@ _KEY_DELIVERIES = {
 class Committee:
     """The committee party for a single task.
 
-    It sends every frame whose source is ``"committee"``. Built without a
-    router it only plans and watches heartbeats.
+    It sends every frame whose source is ``"committee"``, and it owns
+    recovery: :meth:`fail_over` finds dead nodes by their heartbeats and
+    moves their partitions to spares, and :meth:`collect` chases missing
+    client uploads under the straggler policy. Both charge the router's
+    clock. ``nodes`` is the pool of ``Node`` objects it polls for heartbeats
+    and missing senders. Built without a router it only plans and watches
+    heartbeats.
     """
 
     def __init__(
         self, seed: int, uniform_random: bool = False,
-        router: transport.Router | None = None, ledger=None,
+        router: transport.Router | None = None, ledger=None, nodes=None,
+        straggler_policy: str = "wait-all", straggler_max_retries: int = 5,
     ) -> None:
         self.seed = seed
         self.rng = Random(derive_seed(seed, "committee"))
@@ -344,6 +349,9 @@ class Committee:
         self.uniform_random = uniform_random
         self.router = router
         self.ledger = ledger
+        self.nodes = nodes  # node id -> Node
+        self.straggler_policy = straggler_policy
+        self.straggler_max_retries = straggler_max_retries
         self.registered: list[int] = []
         self.alive: list[int] = []
         self.spec: TaskSpec | None = None
@@ -504,50 +512,117 @@ class Committee:
             pack(transport.RESEND_REQUEST, slot.index, round_index),
         )
 
-    def replan_excluding(self, round_index: int, excluded: list[int]) -> None:
-        """Drop the stragglers from this round's plan, re-arm every enclave
-        for the new layout, and send the new schedule."""
-        rc = self.conf.rounds[round_index]
-        for slot in self.conf.slots:
+    def collect(self, round_index: int) -> None:
+        """Make sure every partition's node holds its clients' uploads.
+
+        Each node holding a partition is asked which senders it lacks, and
+        those clients are asked to re-send, up to the retry count. Then the
+        stragglers are dropped from the round's plan under the ``exclude``
+        policy, and the run fails under ``wait-all``."""
+        conf, taskid = self.conf, self.spec.taskid
+        for attempt in range(self.straggler_max_retries + 1):
+            missing = {}
+            for slot in conf.slots:
+                if lacking := self.nodes[slot.node].missing_senders(taskid, round_index):
+                    missing[slot.index] = lacking
+            if not missing:
+                return
+            self.router.clock.advance(STRAGGLER_TIMEOUT_MS)
+            if attempt == self.straggler_max_retries:
+                break
+            for slot_index, uids in missing.items():
+                self.events.append(
+                    f"round {round_index}: stragglers {uids} on partition {slot_index}"
+                )
+                for uid in uids:
+                    try:
+                        self.request_resend(uid, conf.slots[slot_index], round_index)
+                    except transport.DeliveryDropped:
+                        pass
+        if self.straggler_policy != "exclude":
+            raise RunFailed(f"stragglers never delivered: {missing}")
+        # re-plan without them: re-arm every enclave and send the new schedule
+        excluded = sorted({uid for uids in missing.values() for uid in uids})
+        rc = conf.rounds[round_index]
+        for slot in conf.slots:
             subset = tuple(u for u in rc.subsets[slot.index] if u not in excluded)
             if not subset:
                 raise RunFailed(f"partition {slot.index} lost all clients to stragglers")
             rc.subsets[slot.index] = subset
         self.open_round(round_index)
         self.deliver_conf()
+        self.events.append(f"round {round_index}: excluded stragglers {excluded}, replanned layout")
 
     # -- failover ----------------------------------------------------------------------
-
-    def read_heartbeats(self) -> None:
-        """Drain the mailbox into the heartbeat monitor."""
-        while (msg := self.router.recv(PARTY)) is not None:
-            _, kind, payload, _ = msg
-            if kind == MessageKind.Heartbeat:
-                self.monitor.beat(*unpack(transport.HEARTBEAT, payload))
 
     def cut_off(self, node: int) -> None:
         """Stop contacting ``node``."""
         self.gone.add(node)
 
-    def monitor_tick(self, now: float) -> list[FailoverAction]:
-        """Detect deaths and plan partition migration to spare nodes.
+    def fail_over(self, round_index: int, resend: bool) -> dict[str, float]:
+        """Run heartbeat intervals until the nodes cut off are declared dead,
+        then move their partitions to spares and return the round's failover
+        phases; return ``{}`` if no partition moved.
+
+        Each moved partition is installed afresh. With ``resend`` the round
+        is open: the new enclave is armed for it, and the partition's clients
+        re-send their cached slices to it. Otherwise :meth:`open_round` arms
+        it."""
+        clock = self.router.clock
+        # a node that never beat is not watched, so it is never declared dead
+        pending = any(n in self.monitor.last_beat for n in self.gone - self.monitor.dead)
+        moved = []
+        for _ in range(FAILOVER_THRESHOLD + 2 if pending else 1):
+            clock.advance(HEARTBEAT_INTERVAL_MS)
+            for i, node in self.nodes.items():
+                if i not in self.gone:
+                    node.send_heartbeat(clock.now_ms)
+            moved = self.monitor_tick(clock.now_ms)
+            if moved:
+                break
+        if not moved:
+            return {}
+        clock.advance(RESCHEDULE_MS)
+        for dead, slot in moved:
+            self.install(slot, round_index if resend else None, f"round {round_index}")
+            if resend:
+                self.deliver_conf()
+                for uid in self.conf.subset(round_index, slot.index):
+                    self.request_resend(uid, slot, round_index)
+            self.events.append(
+                f"round {round_index}: partition {slot.index} moved {dead} -> {slot.node}"
+            )
+        if not resend:
+            self.deliver_conf()
+        # one attestation for the committee and one per client reconnecting
+        connect_ms = sum(
+            CONNECT_MS_PER_ATTESTATION * (1 + len(self.conf.subset(round_index, slot.index)))
+            for _, slot in moved
+        )
+        clock.advance(connect_ms)
+        return {"Re-schedule": RESCHEDULE_MS, "Connect": connect_ms}
+
+    def monitor_tick(self, now: float) -> list[tuple[int, Slot]]:
+        """Drain the heartbeats in the mailbox, detect deaths, and move each
+        dead node's partitions to spare nodes; returns a ``(dead node,
+        slot)`` pair per moved partition, whose install is pending.
 
         Raises NoSpareNodes (and marks the task stalled) when a dead node's
         partitions have nowhere to go.
         """
+        while self.router is not None and (msg := self.router.recv(PARTY)) is not None:
+            _, kind, payload, _ = msg
+            if kind == MessageKind.Heartbeat:
+                self.monitor.beat(*unpack(transport.HEARTBEAT, payload))
         newly_dead = self.monitor.tick(now)
-        if not newly_dead:
-            return []
         self.alive = [n for n in self.alive if n not in self.monitor.dead]
-        actions: list[FailoverAction] = []
-        if self.conf is None:
-            return actions
+        moved = []
         for dead in newly_dead:
             for slot in self.conf.slots:
                 if slot.node == dead:
-                    slot.node, slot.eid = self._spare(slot), None  # fresh install pending
-                    actions.append(FailoverAction(dead, slot.index, slot.node))
-        return actions
+                    slot.node, slot.eid = self._spare(slot), None
+                    moved.append((dead, slot))
+        return moved
 
     def _spare(self, slot: Slot) -> int:
         """The lowest alive node that holds no other partition."""
@@ -557,26 +632,6 @@ class Committee:
             self.stalled = True
             raise NoSpareNodes(f"no spare node for partition {slot.index}")
         return min(spares)
-
-    def move_partitions(
-        self, actions: list[FailoverAction], round_index: int, resend: bool
-    ) -> None:
-        """Reinstall each moved partition. With ``resend`` the round is open:
-        the new enclave is armed for it, and the partition's clients re-send
-        their cached slices to it. Otherwise :meth:`open_round` arms it."""
-        for action in actions:
-            slot = self.conf.slots[action.slot_index]
-            self.install(slot, round_index if resend else None, f"round {round_index}")
-            if resend:
-                self.deliver_conf()
-                for uid in self.conf.subset(round_index, slot.index):
-                    self.request_resend(uid, slot, round_index)
-            self.events.append(
-                f"round {round_index}: partition {slot.index} moved "
-                f"{action.dead_node} -> {slot.node}"
-            )
-        if not resend:
-            self.deliver_conf()
 
     def mark_dead(self, node: int) -> None:
         """Administrative death (e.g. attestation failure during provisioning)."""

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import committee as committee_mod
 from . import model, transport
-from .committee import Committee, FailoverAction, RunFailed, TaskSpec
+from .committee import Committee, RunFailed, TaskSpec
 from .config import SENTINEL, RunConfig, initial_model, plant_sentinel
 from .enclave import EnclaveProgram, make_eid_allocator
 from .ledger import CHAIN_PRESETS, Ledger, apply_chain_model
@@ -28,13 +28,10 @@ PHASE_SEND = "SendModeltoSGX"
 PHASE_AGG = "Aggregate"
 PHASE_CHAIN = "SendResulttoChain"
 
-# Virtual-clock charges: nanoseconds per byte for enclave compute, and
-# milliseconds for protocol steps.
+# Virtual-clock charges of enclave compute, in nanoseconds per byte; the
+# committee charges recovery.
 PROC_NS_PER_BYTE = 1.0
 PAGING_NS_PER_BYTE = 10.0
-CONNECT_MS_PER_ATTESTATION = 5.0
-RESCHEDULE_MS = 2.0
-STRAGGLER_TIMEOUT_MS = 100.0
 
 # Leak scan: haystack bytes per block, and log2 of the window filter's size.
 SCAN_BLOCK = 1 << 20
@@ -257,9 +254,10 @@ def count_needles(chunks, needles) -> dict[bytes, int]:
 class TaskRun:
     """Wires one task end to end over the in-process transport.
 
-    The committee party sends its own frames; this class builds the fault
-    plan, keeps the virtual clock, drives the rounds, and checks the result
-    against the oracle.
+    The harness only drives the world: it builds the parties and the fault
+    plan, keeps the virtual clock, kills nodes when the plan says so, runs
+    the rounds, and checks the result against the oracle. The committee
+    sends its own frames and makes every recovery decision.
     """
 
     def __init__(self, config: RunConfig):
@@ -268,14 +266,17 @@ class TaskRun:
         self.router = Router(self.clock, transport.FaultPlan(config.faults))
         self.ledger = Ledger("committee", CHAIN_PRESETS[config.chain])
         self.ledger_party = LedgerParty(self.ledger, self.router)
+        eid_alloc = make_eid_allocator()
+        self.nodes = {i: Node(i, self.router, eid_alloc) for i in range(config.n_nodes)}
         self.committee = Committee(
             seed=config.seed,
             uniform_random=config.uniform_random_participants,
             router=self.router,
             ledger=self.ledger,
+            nodes=self.nodes,
+            straggler_policy=config.straggler_policy,
+            straggler_max_retries=config.straggler_max_retries,
         )
-        eid_alloc = make_eid_allocator()
-        self.nodes = {i: Node(i, self.router, eid_alloc) for i in range(config.n_nodes)}
         self.clients = {}
         for uid in range(config.n_clients):
             c = Client(uid, self.router, config.seed)
@@ -326,79 +327,17 @@ class TaskRun:
             self.report.events.append(f"round {round_index}: node {node_id} killed ({phase})")
         return bool(victims)
 
-    def _detect_and_failover(self, round_index: int, resend: bool) -> None:
-        """Run heartbeat intervals until pending deaths are detected, then have
-        the committee move the affected partitions (and optionally trigger
-        re-sends)."""
-        committee = self.committee
-        monitor = committee.monitor
-        # a node that never beat is not watched, so it is never declared dead
-        pending = {n for n in committee.gone - monitor.dead if n in monitor.last_beat}
-        actions: list[FailoverAction] = []
-        for _ in range(monitor.threshold + 2 if pending else 1):
-            self.clock.advance(monitor.interval_ms)
-            for i, node in self.nodes.items():
-                if i not in committee.gone:
-                    node.send_heartbeat(self.clock.now_ms)
-            committee.read_heartbeats()
-            actions = committee.monitor_tick(self.clock.now_ms)
-            if actions:
-                break
-        if not actions:
-            return
-        self.clock.advance(RESCHEDULE_MS)
-        committee.move_partitions(actions, round_index, resend)
-        # one attestation for the committee and one per client reconnecting
-        connect_ms = sum(
-            CONNECT_MS_PER_ATTESTATION
-            * (1 + len(committee.conf.subset(round_index, action.slot_index)))
-            for action in actions
-        )
-        self.clock.advance(connect_ms)
-        self._failover_phases = {"Re-schedule": RESCHEDULE_MS, "Connect": connect_ms}
-
-    # -- straggler handling ----------------------------------------------------
-
-    def _resolve_stragglers(self, round_index: int) -> None:
-        cfg, conf = self.cfg, self.committee.conf
-        for attempt in range(cfg.straggler_max_retries + 1):
-            missing = {}
-            for slot in conf.slots:
-                gone = self.nodes[slot.node].missing_senders(cfg.taskid_bytes, round_index)
-                if gone:
-                    missing[slot.index] = gone
-            if not missing:
-                return
-            self.clock.advance(STRAGGLER_TIMEOUT_MS)
-            if attempt == cfg.straggler_max_retries:
-                if cfg.straggler_policy == "exclude":
-                    excluded = sorted({uid for uids in missing.values() for uid in uids})
-                    self.committee.replan_excluding(round_index, excluded)
-                    self.report.events.append(
-                        f"round {round_index}: excluded stragglers {excluded}, replanned layout"
-                    )
-                    return
-                raise RunFailed(f"stragglers never delivered: {missing}")
-            for slot_index, uids in missing.items():
-                slot = conf.slots[slot_index]
-                self.report.events.append(
-                    f"round {round_index}: stragglers {uids} on partition {slot_index}"
-                )
-                for uid in uids:
-                    try:
-                        self.committee.request_resend(uid, slot, round_index)
-                    except transport.DeliveryDropped:
-                        pass
-
     # -- rounds -----------------------------------------------------------------
 
     def run_round(self, round_index: int) -> None:
-        cfg, conf = self.cfg, self.committee.conf
-        self._failover_phases = {"Re-schedule": 0.0, "Connect": 0.0}
+        cfg, committee = self.cfg, self.committee
+        conf = committee.conf
+        # a recovery that moves a partition sets these; one that moves none leaves them
+        failover = {"Re-schedule": 0.0, "Connect": 0.0}
 
         self._kill_nodes(round_index, "between")
-        self._detect_and_failover(round_index, resend=False)
-        self.committee.open_round(round_index)
+        failover.update(committee.fail_over(round_index, resend=False))
+        committee.open_round(round_index)
 
         round_start = self.clock.now_ms
         arrivals: list[float] = []
@@ -407,9 +346,8 @@ class TaskRun:
         send_phase = max(arrivals, default=round_start) - round_start
 
         if self._kill_nodes(round_index, "collect"):
-            self._detect_and_failover(round_index, resend=True)
-
-        self._resolve_stragglers(round_index)
+            failover.update(committee.fail_over(round_index, resend=True))
+        committee.collect(round_index)
 
         compute_ms = []
         accepted = rejected = 0
@@ -442,8 +380,11 @@ class TaskRun:
                 f"(at {self.ledger.current_round(cfg.taskid_bytes)})"
             )
 
+        # A client keeps its uploads for resends within the round, but no
+        # client learns that the round closed, so caches held until each
+        # client's next round would still be alive in verify(); drop them here.
         for client in self.clients.values():
-            client.cached_updates.clear()  # kept only for resends within the round
+            client.cached_updates.clear()
         global_model = self.owner.get_global_model(conf, round_index)
         self.report.round_models.append(global_model)
         self.report.round_model_digests.append(global_model.digest())
@@ -455,7 +396,7 @@ class TaskRun:
                     PHASE_AGG: aggregate_phase,
                     PHASE_CHAIN: chain_ms,
                 },
-                "failover": dict(self._failover_phases),
+                "failover": failover,
                 "accepted": accepted,
                 "rejected": rejected,
                 "participants": list(conf.rounds[round_index].participants),

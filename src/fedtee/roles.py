@@ -298,9 +298,6 @@ class Client:
             if kind == MessageKind.ResendRequest:
                 self._resend(*unpack(transport.RESEND_REQUEST, payload))
                 return ok()
-            if kind == MessageKind.Ping:
-                unpack(transport.PING, payload)
-                return ok()
         except Exception as exc:
             return err(exc)
         return err(RemoteError(f"client cannot handle {kind.name}"))

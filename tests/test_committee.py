@@ -9,6 +9,8 @@ from fedtee.committee import (
     CapacityInfeasible,
     Committee,
     Conf,
+    FAILOVER_THRESHOLD,
+    HEARTBEAT_INTERVAL_MS,
     HeartbeatMonitor,
     InsufficientNodes,
     NoNodes,
@@ -260,7 +262,8 @@ def test_resnet18_partition_count_matches_packing_bound():
 # ---------------------------------------------------------------------------
 
 def test_monitor_declares_dead_after_threshold_misses():
-    mon = HeartbeatMonitor(interval_ms=500, threshold=3)
+    assert (HEARTBEAT_INTERVAL_MS, FAILOVER_THRESHOLD) == (500.0, 3)
+    mon = HeartbeatMonitor()
     mon.beat(1, 0.0)
     mon.beat(2, 0.0)
     assert mon.tick(1400.0) == []
@@ -287,10 +290,8 @@ def test_failover_moves_partition_to_lowest_spare():
     assert conf.slots[0].node == 0
     for node in (1, 2, 3):
         comm.monitor.beat(node, 5000.0)
-    actions = comm.monitor_tick(5000.0)
-    assert len(actions) == 1
-    assert actions[0].dead_node == 0
-    assert actions[0].new_node == 1
+    moved = comm.monitor_tick(5000.0)
+    assert moved == [(0, conf.slots[0])]
     assert conf.slots[0].node == 1
     assert conf.slots[0].eid is None
 

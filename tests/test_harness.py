@@ -325,6 +325,27 @@ def test_failover_phases_reported_exactly_when_recovery_happened():
             assert rd["failover"]["Connect"] == 0
 
 
+def test_detection_that_moves_no_partition_keeps_the_rounds_failover_phases():
+    # node 0's partition moves to node 4 before round 1 opens; spare node 5
+    # then dies at collect, and its detection moves nothing
+    cfg = RunConfig(
+        n_clients=6, n_nodes=6, rounds=2, participation=1.0, strategy="clientmax",
+        layers={0: 24, 1: 16}, epc_budget=800, seed=5, int_mode=True,
+        faults=[
+            FaultEvent(kind="kill_node", node=0, round=1, phase="between"),
+            FaultEvent(kind="kill_node", node=5, round=1, phase="collect"),
+        ],
+    )
+    report = run_task(cfg)
+    assert report.ok
+    assert report.rounds[1]["failover"] == {"Re-schedule": 2.0, "Connect": 20.0}
+    assert report.events == [
+        "round 1: node 0 killed (between)",
+        "round 1: partition 0 moved 0 -> 4",
+        "round 1: node 5 killed (collect)",
+    ]
+
+
 def test_between_round_kill_recovers_bit_exact():
     base = dict(rounds=4, int_mode=True)
     faulty = small_config(

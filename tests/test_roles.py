@@ -244,6 +244,16 @@ def test_node_reports_missing_senders():
     assert node.missing_senders(run.cfg.taskid_bytes, 0) == [2]
 
 
+def test_only_nodes_answer_a_ping():
+    run = TaskRun(small_config())
+    ping = transport.pack(transport.PING)
+    _, reply, _ = run.router.call("committee", "node:0", MessageKind.Ping, ping)
+    assert transport.check_reply(reply) == b""
+    _, reply, _ = run.router.call("committee", "client:0", MessageKind.Ping, ping)
+    with pytest.raises(transport.RemoteError, match="client cannot handle Ping"):
+        transport.check_reply(reply)
+
+
 def test_forged_chunk_rejected_but_round_completes():
     cfg = small_config(faults=[FaultEvent(kind="tamper_chunk", round=0)])
     report = run_task(cfg)
