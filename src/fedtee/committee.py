@@ -3,10 +3,12 @@
 The committee receives a task, selects the per-round participants, splits the
 (layer x client) grid into partitions that respect the enclave memory budget,
 assigns partitions to alive nodes, attests and provisions each enclave, sends
-the schedule to every party, watches heartbeats so a dead node's partitions
-migrate to spares without stalling the task, and chases missing client
-uploads. Planning is deterministic: one seed, one spec, and one alive set
-always produce the same schedule.
+the schedule to every party, and chases missing client uploads. It holds one
+liveness record, each alive node's last heartbeat: a node that misses
+``FAILOVER_THRESHOLD`` beats leaves it, and that node's partitions migrate to
+spares without stalling the task. No other party tells it who died. Planning
+is deterministic: one seed, one spec, and one alive set always produce the
+same schedule.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 
 from . import crypto, enclave, model, transport
@@ -283,10 +285,10 @@ def chunk_bases(
 
 
 # ---------------------------------------------------------------------------
-# Heartbeat monitor
+# Recovery constants
 # ---------------------------------------------------------------------------
 
-# The failure detector: each node is polled for a heartbeat once per
+# The failure detector: each alive node is polled for a heartbeat once per
 # interval, and declared dead after this many missed beats.
 HEARTBEAT_INTERVAL_MS = 500.0
 FAILOVER_THRESHOLD = 3
@@ -294,28 +296,6 @@ FAILOVER_THRESHOLD = 3
 CONNECT_MS_PER_ATTESTATION = 5.0
 RESCHEDULE_MS = 2.0
 STRAGGLER_TIMEOUT_MS = 100.0
-
-
-@dataclass
-class HeartbeatMonitor:
-    """Declares a node dead after ``FAILOVER_THRESHOLD`` missed beats."""
-
-    last_beat: dict[int, float] = field(default_factory=dict)
-    dead: set[int] = field(default_factory=set)
-
-    def beat(self, node: int, timestamp: float) -> None:
-        if node not in self.dead:
-            self.last_beat[node] = timestamp
-
-    def tick(self, now: float) -> list[int]:
-        """Nodes newly declared dead at ``now``."""
-        newly = [
-            node
-            for node, last in self.last_beat.items()
-            if node not in self.dead and now - last > HEARTBEAT_INTERVAL_MS * FAILOVER_THRESHOLD
-        ]
-        self.dead.update(newly)
-        return sorted(newly)
 
 
 # Per key-delivery purpose: the AAD label the enclave checks, and the frame kind.
@@ -330,40 +310,37 @@ class Committee:
     """The committee party for a single task.
 
     It sends every frame whose source is ``"committee"``, and it owns
-    recovery: :meth:`fail_over` finds dead nodes by their heartbeats and
-    moves their partitions to spares, and :meth:`collect` chases missing
+    recovery: :meth:`fail_over` finds dead nodes by their missed heartbeats
+    and moves their partitions to spares, and :meth:`collect` chases missing
     client uploads under the straggler policy. Both charge the router's
-    clock. ``nodes`` is the pool of ``Node`` objects it polls for heartbeats
-    and missing senders. Built without a router it only plans and watches
-    heartbeats.
+    clock. ``alive`` maps each node it holds alive to the virtual time of
+    its last heartbeat; it polls, schedules on, and sends the schedule to
+    exactly those nodes. ``nodes`` is the pool of ``Node`` objects it polls
+    for heartbeats and missing senders.
     """
 
     def __init__(
-        self, seed: int, uniform_random: bool = False,
-        router: transport.Router | None = None, ledger=None, nodes=None,
+        self, seed: int, router: transport.Router, uniform_random: bool = False,
+        ledger=None, nodes=None,
         straggler_policy: str = "wait-all", straggler_max_retries: int = 5,
     ) -> None:
         self.seed = seed
         self.rng = Random(derive_seed(seed, "committee"))
-        self.monitor = HeartbeatMonitor()
         self.uniform_random = uniform_random
         self.router = router
         self.ledger = ledger
         self.nodes = nodes  # node id -> Node
         self.straggler_policy = straggler_policy
         self.straggler_max_retries = straggler_max_retries
-        self.registered: list[int] = []
-        self.alive: list[int] = []
+        self.alive: dict[int, float] = {}  # node -> virtual time of its last heartbeat
         self.spec: TaskSpec | None = None
         self.conf: Conf | None = None
         self.chunk_bases: list[int] = []  # the open round's, see chunk_bases()
         self.vk: crypto.SigKeyPair | None = None
         self.ssk_by_eid: dict[int, crypto.SymKey] = {}
-        self.gone: set[int] = set()  # nodes it no longer contacts
         self.events: list[str] = []
         self.stalled = False
-        if router is not None:
-            router.register(PARTY, handler=self.handle)
+        router.register(PARTY, handler=self.handle)
 
     def handle(self, src: str, kind: MessageKind, payload: bytes):
         """Acknowledge a task submission; heartbeats wait in the mailbox."""
@@ -373,15 +350,12 @@ class Committee:
         return transport.ok()
 
     def setup(self, nodes: list[int]) -> list[int]:
-        """Register nodes and keep the ones answering the initial ping."""
+        """Hold alive the nodes answering the initial ping, as if they beat at 0."""
         if not nodes:
             raise NoNodes("no nodes registered")
-        self.registered = sorted(nodes)
-        self.alive = sorted(n for n in nodes if self.router is None or self._answers_ping(n))
+        self.alive = {n: 0.0 for n in sorted(nodes) if self._answers_ping(n)}
         if not self.alive:
             raise NoNodes("no node answered the initial ping")
-        for n in self.alive:
-            self.monitor.beat(n, 0.0)
         return list(self.alive)
 
     def _answers_ping(self, node: int) -> bool:
@@ -415,9 +389,9 @@ class Committee:
     def install(
         self, slot: Slot, arm_round: int | None = None, stage: str = "provisioning"
     ) -> None:
-        """Provision one partition; a node failing attestation is cut off and
-        the partition moves to the lowest spare node. ``stage`` names when,
-        in the events."""
+        """Provision one partition; a node failing attestation is marked dead
+        and the partition moves to the lowest spare node. ``stage`` names
+        when, in the events."""
         while True:
             try:
                 self._install(slot, arm_round)
@@ -425,7 +399,6 @@ class Committee:
             except crypto.MeasurementMismatch:
                 bad = slot.node
                 self.mark_dead(bad)
-                self.cut_off(bad)
                 failed = f"{stage}: node {bad} failed attestation, partition {slot.index}"
                 try:
                     slot.node, slot.eid = self._spare(slot), None
@@ -486,13 +459,12 @@ class Committee:
         holders = {slot.node for slot in self.conf.slots}
         for uid in self.spec.clients:
             self.router.call(PARTY, f"client:{uid}", MessageKind.ConfDeliver, body)
-        for node in self.registered:
-            if node not in self.gone:
-                try:
-                    self.router.call(PARTY, f"node:{node}", MessageKind.ConfDeliver, body)
-                except transport.DeliveryDropped:
-                    if node in holders:  # only a spare may miss the schedule
-                        raise
+        for node in self.alive:
+            try:
+                self.router.call(PARTY, f"node:{node}", MessageKind.ConfDeliver, body)
+            except transport.DeliveryDropped:
+                if node in holders:  # only a spare may miss the schedule
+                    raise
 
     # -- rounds ----------------------------------------------------------------------
 
@@ -506,11 +478,15 @@ class Committee:
             self._arm(slot, round_index)
 
     def request_resend(self, uid: int, slot: Slot, round_index: int) -> None:
-        """Ask a client to re-send its cached slice to the slot's enclave."""
-        self.router.call(
-            PARTY, f"client:{uid}", MessageKind.ResendRequest,
-            pack(transport.RESEND_REQUEST, slot.index, round_index),
-        )
+        """Ask a client to re-send its cached slice to the slot's enclave. A
+        lost request is not fatal: :meth:`collect` asks again."""
+        try:
+            self.router.call(
+                PARTY, f"client:{uid}", MessageKind.ResendRequest,
+                pack(transport.RESEND_REQUEST, slot.index, round_index),
+            )
+        except transport.DeliveryDropped:
+            pass
 
     def collect(self, round_index: int) -> None:
         """Make sure every partition's node holds its clients' uploads.
@@ -535,10 +511,7 @@ class Committee:
                     f"round {round_index}: stragglers {uids} on partition {slot_index}"
                 )
                 for uid in uids:
-                    try:
-                        self.request_resend(uid, conf.slots[slot_index], round_index)
-                    except transport.DeliveryDropped:
-                        pass
+                    self.request_resend(uid, conf.slots[slot_index], round_index)
         if self.straggler_policy != "exclude":
             raise RunFailed(f"stragglers never delivered: {missing}")
         # re-plan without them: re-arm every enclave and send the new schedule
@@ -555,30 +528,24 @@ class Committee:
 
     # -- failover ----------------------------------------------------------------------
 
-    def cut_off(self, node: int) -> None:
-        """Stop contacting ``node``."""
-        self.gone.add(node)
-
     def fail_over(self, round_index: int, resend: bool) -> dict[str, float]:
-        """Run heartbeat intervals until the nodes cut off are declared dead,
-        then move their partitions to spares and return the round's failover
-        phases; return ``{}`` if no partition moved.
+        """Poll the alive nodes' heartbeats, one interval at a time, until a
+        partition has moved or no alive node is overdue, at most
+        ``FAILOVER_THRESHOLD + 2`` intervals; then return the round's
+        failover phases, or ``{}`` if no partition moved.
 
         Each moved partition is installed afresh. With ``resend`` the round
         is open: the new enclave is armed for it, and the partition's clients
         re-send their cached slices to it. Otherwise :meth:`open_round` arms
         it."""
         clock = self.router.clock
-        # a node that never beat is not watched, so it is never declared dead
-        pending = any(n in self.monitor.last_beat for n in self.gone - self.monitor.dead)
-        moved = []
-        for _ in range(FAILOVER_THRESHOLD + 2 if pending else 1):
+        for _ in range(FAILOVER_THRESHOLD + 2):
             clock.advance(HEARTBEAT_INTERVAL_MS)
-            for i, node in self.nodes.items():
-                if i not in self.gone:
-                    node.send_heartbeat(clock.now_ms)
+            for node in self.alive:
+                self.nodes[node].send_heartbeat(clock.now_ms)
             moved = self.monitor_tick(clock.now_ms)
-            if moved:
+            # a node that missed this beat is watched until it beats or is declared dead
+            if moved or all(last == clock.now_ms for last in self.alive.values()):
                 break
         if not moved:
             return {}
@@ -603,19 +570,25 @@ class Committee:
         return {"Re-schedule": RESCHEDULE_MS, "Connect": connect_ms}
 
     def monitor_tick(self, now: float) -> list[tuple[int, Slot]]:
-        """Drain the heartbeats in the mailbox, detect deaths, and move each
-        dead node's partitions to spare nodes; returns a ``(dead node,
-        slot)`` pair per moved partition, whose install is pending.
+        """Drain the heartbeats in the mailbox, drop every alive node that has
+        missed ``FAILOVER_THRESHOLD`` beats by ``now``, and move each dead
+        node's partitions to spare nodes; returns a ``(dead node, slot)``
+        pair per moved partition, whose install is pending. A beat from a
+        node not held alive is ignored.
 
         Raises NoSpareNodes (and marks the task stalled) when a dead node's
         partitions have nowhere to go.
         """
-        while self.router is not None and (msg := self.router.recv(PARTY)) is not None:
+        while (msg := self.router.recv(PARTY)) is not None:
             _, kind, payload, _ = msg
             if kind == MessageKind.Heartbeat:
-                self.monitor.beat(*unpack(transport.HEARTBEAT, payload))
-        newly_dead = self.monitor.tick(now)
-        self.alive = [n for n in self.alive if n not in self.monitor.dead]
+                node, timestamp = unpack(transport.HEARTBEAT, payload)
+                if node in self.alive:
+                    self.alive[node] = timestamp
+        limit = HEARTBEAT_INTERVAL_MS * FAILOVER_THRESHOLD
+        newly_dead = [n for n, last in self.alive.items() if now - last > limit]
+        for dead in newly_dead:
+            del self.alive[dead]
         moved = []
         for dead in newly_dead:
             for slot in self.conf.slots:
@@ -634,6 +607,5 @@ class Committee:
         return min(spares)
 
     def mark_dead(self, node: int) -> None:
-        """Administrative death (e.g. attestation failure during provisioning)."""
-        self.monitor.dead.add(node)
-        self.alive = [n for n in self.alive if n != node]
+        """Administrative death (an attestation failure): stop contacting ``node``."""
+        del self.alive[node]

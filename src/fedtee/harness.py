@@ -255,8 +255,9 @@ class TaskRun:
     """Wires one task end to end over the in-process transport.
 
     The harness only drives the world: it builds the parties and the fault
-    plan, keeps the virtual clock, kills nodes when the plan says so, runs
-    the rounds, and checks the result against the oracle. The committee
+    plan, keeps the virtual clock, logs the nodes the plan kills, runs the
+    rounds, and checks the result against the oracle. A killed node goes
+    silent by itself; the committee finds it by its missed heartbeats,
     sends its own frames and makes every recovery decision.
     """
 
@@ -323,7 +324,6 @@ class TaskRun:
     def _kill_nodes(self, round_index: int, phase: str) -> bool:
         victims = self.router.faults.kills(round_index, phase)
         for node_id in victims:
-            self.committee.cut_off(node_id)
             self.report.events.append(f"round {round_index}: node {node_id} killed ({phase})")
         return bool(victims)
 

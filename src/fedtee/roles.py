@@ -163,6 +163,8 @@ class Node:
         }
 
     def send_heartbeat(self, now_ms: float) -> None:
+        if self.router.faults.killed(self.node_id):
+            return  # a dead node is silent
         self.router.send(
             self.party, "committee", MessageKind.Heartbeat,
             pack(transport.HEARTBEAT, self.node_id, now_ms),

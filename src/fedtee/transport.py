@@ -100,10 +100,14 @@ class FaultPlan:
             raise DeliveryDropped(f"party {dest} unreachable")
 
     def kills(self, round_index: int, phase: str) -> list[int]:
-        """The nodes killed at this point; their parties refuse frames from now on."""
+        """The nodes killed at this point; from now on their parties refuse
+        frames and :meth:`killed` holds for them."""
         victims = self._killed_at.get((round_index, phase), [])
         self._down.update(f"node:{n}" for n in victims)
         return victims
+
+    def killed(self, node: int) -> bool:
+        return f"node:{node}" in self._down
 
     def bad_install(self, node: int) -> bool:
         return node in self._bad_installs

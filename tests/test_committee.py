@@ -11,7 +11,6 @@ from fedtee.committee import (
     Conf,
     FAILOVER_THRESHOLD,
     HEARTBEAT_INTERVAL_MS,
-    HeartbeatMonitor,
     InsufficientNodes,
     NoNodes,
     NoSpareNodes,
@@ -21,6 +20,8 @@ from fedtee.committee import (
     schedule,
     select_participants,
 )
+from fedtee.enclave import make_eid_allocator
+from fedtee.roles import Node
 from fedtee.transport import FaultPlan, Router
 
 TASKID = b"sched-task-16byt"
@@ -53,6 +54,13 @@ def exact_cover_holds(conf: Conf, model_meta: dict[int, int], round_index: int) 
     return seen == expected
 
 
+def committee_with_nodes(nodes, seed=0, faults=()):
+    """A committee over a router on which ``nodes`` are registered."""
+    router = Router(faults=FaultPlan(faults))
+    alloc = make_eid_allocator()
+    return Committee(seed=seed, router=router, nodes={n: Node(n, router, alloc) for n in nodes})
+
+
 def budget_for_blocks(meta, layer, n_clients, taskid_len=len(TASKID)):
     """Budget that fits exactly ``n_clients`` single-layer blocks per enclave."""
     per_client = model.encoded_update_size(taskid_len, [meta[layer]]) + 16
@@ -64,16 +72,14 @@ def budget_for_blocks(meta, layer, n_clients, taskid_len=len(TASKID)):
 # ---------------------------------------------------------------------------
 
 def test_setup_alive_sets():
-    comm = Committee(seed=1)
+    comm = committee_with_nodes([1, 2, 3], seed=1)
     assert comm.setup([1, 2, 3]) == [1, 2, 3]
     ping_lost = FaultEvent(kind="drop", message_kind="Ping", dest="node:2")
-    router = Router(faults=FaultPlan([ping_lost]))
-    for n in (1, 2, 3):
-        router.register(f"node:{n}", handler=lambda src, kind, payload: None)
-    comm = Committee(seed=1, router=router)
+    comm = committee_with_nodes([1, 2, 3], seed=1, faults=[ping_lost])
     assert comm.setup([1, 2, 3]) == [1, 3]
+    assert comm.alive == {1: 0.0, 3: 0.0}  # as if each beat at 0
     with pytest.raises(NoNodes):
-        Committee(seed=1).setup([])
+        committee_with_nodes([], seed=1).setup([])
 
 
 def test_participant_selection_round_robin_and_fraction():
@@ -263,41 +269,47 @@ def test_resnet18_partition_count_matches_packing_bound():
 
 def test_monitor_declares_dead_after_threshold_misses():
     assert (HEARTBEAT_INTERVAL_MS, FAILOVER_THRESHOLD) == (500.0, 3)
-    mon = HeartbeatMonitor()
-    mon.beat(1, 0.0)
-    mon.beat(2, 0.0)
-    assert mon.tick(1400.0) == []
-    mon.beat(2, 1500.0)
-    assert mon.tick(1600.0) == [1]
-    assert mon.tick(1700.0) == []  # already declared
+    comm = committee_with_nodes([1, 2])
+    comm.setup([1, 2])
+    conf = comm.accept_task(make_spec(strategy="single"), epc_budget=1 << 30, tx_capacity=1 << 20)
+    assert comm.monitor_tick(1400.0) == []
+    assert comm.alive == {1: 0.0, 2: 0.0}
+    comm.nodes[2].send_heartbeat(1500.0)
+    assert comm.monitor_tick(1600.0) == [(1, conf.slots[0])]
+    assert comm.alive == {2: 1500.0}
+    comm.nodes[1].send_heartbeat(1650.0)  # a node declared dead is not brought back
+    assert comm.monitor_tick(1700.0) == []  # already declared
+    assert comm.alive == {2: 1500.0}
 
 
 def test_no_dropouts_empty_actions():
-    comm = Committee(seed=0)
+    comm = committee_with_nodes(range(4))
     comm.setup([0, 1, 2, 3])
     spec = make_spec(strategy="single")
     comm.accept_task(spec, epc_budget=1 << 30, tx_capacity=1 << 20)
     for node in comm.alive:
-        comm.monitor.beat(node, 100.0)
+        comm.nodes[node].send_heartbeat(100.0)
     assert comm.monitor_tick(200.0) == []
+    assert comm.alive == dict.fromkeys(range(4), 100.0)
 
 
 def test_failover_moves_partition_to_lowest_spare():
-    comm = Committee(seed=0)
+    comm = committee_with_nodes(range(4))
     comm.setup([0, 1, 2, 3])
     spec = make_spec(strategy="single")
     conf = comm.accept_task(spec, epc_budget=1 << 30, tx_capacity=1 << 20)
     assert conf.slots[0].node == 0
     for node in (1, 2, 3):
-        comm.monitor.beat(node, 5000.0)
+        comm.nodes[node].send_heartbeat(5000.0)
     moved = comm.monitor_tick(5000.0)
     assert moved == [(0, conf.slots[0])]
     assert conf.slots[0].node == 1
     assert conf.slots[0].eid is None
+    assert list(comm.alive) == [1, 2, 3]
 
 
 def test_no_spare_nodes_marks_stalled():
-    comm = Committee(seed=0)
+    comm = committee_with_nodes([0])
     comm.setup([0])
     spec = make_spec(strategy="single")
     comm.accept_task(spec, epc_budget=1 << 30, tx_capacity=1 << 20)

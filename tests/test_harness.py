@@ -344,6 +344,28 @@ def test_detection_that_moves_no_partition_keeps_the_rounds_failover_phases():
         "round 1: partition 0 moved 0 -> 4",
         "round 1: node 5 killed (collect)",
     ]
+    # the wait for node 5 ends once it is declared dead: 3 intervals, not 5
+    assert report.traffic_bytes_by_kind["Heartbeat"] == 483
+
+
+def test_lost_resend_request_during_failover_is_asked_again():
+    # node 0's partition moves at collect, and the first request for a
+    # client to re-send to the new enclave is lost; the straggler chase asks again
+    cfg = RunConfig(
+        n_clients=6, n_nodes=6, rounds=3, participation=1.0, strategy="clientmax",
+        layers={0: 24, 1: 16}, epc_budget=800, seed=0,
+        faults=[
+            FaultEvent(kind="kill_node", node=0, round=1, phase="collect"),
+            FaultEvent(kind="drop", message_kind="ResendRequest", count=1),
+        ],
+    )
+    report = run_task(cfg)
+    assert report.ok
+    assert report.events == [
+        "round 1: node 0 killed (collect)",
+        "round 1: partition 0 moved 0 -> 4",
+        "round 1: stragglers [0] on partition 0",
+    ]
 
 
 def test_between_round_kill_recovers_bit_exact():
@@ -413,20 +435,21 @@ def test_failover_event_names_the_node_the_partition_ends_on():
     assert "round 1: partition 0 moved 0 -> 2" in report.events
 
 
-def test_killed_node_that_never_answered_the_ping_is_not_awaited():
-    # node 1 misses the initial ping, so the monitor never watches it; killing
-    # it must not make every round wait out the failover threshold
+@pytest.mark.parametrize("kill_round", [None, 0, 1], ids=["no-kill", "kill-round-0", "kill-round-1"])
+def test_killed_node_that_never_answered_the_ping_is_not_awaited(kill_round):
+    # node 1 misses the initial ping, so the committee never holds it alive:
+    # it is never polled, and killing it must not make a round wait for it
     base = dict(n_nodes=3, rounds=2)
     clean = run_task(small_config(**base))
-    report = run_task(small_config(**base, faults=[
-        FaultEvent(kind="drop", message_kind="Ping", dest="node:1"),
-        FaultEvent(kind="kill_node", node=1, round=0),
-    ]))
+    faults = [FaultEvent(kind="drop", message_kind="Ping", dest="node:1")]
+    if kill_round is not None:
+        faults.append(FaultEvent(kind="kill_node", node=1, round=kill_round))
+    report = run_task(small_config(**base, faults=faults))
     assert clean.ok and report.ok
     # one heartbeat interval per round, as in the clean run, from one node fewer
     beats = clean.traffic_bytes_by_kind["Heartbeat"]
     assert beats == 126
-    assert report.traffic_bytes_by_kind["Heartbeat"] == beats * 2 // 3
+    assert report.traffic_bytes_by_kind["Heartbeat"] == beats * 2 // 3 == 84
 
 
 def test_failover_onto_only_tampered_spares_ends_stalled():

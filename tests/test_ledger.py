@@ -73,6 +73,15 @@ def test_upload_pk_authorization_and_rotation():
     assert led.tasks[TASKID].vk_pk == vk2.public_bytes()
 
 
+def test_only_the_committee_sets_the_expected_chunk_count():
+    led = make_ledger()
+    led.create_task(TASKID)
+    led.set_expected_chunks(COMM, TASKID, 3)
+    with pytest.raises(Unauthorized):
+        led.set_expected_chunks("node:0", TASKID, 5)
+    assert led.tasks[TASKID].expected_chunks == 3
+
+
 def _prepared_ledger(ctx, chunks):
     led = make_ledger()
     led.create_task(TASKID)

@@ -254,6 +254,17 @@ def test_only_nodes_answer_a_ping():
         transport.check_reply(reply)
 
 
+def test_killed_node_sends_no_heartbeat():
+    run = TaskRun(small_config(faults=[FaultEvent(kind="kill_node", node=0, round=0)]))
+    run.nodes[0].send_heartbeat(1.0)
+    assert run.router.recv("committee")[1] == MessageKind.Heartbeat  # alive until killed
+    run.router.bytes_by_kind.clear()
+    assert run.router.faults.kills(0, "between") == [0]
+    run.nodes[0].send_heartbeat(2.0)
+    assert run.router.recv("committee") is None
+    assert "Heartbeat" not in run.router.bytes_by_kind
+
+
 def test_forged_chunk_rejected_but_round_completes():
     cfg = small_config(faults=[FaultEvent(kind="tamper_chunk", round=0)])
     report = run_task(cfg)

@@ -110,7 +110,9 @@ def test_killed_node_party_refuses_frames_after_kills():
     router.register("node:1", handler=lambda s, k, p: None)
     assert plan.kills(2, "between") == []
     router.call("a", "node:1", MessageKind.Ping, b"")
+    assert not plan.killed(1)
     assert plan.kills(2, "collect") == [1]
+    assert plan.killed(1) and not plan.killed(0)
     with pytest.raises(DeliveryDropped, match="^party node:1 unreachable$"):
         router.call("a", "node:1", MessageKind.Ping, b"")
     router.send("node:1", "a", MessageKind.Heartbeat, b"hb")  # only frames to it are refused
