@@ -298,11 +298,11 @@ RESCHEDULE_MS = 2.0
 STRAGGLER_TIMEOUT_MS = 100.0
 
 
-# Per key-delivery purpose: the AAD label the enclave checks, and the frame kind.
+# The frame kind of each delivery purpose; enclave holds the rest of the format.
 _KEY_DELIVERIES = {
-    transport.KEY_PURPOSE_SK: (b"sk_vk", MessageKind.KeyDeliver),
-    transport.KEY_PURPOSE_PARTITION: (b"partition", MessageKind.RoundDeliver),
-    transport.KEY_PURPOSE_ROUND: (b"round", MessageKind.RoundDeliver),
+    transport.KEY_PURPOSE_SK: MessageKind.KeyDeliver,
+    transport.KEY_PURPOSE_PARTITION: MessageKind.RoundDeliver,
+    transport.KEY_PURPOSE_ROUND: MessageKind.RoundDeliver,
 }
 
 
@@ -335,7 +335,8 @@ class Committee:
         self.alive: dict[int, float] = {}  # node -> virtual time of its last heartbeat
         self.spec: TaskSpec | None = None
         self.conf: Conf | None = None
-        self.chunk_bases: list[int] = []  # the open round's, see chunk_bases()
+        self.armed_round: int | None = None  # the round open_round last armed
+        self.chunk_bases: list[int] = []  # that round's, see chunk_bases()
         self.vk: crypto.SigKeyPair | None = None
         self.ssk_by_eid: dict[int, crypto.SymKey] = {}
         self.events: list[str] = []
@@ -386,15 +387,13 @@ class Committee:
             self.install(slot)
         self.deliver_conf()
 
-    def install(
-        self, slot: Slot, arm_round: int | None = None, stage: str = "provisioning"
-    ) -> None:
+    def install(self, slot: Slot, stage: str = "provisioning") -> None:
         """Provision one partition; a node failing attestation is marked dead
         and the partition moves to the lowest spare node. ``stage`` names
         when, in the events."""
         while True:
             try:
-                self._install(slot, arm_round)
+                self._install(slot)
                 return
             except crypto.MeasurementMismatch:
                 bad = slot.node
@@ -415,7 +414,7 @@ class Committee:
         except Exception as exc:
             raise RunFailed(f"{kind.name} failed on node {node}: {exc}") from exc
 
-    def _install(self, slot: Slot, arm_round: int | None) -> None:
+    def _install(self, slot: Slot) -> None:
         """Install, attest, and provision one partition's enclave."""
         spec = self.spec
         installed = self._call(
@@ -436,8 +435,6 @@ class Committee:
             slot, transport.KEY_PURPOSE_PARTITION,
             pack(transport.PARTITION, slot.layer_range, self.tx_capacity),
         )
-        if arm_round is not None:
-            self._arm(slot, arm_round)
 
     def _arm(self, slot: Slot, round_index: int) -> None:
         plain = pack(
@@ -447,12 +444,10 @@ class Committee:
 
     def _key_deliver(self, slot: Slot, purpose: int, plain: bytes) -> None:
         """Seal ``plain`` under the slot enclave's session key and deliver it."""
-        label, kind = _KEY_DELIVERIES[purpose]
         taskid = self.spec.taskid
-        env = crypto.ae_encrypt(
-            self.ssk_by_eid[slot.eid], crypto.keydeliver_aad(taskid, label), plain, rng=self.rng
-        )
-        self._call(slot.node, kind, pack(transport.KEY_DELIVER, taskid, slot.eid, purpose, env))
+        env = enclave.seal_delivery(self.ssk_by_eid[slot.eid], taskid, purpose, plain, self.rng)
+        body = pack(transport.KEY_DELIVER, taskid, slot.eid, purpose, env)
+        self._call(slot.node, _KEY_DELIVERIES[purpose], body)
 
     def deliver_conf(self) -> None:
         body = self.conf.to_bytes()
@@ -472,6 +467,7 @@ class Committee:
         """Lay out the round's chunks, tell the ledger how many to expect, and
         arm every partition's enclave with the round and its chunk base."""
         spec = self.spec
+        self.armed_round = round_index
         self.chunk_bases = chunk_bases(self.conf, round_index, spec.model_meta, self.tx_capacity)
         self.ledger.set_expected_chunks(PARTY, spec.taskid, self.chunk_bases[-1])
         for slot in self.conf.slots:
@@ -528,16 +524,16 @@ class Committee:
 
     # -- failover ----------------------------------------------------------------------
 
-    def fail_over(self, round_index: int, resend: bool) -> dict[str, float]:
+    def fail_over(self, round_index: int) -> dict[str, float]:
         """Poll the alive nodes' heartbeats, one interval at a time, until a
         partition has moved or no alive node is overdue, at most
         ``FAILOVER_THRESHOLD + 2`` intervals; then return the round's
         failover phases, or ``{}`` if no partition moved.
 
-        Each moved partition is installed afresh. With ``resend`` the round
-        is open: the new enclave is armed for it, and the partition's clients
-        re-send their cached slices to it. Otherwise :meth:`open_round` arms
-        it."""
+        Each moved partition is installed afresh, then the schedule is sent
+        once. If :meth:`open_round` has armed this round, each new enclave is
+        armed for it and its clients re-send their cached slices to it;
+        otherwise :meth:`open_round` arms it."""
         clock = self.router.clock
         for _ in range(FAILOVER_THRESHOLD + 2):
             clock.advance(HEARTBEAT_INTERVAL_MS)
@@ -550,17 +546,19 @@ class Committee:
         if not moved:
             return {}
         clock.advance(RESCHEDULE_MS)
+        round_open = self.armed_round == round_index
         for dead, slot in moved:
-            self.install(slot, round_index if resend else None, f"round {round_index}")
-            if resend:
-                self.deliver_conf()
-                for uid in self.conf.subset(round_index, slot.index):
-                    self.request_resend(uid, slot, round_index)
+            self.install(slot, f"round {round_index}")
+            if round_open:
+                self._arm(slot, round_index)
             self.events.append(
                 f"round {round_index}: partition {slot.index} moved {dead} -> {slot.node}"
             )
-        if not resend:
-            self.deliver_conf()
+        self.deliver_conf()
+        if round_open:
+            for _, slot in moved:
+                for uid in self.conf.subset(round_index, slot.index):
+                    self.request_resend(uid, slot, round_index)
         # one attestation for the committee and one per client reconnecting
         connect_ms = sum(
             CONNECT_MS_PER_ATTESTATION * (1 + len(self.conf.subset(round_index, slot.index)))

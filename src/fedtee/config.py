@@ -8,15 +8,13 @@ within 1%, which is what the capacity planner actually packs.
 
 from __future__ import annotations
 
-import hashlib
 import json
-import struct
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from . import model
-from .committee import check_task_shape
+from .committee import check_task_shape, derive_seed
 from .ledger import CHAIN_PRESETS
 from .transport import MessageKind
 
@@ -166,8 +164,7 @@ def load_fault_schedule(path: str) -> list[FaultEvent]:
 
 def initial_model(config: RunConfig) -> model.WeightVector:
     """Seeded initial weights in [-1, 1); on the dyadic grid in int mode."""
-    digest = hashlib.sha256(struct.pack(">Q", config.seed) + b"m_init").digest()
-    rng = np.random.default_rng(int.from_bytes(digest[:8], "big"))
+    rng = np.random.default_rng(derive_seed(config.seed, "m_init"))
     meta = config.model_meta()
     idxs = sorted(meta)
     if config.int_mode:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import os
 import struct
 from dataclasses import dataclass, field
 from random import Random
@@ -155,18 +154,16 @@ def envelope_encoded_size(aad_len: int, plaintext_len: int) -> int:
     return NONCE_BYTES + 2 + aad_len + 4 + plaintext_len + TAG_BYTES
 
 
-def ae_encrypt(
-    key: SymKey, aad: bytes, plaintext: bytes, rng: Random | None = None, out=None
-) -> Envelope:
+def ae_encrypt(key: SymKey, aad: bytes, plaintext: bytes, rng: Random, out=None) -> Envelope:
     """Encrypt under AES-GCM with a fresh 12-byte nonce drawn from ``rng``.
 
-    Nonce uniqueness per key instance is asserted; a seeded ``rng`` keeps the
-    run reproducible, ``None`` falls back to OS entropy. With ``out``, a
+    Nonce uniqueness per key instance is asserted; the seeded ``rng`` keeps
+    the run reproducible. With ``out``, a
     writable buffer of ``len(plaintext) + TAG_BYTES`` bytes, the output is
     written there and ``sealed`` is ``out``; ``plaintext`` may be
     ``out[:-TAG_BYTES]``, which is then encrypted in place.
     """
-    nonce = rng.randbytes(NONCE_BYTES) if rng is not None else os.urandom(NONCE_BYTES)
+    nonce = rng.randbytes(NONCE_BYTES)
     if nonce in key._seen_nonces:
         raise RuntimeError("nonce reuse under one key within a run")
     key._seen_nonces.add(nonce)
@@ -200,7 +197,7 @@ class Sealing(NamedTuple):
     aad: bytes
     size: int
     fill: bytes | Callable[[memoryview], object]
-    rng: Random | None = None
+    rng: Random
 
     @property
     def wire_size(self) -> int:

@@ -3,14 +3,17 @@
 An :class:`SgxHost` plays the part of the trusted hardware on one execution
 node. Installed instances keep their keys and round state private to this
 module; the hosting node only ever sees envelopes going in and signed chunks
-coming out. A resume decrypts the batch, checks that all clients delivered
-the same master key, runs the pluggable aggregation hook over the requested
-layers, seals the encoded result under the master key, splits the envelope's
-wire encoding into transaction-sized chunks, and signs each chunk. Each
-plaintext is decrypted into a fresh buffer the enclave owns, and the output
-is written once: its wire encoding is one buffer, the encoded result sealed
-in place inside it, and each chunk is a view of that buffer. A chunk is
-signed without joining its signed message.
+coming out. The committee provisions an enclave over its attested session
+with the signing key, the partition, then each round's arm. One table here
+holds each delivery's format: the committee seals with :func:`seal_delivery`,
+and :meth:`SgxHost.deliver` opens and applies. A resume decrypts the batch,
+checks that all clients delivered the same master key, runs the pluggable
+aggregation hook over the requested layers, seals the encoded result under
+the master key, splits the envelope's wire encoding into transaction-sized
+chunks, and signs each chunk. Each plaintext is decrypted into a fresh buffer
+the enclave owns, and the output is written once: its wire encoding is one
+buffer, the encoded result sealed in place inside it, and each chunk is a
+view of that buffer. A chunk is signed without joining its signed message.
 """
 
 from __future__ import annotations
@@ -49,10 +52,6 @@ class CapacityExceeded(Exception):
 HOOKS = {"fedavg": model.partial_aggregate}
 
 
-def program_measurement(code_id: bytes) -> bytes:
-    return hashlib.sha256(code_id).digest()
-
-
 @dataclass(frozen=True)
 class EnclaveProgram:
     """The contract an enclave runs, identified by the hash of its code."""
@@ -62,7 +61,7 @@ class EnclaveProgram:
 
     @property
     def measurement(self) -> bytes:
-        return program_measurement(self.code_id)
+        return hashlib.sha256(self.code_id).digest()
 
 
 @dataclass(frozen=True)
@@ -114,6 +113,20 @@ class EnclaveInstance:
     ssk_by_peer: dict = field(default_factory=dict)
     partition: PartitionConf | None = None
     busy: bool = False  # single-entrant guard
+
+
+# Per committee delivery purpose: its AAD label, and the SgxHost step applying it.
+_DELIVERIES = {
+    transport.KEY_PURPOSE_SK: (b"sk_vk", "getsk"),
+    transport.KEY_PURPOSE_ROUND: (b"round", "set_round"),
+    transport.KEY_PURPOSE_PARTITION: (b"partition", "load_partition"),
+}
+
+
+def seal_delivery(ssk: SymKey, taskid: bytes, purpose: int, plain: bytes, rng: Random) -> Envelope:
+    """Seal a committee delivery of ``purpose`` under the enclave's session key."""
+    label, _ = _DELIVERIES[purpose]
+    return crypto.ae_encrypt(ssk, crypto.keydeliver_aad(taskid, label), plain, rng)
 
 
 class SgxHost:
@@ -170,11 +183,12 @@ class SgxHost:
 
     # -- provisioning -------------------------------------------------------
 
-    def _open(
-        self, eid: int, sender: str, env: Envelope, label: bytes
-    ) -> tuple[EnclaveInstance, bytes]:
-        """Decrypt a committee delivery under ``sender``'s session key and
-        check that it was sealed for this task and purpose."""
+    def deliver(self, eid: int, sender: str, purpose: int, env: Envelope) -> None:
+        """Open a committee delivery under ``sender``'s session key, check it was
+        sealed for this task and purpose, and apply its step."""
+        if purpose not in _DELIVERIES:
+            raise ValueError(f"unknown key-delivery purpose {purpose}")
+        label, step = _DELIVERIES[purpose]
         inst = self._instance(eid)
         key = inst.ssk_by_peer.get(sender)
         if key is None:
@@ -182,17 +196,14 @@ class SgxHost:
         plain = crypto.ae_decrypt(key, env)
         if env.aad != crypto.keydeliver_aad(inst.taskid, label):
             raise AuthFailure(f"{label.decode()} envelope bound to a different context")
-        return inst, plain
+        getattr(self, step)(inst, plain)
 
-    def getsk(self, eid: int, sender: str, env: Envelope) -> None:
-        """Deliver the signing key, encrypted under the committee session key."""
-        inst, scalar = self._open(eid, sender, env, b"sk_vk")
+    def getsk(self, inst: EnclaveInstance, scalar: bytes) -> None:
         inst.sk_vk = crypto.load_secret_key(scalar)
 
-    def set_round(self, eid: int, sender: str, env: Envelope) -> None:
+    def set_round(self, inst: EnclaveInstance, plain: bytes) -> None:
         """Arm the enclave for one round and its first chunk index; a round not
         yet consumed may be re-armed, the latest arm holding."""
-        inst, plain = self._open(eid, sender, env, b"round")
         taskid, round_index, chunk_base = transport.unpack(transport.ROUND_ARM, plain)
         if taskid != inst.taskid:
             raise RoundMismatch(f"round delivery for task {taskid!r}, enclave runs {inst.taskid!r}")
@@ -200,8 +211,7 @@ class SgxHost:
             raise RoundMismatch(f"round {round_index} already consumed")
         inst.expected_round, inst.chunk_base = round_index, chunk_base
 
-    def load_partition(self, eid: int, sender: str, env: Envelope) -> None:
-        inst, plain = self._open(eid, sender, env, b"partition")
+    def load_partition(self, inst: EnclaveInstance, plain: bytes) -> None:
         inst.partition = PartitionConf(*transport.unpack(transport.PARTITION, plain))
 
     # -- execution ----------------------------------------------------------

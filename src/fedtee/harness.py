@@ -52,7 +52,6 @@ class VirtualClock:
 
 @dataclass
 class RunReport:
-    config_json: str
     rounds: list[dict] = field(default_factory=list)
     traffic_bytes_by_kind: dict[str, int] = field(default_factory=dict)
     receipts: list[dict] = field(default_factory=list)
@@ -156,31 +155,37 @@ def oracle_run(config: RunConfig, subsets_by_round: list[list[int]] | None = Non
 class NeedleScan:
     """A set of needles, indexed once, to count in any number of haystacks.
 
-    Every 8-byte window ``needle[k:k+8]`` with ``k`` in 0..min(7, L-8) is
-    marked in a hash table over 8-byte words. An occurrence of a needle of
-    length L covers L-7 consecutive word starts, so reading the words that
-    start at offsets 0..m-1 (mod 8) of a block, with
-    ``m = clamp(16 - shortest, 1, 8)``, sees a marked window of every
-    occurrence. With needles of at least 16 bytes m is 1: each 8-byte word
-    of the haystack is hashed once.
+    The leak scan's needles are the 16-byte sentinel and keys and the 32-byte
+    signing scalar, so a needle must be at least 16 bytes long. Its windows
+    ``needle[k:k+8]``, ``k`` in 0..7, are marked in a hash table over 8-byte
+    words. An occurrence at offset ``s`` holds the word at the multiple of 8
+    in ``s..s+7``, one of those windows, so one aligned pass, which hashes
+    each 8-byte word of the haystack once, sees every occurrence.
     """
 
     def __init__(self, needles) -> None:
         self.needles = list(dict.fromkeys(needles))
-        if any(len(n) < 8 for n in self.needles):
-            raise ValueError("leak-scan needles must be at least 8 bytes long")
+        if any(len(n) < 16 for n in self.needles):
+            raise ValueError("leak-scan needles must be at least 16 bytes long")
         self.by_word: dict[int, list[tuple[bytes, int]]] = {}
         for n in self.needles:
-            for k in range(min(7, len(n) - 8) + 1):
+            for k in range(8):
                 self.by_word.setdefault(int.from_bytes(n[k : k + 8], "little"), []).append((n, k))
         self.table = np.zeros(1 << SCAN_TABLE_BITS, dtype=bool)
         self.table[(np.fromiter(self.by_word, dtype=np.uint64) * _HASH_MUL) >> _HASH_SHIFT] = True
-        shortest = min(map(len, self.needles), default=16)
-        self.alignments = min(8, max(1, 16 - shortest))
         self.keep = max(map(len, self.needles), default=8) - 1
 
     def count(self, chunks) -> dict[bytes, int]:
-        """Count every needle in ``b"".join(chunks)``; see :func:`count_needles`."""
+        """Count every needle in ``b"".join(chunks)`` in one pass over the bytes.
+
+        Each count equals ``b"".join(chunks).count(needle)``: matches do not
+        overlap, and a match may cross chunk boundaries. The chunks are read
+        in blocks of ``SCAN_BLOCK`` bytes, each led by the last ``max_len - 1``
+        bytes of the block before. Only words that hit a marked slot are
+        compared byte for byte, so the cost is linear in the haystack whatever
+        the number of needles, and the filter can cost time but never change
+        a count.
+        """
         counts = dict.fromkeys(self.needles, 0)
         if not counts:
             return counts
@@ -190,16 +195,15 @@ class NeedleScan:
         for pieces in _blocks(chunks):
             buf = b"".join([carry, *pieces])
             found = set()  # one occurrence may hit several of its windows
-            for align in range(min(self.alignments, len(buf) - 7)):
-                words = np.frombuffer(buf, dtype="<u8", count=(len(buf) - align) // 8, offset=align)
-                slots = ((words * _HASH_MUL) >> _HASH_SHIFT).view(np.int64)  # no cast to index
-                hits = np.flatnonzero(table[slots])
-                for i, word in zip(hits.tolist(), words[hits].tolist()):
-                    for n, k in by_word.get(word, ()):
-                        start = align + 8 * i - k
-                        # a start before the buffer lies wholly in the one before
-                        if start >= 0 and buf.startswith(n, start):
-                            found.add((base + start, n))
+            words = np.frombuffer(buf, dtype="<u8", count=len(buf) // 8)
+            slots = ((words * _HASH_MUL) >> _HASH_SHIFT).view(np.int64)  # no cast to index
+            hits = np.flatnonzero(table[slots])
+            for i, word in zip(hits.tolist(), words[hits].tolist()):
+                for n, k in by_word.get(word, ()):
+                    start = 8 * i - k
+                    # a start before the buffer lies wholly in the one before
+                    if start >= 0 and buf.startswith(n, start):
+                        found.add((base + start, n))
             # a match lying wholly in the carry was seen in the buffer before,
             # and starts below free_from whether it was counted then or not
             for pos, n in sorted(found):
@@ -227,24 +231,6 @@ def _blocks(chunks):
             have += len(chunk)
     if have:
         yield pending
-
-
-def count_needles(chunks, needles) -> dict[bytes, int]:
-    """Count every needle in ``b"".join(chunks)`` in one pass over the bytes.
-
-    Each count equals ``b"".join(chunks).count(needle)``: matches do not
-    overlap, and a match may cross chunk boundaries. The chunks are read in
-    blocks of ``SCAN_BLOCK`` bytes, each led by the last ``max_len - 1`` bytes
-    of the block before and joined with them once. Each 8-byte word read is
-    hashed into a table marking every 8-byte window of the needles; only
-    words that hit a marked slot are compared byte for byte, at the start
-    their window implies. When every needle is at least 16 bytes long, each
-    word of the haystack is read once; an 8-byte needle needs all 8
-    alignments (see :class:`NeedleScan`). So the cost is linear in the
-    haystack whatever the number of needles, and the filter can cost time
-    but never change a count.
-    """
-    return NeedleScan(needles).count(chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +279,7 @@ class TaskRun:
         self.program = EnclaveProgram(b"fedavg-aggregation-contract-v1", "fedavg")
         self.tap = self.router.add_tap() if (config.taps or config.sentinel) else None
         # the committee logs into the report's event list as it acts
-        self.report = RunReport(config_json=config.to_json(), events=self.committee.events)
+        self.report = RunReport(events=self.committee.events)
 
     # -- setup ---------------------------------------------------------------
 
@@ -336,7 +322,7 @@ class TaskRun:
         failover = {"Re-schedule": 0.0, "Connect": 0.0}
 
         self._kill_nodes(round_index, "between")
-        failover.update(committee.fail_over(round_index, resend=False))
+        failover.update(committee.fail_over(round_index))
         committee.open_round(round_index)
 
         round_start = self.clock.now_ms
@@ -346,7 +332,7 @@ class TaskRun:
         send_phase = max(arrivals, default=round_start) - round_start
 
         if self._kill_nodes(round_index, "collect"):
-            failover.update(committee.fail_over(round_index, resend=True))
+            failover.update(committee.fail_over(round_index))
         committee.collect(round_index)
 
         compute_ms = []
@@ -435,7 +421,7 @@ class TaskRun:
         cfg = self.cfg
         oracle = oracle_run(cfg, subsets_by_round=[rd["participants"] for rd in self.report.rounds])
         checks = {}
-        end_to_end = matches_oracle(self.report, oracle)
+        end_to_end = matches_oracle(cfg, self.report, oracle)
         checks["end_to_end_matches_oracle"] = "pass" if end_to_end else "FAIL"
 
         expected_accepts = sum(r["accepted"] for r in self.report.rounds)
@@ -482,13 +468,12 @@ def run_task(config: RunConfig) -> RunReport:
     return TaskRun(config).run()
 
 
-def matches_oracle(report: RunReport, oracle_models) -> bool:
-    """Every round's model against the oracle's, with no round missing.
+def matches_oracle(cfg: RunConfig, report: RunReport, oracle_models) -> bool:
+    """Every round's model of ``cfg``'s run against the oracle's, none missing.
 
     Bit-exact only on the dyadic grid: int mode without the sentinel, whose
     value is off the grid. Otherwise within 1e-9 relative (1e-12 absolute).
     """
-    cfg = RunConfig.from_json(report.config_json)
     exact = cfg.int_mode and not cfg.sentinel
     return len(oracle_models) == len(report.round_models) and all(
         got.bit_equal(want) if exact else got.allclose(want, rel=1e-9, abs_tol=1e-12)

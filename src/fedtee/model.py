@@ -142,13 +142,7 @@ class PartialAggregate:
 
     scaled_sum: WeightVector
     weight_sum: int
-    layer_range: tuple[int, ...]
     client_set: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        covered = tuple(l.index for l in self.scaled_sum.layers)
-        if covered != tuple(sorted(self.layer_range)):
-            raise ValueError("scaled_sum must carry exactly the layers in layer_range")
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +260,6 @@ def decode_partial(data: bytes) -> PartialAggregate:
     return PartialAggregate(
         scaled_sum=wv,
         weight_sum=weight_sum,
-        layer_range=tuple(l.index for l in wv.layers),
         client_set=clients,
     )
 
@@ -425,7 +418,6 @@ def partial_aggregate(updates: list[LocalUpdate], layer_range: tuple[int, ...]) 
     return PartialAggregate(
         scaled_sum=_sums(structure, terms, None),
         weight_sum=sum(u.dataset_size for u in ordered),
-        layer_range=wanted,
         client_set=tuple(u.client for u in ordered),
     )
 

@@ -46,7 +46,6 @@ class Node:
         self.party = f"node:{node_id}"
         self.router = router
         self.host = SgxHost(eid_allocator)
-        self.eid_by_task: dict[bytes, int] = {}
         # (taskid, round) -> sender -> (env_m, env_k); ciphertext only
         self.pending: dict[tuple[bytes, int], dict[int, tuple[Envelope, Envelope]]] = {}
         self.confs: dict[bytes, Conf] = {}  # taskid -> the committee's schedule
@@ -62,7 +61,9 @@ class Node:
                 reply = pack(transport.RA_HANDSHAKE2, point_out, measurement)
                 return MessageKind.RaHandshake2, reply
             if kind in (MessageKind.KeyDeliver, MessageKind.RoundDeliver):
-                return self._handle_key_deliver(src, payload)
+                _, eid, purpose, env = unpack(transport.KEY_DELIVER, payload)
+                self.host.deliver(eid, src, purpose, env)
+                return ok()
             if kind == MessageKind.ModelEnvelope:
                 return self._handle_model_envelope(payload)
             if kind == MessageKind.ConfDeliver:
@@ -84,20 +85,7 @@ class Node:
             code_id += b"\xee"  # a corrupt node loads something else
         program = EnclaveProgram(code_id, hook)
         eid = self.host.install(taskid, program, epc_budget, bool(paging), rng_seed)
-        self.eid_by_task[taskid] = eid
         return ok(pack(transport.INSTALLED, eid))
-
-    def _handle_key_deliver(self, src: str, payload: bytes):
-        taskid, eid, purpose, env = unpack(transport.KEY_DELIVER, payload)
-        if purpose == transport.KEY_PURPOSE_SK:
-            self.host.getsk(eid, src, env)
-        elif purpose == transport.KEY_PURPOSE_ROUND:
-            self.host.set_round(eid, src, env)
-        elif purpose == transport.KEY_PURPOSE_PARTITION:
-            self.host.load_partition(eid, src, env)
-        else:
-            raise ValueError(f"unknown key-delivery purpose {purpose}")
-        return ok()
 
     def _handle_model_envelope(self, payload: bytes):
         # the envelopes stay views of the frame, buffered without a copy
@@ -128,15 +116,14 @@ class Node:
         return sorted(c for c in mine[1] if c not in box)
 
     def compute(self, taskid: bytes, round_index: int) -> dict:
-        """Resume the enclave over the collected batch and upload every chunk.
+        """Resume the schedule's enclave over the collected batch and upload every chunk.
 
         Returns receipts plus the byte counts the timing model charges.
         """
-        _, subset = self._my_slot(taskid, round_index)
-        eid = self.eid_by_task[taskid]
+        slot, subset = self._my_slot(taskid, round_index)
         box = self.pending.get((taskid, round_index), {})
         inputs = [(box[c][0], box[c][1], c) for c in sorted(subset)]
-        output = self.host.resume(eid, inputs)
+        output = self.host.resume(slot.eid, inputs)
         receipts = []
         uploaded = 0
 

@@ -118,15 +118,9 @@ class FaultPlan:
 
 @dataclass
 class Tap:
-    """Collects the raw bytes of every frame on matching channels."""
+    """Records every frame as (src, dest, raw bytes)."""
 
-    src: str | None = None
-    dest: str | None = None
     frames: list[tuple[str, str, bytes]] = field(default_factory=list)
-
-    def observe(self, src: str, dest: str, raw: bytes) -> None:
-        if (self.src is None or src == self.src) and (self.dest is None or dest == self.dest):
-            self.frames.append((src, dest, raw))
 
 
 class Router:
@@ -154,8 +148,8 @@ class Router:
         if handler is not None:
             self._handlers[party] = handler
 
-    def add_tap(self, src: str | None = None, dest: str | None = None) -> Tap:
-        tap = Tap(src=src, dest=dest)
+    def add_tap(self) -> Tap:
+        tap = Tap()
         self.taps.append(tap)
         return tap
 
@@ -179,7 +173,7 @@ class Router:
         if self.taps:
             raw = Frame(kind, payload).to_bytes()
             for tap in self.taps:
-                tap.observe(src, dest, raw)
+                tap.frames.append((src, dest, raw))
         self.faults.check(kind, src, dest)
         now = self.clock.now_ms if self.clock is not None else 0.0
         bytes_per_ms = self._bytes_per_ms.get((src, dest))

@@ -127,19 +127,9 @@ def provision_enclave(
 
     committee_ssk = ra_key_exchange("committee", host, eid, program.measurement, rng)
     vk = crypto.sig_keygen(rng.randbytes(32))
-    env = crypto.ae_encrypt(
-        committee_ssk,
-        crypto.keydeliver_aad(TASKID, b"sk_vk"),
-        vk.secret_scalar_bytes(),
-        rng=rng,
-    )
-    host.getsk(eid, "committee", env)
-
+    deliver(host, eid, committee_ssk, transport.KEY_PURPOSE_SK, vk.secret_scalar_bytes(), rng)
     part = transport.pack(transport.PARTITION, layer_range, tx_capacity)
-    env = crypto.ae_encrypt(
-        committee_ssk, crypto.keydeliver_aad(TASKID, b"partition"), part, rng=rng
-    )
-    host.load_partition(eid, "committee", env)
+    deliver(host, eid, committee_ssk, transport.KEY_PURPOSE_PARTITION, part, rng)
 
     arm_round(host, eid, committee_ssk, round_index, rng, chunk_base)
 
@@ -159,12 +149,15 @@ def provision_enclave(
     }
 
 
+def deliver(host, eid, committee_ssk, purpose, plain, rng):
+    """Seal ``plain`` for ``purpose`` and deliver it as the committee does."""
+    env = enclave.seal_delivery(committee_ssk, TASKID, purpose, plain, rng)
+    host.deliver(eid, "committee", purpose, env)
+
+
 def arm_round(host, eid, committee_ssk, round_index, rng, chunk_base=0):
     plain = transport.pack(transport.ROUND_ARM, TASKID, round_index, chunk_base)
-    env = crypto.ae_encrypt(
-        committee_ssk, crypto.keydeliver_aad(TASKID, b"round"), plain, rng=rng
-    )
-    host.set_round(eid, "committee", env)
+    deliver(host, eid, committee_ssk, transport.KEY_PURPOSE_ROUND, plain, rng)
 
 
 def client_inputs(ctx, updates, round_index=0):

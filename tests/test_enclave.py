@@ -14,8 +14,9 @@ from conftest import (
     provision_enclave,
     ra_key_exchange,
     simple_update,
+    with_envelope_field,
 )
-from fedtee import crypto, enclave, model
+from fedtee import crypto, enclave, model, transport
 from fedtee.committee import _per_client_bytes
 from fedtee.crypto import AuthFailure, Envelope, MeasurementMismatch
 from fedtee.enclave import (
@@ -28,6 +29,7 @@ from fedtee.enclave import (
     chunk_signed_parts,
     make_eid_allocator,
 )
+from fedtee.transport import KEY_PURPOSE_PARTITION, KEY_PURPOSE_ROUND, KEY_PURPOSE_SK
 
 
 def test_two_installs_get_distinct_eids():
@@ -96,14 +98,12 @@ def test_getsk_tampered_envelope_rejected_and_key_absent():
     rng = Random(1)
     ssk = ra_key_exchange("committee", host, eid, program.measurement, rng)
     vk = crypto.sig_keygen(rng.randbytes(32))
-    env = crypto.ae_encrypt(
-        ssk, crypto.keydeliver_aad(TASKID, b"sk_vk"), vk.secret_scalar_bytes(), rng=rng
-    )
+    env = enclave.seal_delivery(ssk, TASKID, KEY_PURPOSE_SK, vk.secret_scalar_bytes(), rng)
     flipped = bytearray(env.ciphertext)
     flipped[0] ^= 1
     bad = Envelope(env.nonce, env.aad, bytes(flipped) + env.tag)
     with pytest.raises(AuthFailure):
-        host.getsk(eid, "committee", bad)
+        host.deliver(eid, "committee", KEY_PURPOSE_SK, bad)
     assert host.instances[eid].sk_vk is None
 
 
@@ -115,11 +115,57 @@ def test_getsk_under_wrong_peers_key_rejected():
     ra_key_exchange("committee", host, eid, program.measurement, rng)
     other = crypto.SymKey(rng.randbytes(16))
     vk = crypto.sig_keygen(rng.randbytes(32))
-    env = crypto.ae_encrypt(
-        other, crypto.keydeliver_aad(TASKID, b"sk_vk"), vk.secret_scalar_bytes(), rng=rng
-    )
+    env = enclave.seal_delivery(other, TASKID, KEY_PURPOSE_SK, vk.secret_scalar_bytes(), rng)
     with pytest.raises(AuthFailure):
-        host.getsk(eid, "committee", env)
+        host.deliver(eid, "committee", KEY_PURPOSE_SK, env)
+    assert host.instances[eid].sk_vk is None
+
+
+def _armed_state(ctx):
+    inst = ctx["host"].instances[ctx["eid"]]
+    return inst.expected_round, inst.chunk_base, inst.partition
+
+
+def test_partition_delivery_handed_in_as_a_round_arm_is_refused():
+    ctx = provision_enclave(clients=(1,), round_index=3, chunk_base=2)
+    before = _armed_state(ctx)
+    part = transport.pack(transport.PARTITION, (0,), 1 << 20)
+    env = enclave.seal_delivery(ctx["committee_ssk"], TASKID, KEY_PURPOSE_PARTITION, part, ctx["rng"])
+    with pytest.raises(AuthFailure, match="round envelope bound to a different context"):
+        ctx["host"].deliver(ctx["eid"], "committee", KEY_PURPOSE_ROUND, env)
+    assert before[:2] == (3, 2)
+    assert _armed_state(ctx) == before
+
+
+def test_delivery_from_a_sender_without_a_session_key_is_refused():
+    ctx = provision_enclave(clients=(1,), round_index=3)
+    before = _armed_state(ctx)
+    arm = transport.pack(transport.ROUND_ARM, TASKID, 4, 7)
+    env = enclave.seal_delivery(ctx["committee_ssk"], TASKID, KEY_PURPOSE_ROUND, arm, ctx["rng"])
+    with pytest.raises(AuthFailure, match="no session key with node:0"):
+        ctx["host"].deliver(ctx["eid"], "node:0", KEY_PURPOSE_ROUND, env)
+    assert _armed_state(ctx) == before
+
+
+def test_tampered_round_arm_is_refused():
+    ctx = provision_enclave(clients=(1,), round_index=3)
+    before = _armed_state(ctx)
+    arm = transport.pack(transport.ROUND_ARM, TASKID, 4, 7)
+    env = enclave.seal_delivery(ctx["committee_ssk"], TASKID, KEY_PURPOSE_ROUND, arm, ctx["rng"])
+    for field in ("nonce", "aad", "ciphertext", "tag"):
+        original = bytes(getattr(env, field))
+        bad = with_envelope_field(env, field, bytes([original[0] ^ 1]) + original[1:])
+        with pytest.raises(AuthFailure):
+            ctx["host"].deliver(ctx["eid"], "committee", KEY_PURPOSE_ROUND, bad)
+    assert _armed_state(ctx) == before
+
+
+def test_unknown_delivery_purpose_is_refused():
+    ctx = provision_enclave(clients=(1,), round_index=3)
+    arm = transport.pack(transport.ROUND_ARM, TASKID, 4, 7)
+    env = enclave.seal_delivery(ctx["committee_ssk"], TASKID, KEY_PURPOSE_ROUND, arm, ctx["rng"])
+    with pytest.raises(ValueError, match="unknown key-delivery purpose 9"):
+        ctx["host"].deliver(ctx["eid"], "committee", 9, env)
 
 
 def test_set_round_idempotent_and_replay_guard():

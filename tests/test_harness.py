@@ -19,8 +19,8 @@ from fedtee.harness import (
     PHASE_SEND,
     PROC_NS_PER_BYTE,
     SCAN_BLOCK,
+    NeedleScan,
     TaskRun,
-    count_needles,
     matches_oracle,
     oracle_run,
     run_task,
@@ -168,9 +168,9 @@ def test_verify_report_against_external_oracle():
     cfg = small_config(int_mode=True)
     report = run_task(cfg)
     oracle = oracle_run(cfg)
-    assert matches_oracle(report, oracle)
+    assert matches_oracle(cfg, report, oracle)
     assert report.ok
-    assert not matches_oracle(report, oracle[:-1])
+    assert not matches_oracle(cfg, report, oracle[:-1])
 
 
 def test_verify_fails_when_a_round_model_is_missing():
@@ -218,7 +218,7 @@ _FILLER = bytes(range(256)) * (SCAN_BLOCK // 256 + 1)
 
 
 @st.composite
-def needle_haystacks(draw, needle=st.binary(min_size=8, max_size=40)):
+def needle_haystacks(draw, needle=st.binary(min_size=16, max_size=40)):
     """Needles planted near chunk edges and, at times, the scan's block edge."""
     needles = draw(st.lists(needle, min_size=1, max_size=3))
     if draw(st.booleans()):
@@ -249,7 +249,7 @@ def needle_haystacks(draw, needle=st.binary(min_size=8, max_size=40)):
 def test_count_needles_equals_bytes_count(case):
     chunks, needles = case
     joined = b"".join(chunks)
-    counts = count_needles(chunks, needles)
+    counts = NeedleScan(needles).count(chunks)
     for n in needles:
         assert counts[n] == joined.count(n)
 
@@ -260,10 +260,10 @@ _KEY_SIZED = st.one_of(st.binary(min_size=16, max_size=16), st.binary(min_size=3
 @given(needle_haystacks(_KEY_SIZED))
 @settings(max_examples=60, deadline=None)
 def test_count_needles_of_key_sizes_equals_bytes_count(case):
-    """16- and 32-byte needles, as the leak scan has: one aligned pass."""
+    """16- and 32-byte needles, as the leak scan has."""
     chunks, needles = case
     joined = b"".join(chunks)
-    counts = count_needles(chunks, needles)
+    counts = NeedleScan(needles).count(chunks)
     for n in needles:
         assert counts[n] == joined.count(n)
 
@@ -279,19 +279,20 @@ def test_count_needles_counts_a_16_byte_needle_once_at_any_offset():
         assert hay.count(needle) == 1 and other not in hay
         a, b = sorted((pos + 5, SCAN_BLOCK + 3))  # one cut inside the needle
         chunks = [hay[:a], hay[a:b], hay[b:]]
-        assert count_needles(chunks, [needle, other]) == {needle: 1, other: 0}, pos
+        assert NeedleScan([needle, other]).count(chunks) == {needle: 1, other: 0}, pos
 
 
 def test_count_needles_finds_a_needle_across_the_block_edge():
     needle = bytes(range(231, 199, -1))  # descending, so never in the filler
     for before_edge in range(1, len(needle)):
         chunks = [_FILLER[: SCAN_BLOCK - before_edge], needle[:5], needle[5:]]
-        assert count_needles(chunks, [needle, needle[:8]]) == {needle: 1, needle[:8]: 1}
+        scan = NeedleScan([needle, needle[:16]])
+        assert scan.count(chunks) == {needle: 1, needle[:16]: 1}
 
 
 def test_count_needles_rejects_short_needles():
     with pytest.raises(ValueError):
-        count_needles([b"x" * 32], [b"x" * 16, b"1234567"])
+        NeedleScan([b"x" * 16, b"123456789abcdef"])
 
 
 @pytest.mark.parametrize("int_mode", [False, True])
@@ -306,7 +307,7 @@ def test_sentinel_partitioned_sums_match_oracle(int_mode):
     report = run_task(cfg)
     assert report.verification["end_to_end_matches_oracle"] == "pass"
     assert report.ok
-    assert matches_oracle(report, oracle_run(cfg))
+    assert matches_oracle(cfg, report, oracle_run(cfg))
 
 
 def test_failover_phases_reported_exactly_when_recovery_happened():
@@ -583,6 +584,68 @@ def test_round_after_straggler_exclusion_only_arms_the_enclaves():
     assert [f.kind for f in sent] == [MessageKind.RoundDeliver] * len(run.committee.conf.slots)
     purposes = [transport.unpack(transport.KEY_DELIVER, f.payload)[2] for f in sent]
     assert purposes == [transport.KEY_PURPOSE_ROUND] * len(sent)
+
+
+def _committee_frames(run, tap, last_round):
+    """Run rounds 0..``last_round``; the frames the committee sent in the
+    last one, as (dest, kind, payload)."""
+    run.setup()
+    for r in range(last_round):
+        run.run_round(r)
+    start = len(tap.frames)
+    run.run_round(last_round)
+    frames = [(dest, Frame.from_bytes(raw)) for src, dest, raw in tap.frames[start:]
+              if src == "committee"]
+    return [(dest, f.kind, f.payload) for dest, f in frames]
+
+
+def test_failover_before_a_round_opens_asks_no_client_to_resend():
+    from test_golden import CONFIGS, _config
+
+    run = TaskRun(_config(**CONFIGS["kill-between"]))
+    tap = run.router.add_tap()
+    sent = _committee_frames(run, tap, 2)
+    assert "round 2: partition 0 moved 0 -> 4" in run.report.events
+    assert MessageKind.ResendRequest not in [kind for _, kind, _ in sent]
+
+
+def test_failover_in_an_open_round_arms_the_new_enclave_once_and_asks_each_client_once():
+    from test_golden import CONFIGS, _config
+
+    run = TaskRun(_config(**CONFIGS["kill-collect"]))
+    tap = run.router.add_tap()
+    sent = _committee_frames(run, tap, 1)
+    assert "round 1: partition 1 moved 1 -> 4" in run.report.events
+    slot = run.committee.conf.slots[1]
+    resends = [dest for dest, kind, _ in sent if kind == MessageKind.ResendRequest]
+    assert sorted(resends) == [f"client:{uid}" for uid in run.committee.conf.subset(1, 1)]
+    arms = [
+        transport.unpack(transport.KEY_DELIVER, payload)[1:3]
+        for dest, kind, payload in sent
+        if dest == "node:4" and kind == MessageKind.RoundDeliver
+    ]
+    assert arms.count((slot.eid, transport.KEY_PURPOSE_ROUND)) == 1
+
+
+def test_failover_of_two_partitions_sends_the_schedule_once():
+    from test_golden import _config
+
+    kills = [FaultEvent(kind="kill_node", node=n, round=1, phase="collect") for n in (0, 1)]
+    run = TaskRun(_config(int_mode=True, faults=kills))
+    tap = run.router.add_tap()
+    sent = _committee_frames(run, tap, 1)
+    assert run.report.events[2:] == [
+        "round 1: partition 0 moved 0 -> 4", "round 1: partition 1 moved 1 -> 5"
+    ]
+    confs = sorted(dest for dest, kind, _ in sent if kind == MessageKind.ConfDeliver)
+    parties = [f"client:{uid}" for uid in run.clients] + [f"node:{n}" for n in run.committee.alive]
+    assert confs == sorted(parties)
+    resends = [dest for dest, kind, _ in sent if kind == MessageKind.ResendRequest]
+    conf = run.committee.conf
+    assert len(resends) == len(conf.subset(1, 0)) + len(conf.subset(1, 1))
+    run.run_round(2)
+    run.verify()
+    assert run.report.ok
 
 
 def test_hundred_clients_ten_percent_participation():

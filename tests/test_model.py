@@ -139,7 +139,7 @@ def test_codecs_keep_the_original_byte_layout(wv, client, dataset):
     assert decode_model(encoded).weights.bit_equal(wv)
 
     clients = (1, 5, 7)
-    p = PartialAggregate(wv, dataset, tuple(l.index for l in wv.layers), clients)
+    p = PartialAggregate(wv, dataset, clients)
     head = struct.pack(">QI3Q", dataset, len(clients), *clients)
     encoded = model.encode_partial(p)
     assert encoded == head + _layers_in_original_layout(wv)

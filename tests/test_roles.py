@@ -192,14 +192,14 @@ def test_clients_pull_the_global_only_when_selected():
     run = TaskRun(cfg)
     run.setup()
     m_init = run.clients[0].m_glob
-    tap = run.router.add_tap(dest="ledger")
+    tap = run.router.add_tap()
     for r in range(cfg.rounds):
         tap.frames.clear()
         run.run_round(r)
         participants = run.committee.conf.rounds[r].participants
         readers = sorted(
-            src for src, _, raw in tap.frames
-            if transport.Frame.from_bytes(raw).kind == MessageKind.LedgerRead
+            src for src, dest, raw in tap.frames
+            if dest == "ledger" and transport.Frame.from_bytes(raw).kind == MessageKind.LedgerRead
         )
         pullers = [f"client:{uid}" for uid in participants] if r > 0 else []
         assert readers == sorted(pullers + ["owner"])
