@@ -4,9 +4,9 @@ The committee receives a task, selects the per-round participants, splits the
 (layer x client) grid into partitions that respect the enclave memory budget,
 assigns partitions to alive nodes, attests and provisions each enclave, sends
 the schedule to every party, and chases missing client uploads. It holds one
-liveness record, each alive node's last heartbeat: a node that misses
-``FAILOVER_THRESHOLD`` beats leaves it, and that node's partitions migrate to
-spares without stalling the task. No other party tells it who died. Planning
+liveness record, the number of polls each alive node has missed in a row: a
+node that misses more than ``FAILOVER_THRESHOLD`` leaves it, and that node's
+partitions migrate to spares without stalling the task. No other party tells it who died. Planning
 is deterministic: one seed, one spec, and one alive set always produce the
 same schedule.
 """
@@ -289,7 +289,7 @@ def chunk_bases(
 # ---------------------------------------------------------------------------
 
 # The failure detector: each alive node is polled for a heartbeat once per
-# interval, and declared dead after this many missed beats.
+# interval, and declared dead after missing more than this many in a row.
 HEARTBEAT_INTERVAL_MS = 500.0
 FAILOVER_THRESHOLD = 3
 # Virtual-clock charges of recovery, in milliseconds.
@@ -313,8 +313,8 @@ class Committee:
     recovery: :meth:`fail_over` finds dead nodes by their missed heartbeats
     and moves their partitions to spares, and :meth:`collect` chases missing
     client uploads under the straggler policy. Both charge the router's
-    clock. ``alive`` maps each node it holds alive to the virtual time of
-    its last heartbeat; it polls, schedules on, and sends the schedule to
+    clock. ``alive`` maps each node it holds alive to the number of polls
+    it has missed in a row; it polls, schedules on, and sends the schedule to
     exactly those nodes. ``nodes`` is the pool of ``Node`` objects it polls
     for heartbeats and missing senders.
     """
@@ -332,7 +332,7 @@ class Committee:
         self.nodes = nodes  # node id -> Node
         self.straggler_policy = straggler_policy
         self.straggler_max_retries = straggler_max_retries
-        self.alive: dict[int, float] = {}  # node -> virtual time of its last heartbeat
+        self.alive: dict[int, int] = {}  # node -> polls it has missed in a row
         self.spec: TaskSpec | None = None
         self.conf: Conf | None = None
         self.armed_round: int | None = None  # the round open_round last armed
@@ -351,10 +351,10 @@ class Committee:
         return transport.ok()
 
     def setup(self, nodes: list[int]) -> list[int]:
-        """Hold alive the nodes answering the initial ping, as if they beat at 0."""
+        """Hold alive the nodes answering the initial ping, none of them overdue."""
         if not nodes:
             raise NoNodes("no nodes registered")
-        self.alive = {n: 0.0 for n in sorted(nodes) if self._answers_ping(n)}
+        self.alive = {n: 0 for n in sorted(nodes) if self._answers_ping(n)}
         if not self.alive:
             raise NoNodes("no node answered the initial ping")
         return list(self.alive)
@@ -538,10 +538,10 @@ class Committee:
         for _ in range(FAILOVER_THRESHOLD + 2):
             clock.advance(HEARTBEAT_INTERVAL_MS)
             for node in self.alive:
-                self.nodes[node].send_heartbeat(clock.now_ms)
-            moved = self.monitor_tick(clock.now_ms)
-            # a node that missed this beat is watched until it beats or is declared dead
-            if moved or all(last == clock.now_ms for last in self.alive.values()):
+                self.nodes[node].send_heartbeat()
+            moved = self.monitor_tick()
+            # a node that missed this poll is watched until it beats or is declared dead
+            if moved or not any(self.alive.values()):
                 break
         if not moved:
             return {}
@@ -567,24 +567,25 @@ class Committee:
         clock.advance(connect_ms)
         return {"Re-schedule": RESCHEDULE_MS, "Connect": connect_ms}
 
-    def monitor_tick(self, now: float) -> list[tuple[int, Slot]]:
-        """Drain the heartbeats in the mailbox, drop every alive node that has
-        missed ``FAILOVER_THRESHOLD`` beats by ``now``, and move each dead
-        node's partitions to spare nodes; returns a ``(dead node, slot)``
+    def monitor_tick(self) -> list[tuple[int, Slot]]:
+        """One poll: drain the heartbeats in the mailbox, count a missed poll
+        for every alive node that sent none, drop every alive node that has
+        missed more than ``FAILOVER_THRESHOLD`` polls in a row, and move each
+        dead node's partitions to spare nodes; returns a ``(dead node, slot)``
         pair per moved partition, whose install is pending. A beat from a
         node not held alive is ignored.
 
         Raises NoSpareNodes (and marks the task stalled) when a dead node's
         partitions have nowhere to go.
         """
+        beat = set()
         while (msg := self.router.recv(PARTY)) is not None:
             _, kind, payload, _ = msg
             if kind == MessageKind.Heartbeat:
-                node, timestamp = unpack(transport.HEARTBEAT, payload)
-                if node in self.alive:
-                    self.alive[node] = timestamp
-        limit = HEARTBEAT_INTERVAL_MS * FAILOVER_THRESHOLD
-        newly_dead = [n for n, last in self.alive.items() if now - last > limit]
+                beat.update(unpack(transport.HEARTBEAT, payload))
+        for node in self.alive:
+            self.alive[node] = 0 if node in beat else self.alive[node] + 1
+        newly_dead = [n for n, missed in self.alive.items() if missed > FAILOVER_THRESHOLD]
         for dead in newly_dead:
             del self.alive[dead]
         moved = []

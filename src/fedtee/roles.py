@@ -149,12 +149,11 @@ class Node:
             "uploaded_bytes": uploaded,
         }
 
-    def send_heartbeat(self, now_ms: float) -> None:
+    def send_heartbeat(self) -> None:
         if self.router.faults.killed(self.node_id):
             return  # a dead node is silent
         self.router.send(
-            self.party, "committee", MessageKind.Heartbeat,
-            pack(transport.HEARTBEAT, self.node_id, now_ms),
+            self.party, "committee", MessageKind.Heartbeat, pack(transport.HEARTBEAT, self.node_id)
         )
 
     def buffer_bytes(self) -> bytes:

@@ -363,7 +363,7 @@ LEDGER_READ = Schema(BYTES, U64)  # taskid, round
 # A round's chunks as columns: error ("" if complete, else the ledger's
 # exception name, with the indices present so far), indices, payloads.
 LEDGER_ROUND = Schema(TEXT, U32S, BLOBS)
-HEARTBEAT = Schema(U64, F64)  # node, timestamp (ms)
+HEARTBEAT = Schema(U64)  # node
 PING = Schema()
 REPLY = Schema(TEXT, BYTES)  # error ("" on success, else "Type: message"), result
 

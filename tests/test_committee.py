@@ -21,6 +21,7 @@ from fedtee.committee import (
     select_participants,
 )
 from fedtee.enclave import make_eid_allocator
+from fedtee.harness import VirtualClock
 from fedtee.roles import Node
 from fedtee.transport import FaultPlan, Router
 
@@ -55,8 +56,8 @@ def exact_cover_holds(conf: Conf, model_meta: dict[int, int], round_index: int) 
 
 
 def committee_with_nodes(nodes, seed=0, faults=()):
-    """A committee over a router on which ``nodes`` are registered."""
-    router = Router(faults=FaultPlan(faults))
+    """A committee over a clocked router on which ``nodes`` are registered."""
+    router = Router(VirtualClock(), FaultPlan(faults))
     alloc = make_eid_allocator()
     return Committee(seed=seed, router=router, nodes={n: Node(n, router, alloc) for n in nodes})
 
@@ -77,7 +78,7 @@ def test_setup_alive_sets():
     ping_lost = FaultEvent(kind="drop", message_kind="Ping", dest="node:2")
     comm = committee_with_nodes([1, 2, 3], seed=1, faults=[ping_lost])
     assert comm.setup([1, 2, 3]) == [1, 3]
-    assert comm.alive == {1: 0.0, 3: 0.0}  # as if each beat at 0
+    assert comm.alive == {1: 0, 3: 0}  # no poll missed yet
     with pytest.raises(NoNodes):
         committee_with_nodes([], seed=1).setup([])
 
@@ -272,14 +273,15 @@ def test_monitor_declares_dead_after_threshold_misses():
     comm = committee_with_nodes([1, 2])
     comm.setup([1, 2])
     conf = comm.accept_task(make_spec(strategy="single"), epc_budget=1 << 30, tx_capacity=1 << 20)
-    assert comm.monitor_tick(1400.0) == []
-    assert comm.alive == {1: 0.0, 2: 0.0}
-    comm.nodes[2].send_heartbeat(1500.0)
-    assert comm.monitor_tick(1600.0) == [(1, conf.slots[0])]
-    assert comm.alive == {2: 1500.0}
-    comm.nodes[1].send_heartbeat(1650.0)  # a node declared dead is not brought back
-    assert comm.monitor_tick(1700.0) == []  # already declared
-    assert comm.alive == {2: 1500.0}
+    for _ in range(FAILOVER_THRESHOLD):  # polls missed by both, up to the threshold
+        assert comm.monitor_tick() == []
+    assert comm.alive == {1: 3, 2: 3}
+    comm.nodes[2].send_heartbeat()
+    assert comm.monitor_tick() == [(1, conf.slots[0])]  # node 1 missed a fourth poll
+    assert comm.alive == {2: 0}
+    comm.nodes[1].send_heartbeat()  # a node declared dead is not brought back
+    assert comm.monitor_tick() == []  # already declared
+    assert comm.alive == {2: 1}
 
 
 def test_no_dropouts_empty_actions():
@@ -288,9 +290,9 @@ def test_no_dropouts_empty_actions():
     spec = make_spec(strategy="single")
     comm.accept_task(spec, epc_budget=1 << 30, tx_capacity=1 << 20)
     for node in comm.alive:
-        comm.nodes[node].send_heartbeat(100.0)
-    assert comm.monitor_tick(200.0) == []
-    assert comm.alive == dict.fromkeys(range(4), 100.0)
+        comm.nodes[node].send_heartbeat()
+    assert comm.monitor_tick() == []
+    assert comm.alive == dict.fromkeys(range(4), 0)
 
 
 def test_failover_moves_partition_to_lowest_spare():
@@ -299,9 +301,12 @@ def test_failover_moves_partition_to_lowest_spare():
     spec = make_spec(strategy="single")
     conf = comm.accept_task(spec, epc_budget=1 << 30, tx_capacity=1 << 20)
     assert conf.slots[0].node == 0
-    for node in (1, 2, 3):
-        comm.nodes[node].send_heartbeat(5000.0)
-    moved = comm.monitor_tick(5000.0)
+    for poll in range(FAILOVER_THRESHOLD + 1):
+        for node in (1, 2, 3):
+            comm.nodes[node].send_heartbeat()
+        moved = comm.monitor_tick()
+        if poll < FAILOVER_THRESHOLD:
+            assert moved == [] and conf.slots[0].node == 0
     assert moved == [(0, conf.slots[0])]
     assert conf.slots[0].node == 1
     assert conf.slots[0].eid is None
@@ -313,6 +318,22 @@ def test_no_spare_nodes_marks_stalled():
     comm.setup([0])
     spec = make_spec(strategy="single")
     comm.accept_task(spec, epc_budget=1 << 30, tx_capacity=1 << 20)
+    for _ in range(FAILOVER_THRESHOLD):
+        assert comm.monitor_tick() == []
+    assert not comm.stalled
     with pytest.raises(NoSpareNodes):
-        comm.monitor_tick(10_000.0)
+        comm.monitor_tick()
     assert comm.stalled
+
+
+def test_one_lost_beat_after_a_round_keeps_a_live_node():
+    # a round passes between polls; a detector that counted time would take
+    # the one lost beat for a node silent that whole round
+    lost = FaultEvent(kind="drop", message_kind="Heartbeat", src="node:0")
+    comm = committee_with_nodes(range(4), faults=[lost])
+    comm.setup([0, 1, 2, 3])
+    conf = comm.accept_task(make_spec(strategy="single"), epc_budget=1 << 30, tx_capacity=1 << 20)
+    comm.router.clock.advance(2_500.0)
+    assert comm.fail_over(0) == {}
+    assert comm.alive == dict.fromkeys(range(4), 0)
+    assert conf.slots[0].node == 0 and comm.events == []

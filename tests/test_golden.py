@@ -64,22 +64,22 @@ CONFIGS = {
 }
 
 GOLDEN = {
-    "chunks-64": "51aa9f2a2648fee5e36aabcb228e1d7d33002d64d8d838825b1adcabb416fb8a",
-    "clientmax-float": "f7301470fe42e47de5eb0c92502318f3c3d67c82ba03cb6aadb05a71069d00fc",
-    "clientmax-int": "86284a9c2750d21c57ba4c49ef7c1aa3d2ef752c2714521ca37b00ae4587433c",
-    "drop": "cf0ad2bf2fce7e0a47df5ca1cd90121291299d036ebb83f7ce1372935370b4f6",
-    "kill-between": "ccaecd83a142ca7ba10a283766287183823274e786fd73f36be7afc341605bce",
-    "kill-collect": "d305595bd53f358284b6f4ef6bc58f573ce1356a9062d5c0d22aba7783399ff8",
-    "layermax-float": "76753c3cf4e6c32853f8187225ad542a460f8f52ccc1284c5432db63d2e9bc4c",
-    "layermax-int": "83b36cda4e9d19b9120e72c5a000ce9b6ac76d423dafcbdabd2f7b4f26c6a7bd",
-    "paging": "e88e1b8fc5d4fda4d69eaac9c678daf8004c2fed6ea9b09c3694b940b9e27700",
-    "sentinel-taps": "63d45127b40930f47662d0ae228cfca27bbff5e3d0215b9238df481033171163",
-    "single-float": "202754bf26d43f7d5b90b588a4beae4049ebc2829b3085e19904f1f7355edf7d",
-    "single-int": "45e46617965d6e74d801403421f4da6b49fe6fcb8a83a8d52c997abb3ae6c58b",
-    "straggler-exclude": "ef14c7f824c856090080f14c286c20fa221ee977e5b157f1f2b4d7691461cbfb",
-    "tamper-chunk": "df0d0ffeb52605e53b700aa62bc604086c2a7f91e1b20505c09d3aadb66cb524",
-    "tamper-install": "ea2cb030e133ed7d934ed693216f086be97257706e2f1a23b00b35045fb41950",
-    "uniform-tendermint": "674018072f684cb1a91ec86112d34ccdad6309dfa05ec4d747d7a481ce0708f2",
+    "chunks-64": "77f6325ed2eb5503d4b7106769074b95b99726a6200bcbfe4996fdadbe12b096",
+    "clientmax-float": "feff85e29a4bd09971083583c522bb380cc71d26f80606e470a2ea03affc28b0",
+    "clientmax-int": "ae13a75d76acfeb7c6b8c946dd6cee5b9ec2e585e7108590003b31f02f11920a",
+    "drop": "eede1139d1c8bc7d56e957c91b98d5dc700f94bc2002b07b30ac8e514a4d8be8",
+    "kill-between": "0cd2a37171d42c6f7678da1cabe9acb6b1e8d165606b718c27aac2933fb29f1a",
+    "kill-collect": "fc05a4f2b5bfb8c82a497600a645ac9204546ae28769b6798dc924aa6b9ddaef",
+    "layermax-float": "1e76fbb4ada139aa958b8576eec9c5dcf3a18f24e652631af91e8aba719aa613",
+    "layermax-int": "348413814380b7ad88ad81ff6e3b1e47441d826d8303e15e6e0bd195178ec98e",
+    "paging": "590f6a39521ff1c437db3b40d4a5f6af3cf763f3bd6cda8de13e73aae69646e3",
+    "sentinel-taps": "e5575e5aaf88b35b573dadceeffdc6cde6fe90292bfcacaf489cc11e86a42cc9",
+    "single-float": "76d8623931e6599a7fe96d1dac465402cc7c83118262748b3845075eab917675",
+    "single-int": "ceae392b5f5cff18f81f81b1e1de25677e252504640723c06b522475cc14c61b",
+    "straggler-exclude": "c261b01b134c5f76234d978e2b3acd0ae2d923a6dbcd3f0aeb0d9a869db4643e",
+    "tamper-chunk": "5858a3d5f42af27baaabf8c056460b8b0ca24a32dc3656113da255a74637e78d",
+    "tamper-install": "187abe1d0c4bd460d2a5f19188e8e9e64c4935924d95cec48c359da1830974db",
+    "uniform-tendermint": "cd40557090208f6e60cc4b8099b6f37de288e988f04eef64978ab4692e45077b",
 }
 
 MASKED = {

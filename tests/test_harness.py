@@ -345,8 +345,8 @@ def test_detection_that_moves_no_partition_keeps_the_rounds_failover_phases():
         "round 1: partition 0 moved 0 -> 4",
         "round 1: node 5 killed (collect)",
     ]
-    # the wait for node 5 ends once it is declared dead: 3 intervals, not 5
-    assert report.traffic_bytes_by_kind["Heartbeat"] == 483
+    # the wait for node 5 ends once it is declared dead: 4 polls, not 5
+    assert report.traffic_bytes_by_kind["Heartbeat"] == 546
 
 
 def test_lost_resend_request_during_failover_is_asked_again():
@@ -449,8 +449,8 @@ def test_killed_node_that_never_answered_the_ping_is_not_awaited(kill_round):
     assert clean.ok and report.ok
     # one heartbeat interval per round, as in the clean run, from one node fewer
     beats = clean.traffic_bytes_by_kind["Heartbeat"]
-    assert beats == 126
-    assert report.traffic_bytes_by_kind["Heartbeat"] == beats * 2 // 3 == 84
+    assert beats == 78
+    assert report.traffic_bytes_by_kind["Heartbeat"] == beats * 2 // 3 == 52
 
 
 def test_failover_onto_only_tampered_spares_ends_stalled():

@@ -256,11 +256,11 @@ def test_only_nodes_answer_a_ping():
 
 def test_killed_node_sends_no_heartbeat():
     run = TaskRun(small_config(faults=[FaultEvent(kind="kill_node", node=0, round=0)]))
-    run.nodes[0].send_heartbeat(1.0)
+    run.nodes[0].send_heartbeat()
     assert run.router.recv("committee")[1] == MessageKind.Heartbeat  # alive until killed
     run.router.bytes_by_kind.clear()
     assert run.router.faults.kills(0, "between") == [0]
-    run.nodes[0].send_heartbeat(2.0)
+    run.nodes[0].send_heartbeat()
     assert run.router.recv("committee") is None
     assert "Heartbeat" not in run.router.bytes_by_kind
 
