@@ -5,10 +5,10 @@ The committee receives a task, selects the per-round participants, splits the
 assigns partitions to alive nodes, attests and provisions each enclave, sends
 the schedule to every party, and chases missing client uploads. It holds one
 liveness record, the number of polls each alive node has missed in a row: a
-node that misses more than ``FAILOVER_THRESHOLD`` leaves it, and that node's
-partitions migrate to spares without stalling the task. No other party tells it who died. Planning
-is deterministic: one seed, one spec, and one alive set always produce the
-same schedule.
+node that misses more than ``FAILOVER_THRESHOLD`` leaves it, and its
+partitions migrate to spares without stalling the task. No other party tells
+it who died. Planning is deterministic: one seed, one spec, and one alive set
+always produce the same schedule.
 """
 
 from __future__ import annotations

@@ -130,7 +130,8 @@ def test_partition_delivery_handed_in_as_a_round_arm_is_refused():
     ctx = provision_enclave(clients=(1,), round_index=3, chunk_base=2)
     before = _armed_state(ctx)
     part = transport.pack(transport.PARTITION, (0,), 1 << 20)
-    env = enclave.seal_delivery(ctx["committee_ssk"], TASKID, KEY_PURPOSE_PARTITION, part, ctx["rng"])
+    ssk, rng = ctx["committee_ssk"], ctx["rng"]
+    env = enclave.seal_delivery(ssk, TASKID, KEY_PURPOSE_PARTITION, part, rng)
     with pytest.raises(AuthFailure, match="round envelope bound to a different context"):
         ctx["host"].deliver(ctx["eid"], "committee", KEY_PURPOSE_ROUND, env)
     assert before[:2] == (3, 2)
