@@ -22,9 +22,7 @@ from random import Random
 from . import crypto, enclave, model, transport
 from .crypto import envelope_encoded_size
 from .enclave import EnclaveProgram
-from .transport import MessageKind, pack, unpack
-
-PARTY = "committee"
+from .transport import COMMITTEE, MessageKind, pack, unpack
 
 
 class RunFailed(Exception):
@@ -341,7 +339,7 @@ class Committee:
         self.ssk_by_eid: dict[int, crypto.SymKey] = {}
         self.events: list[str] = []
         self.stalled = False
-        router.register(PARTY, handler=self.handle)
+        router.register(COMMITTEE, handler=self.handle)
 
     def handle(self, src: str, kind: MessageKind, payload: bytes):
         """Acknowledge a task submission; heartbeats wait in the mailbox."""
@@ -361,7 +359,7 @@ class Committee:
 
     def _answers_ping(self, node: int) -> bool:
         try:
-            self.router.call(PARTY, f"node:{node}", MessageKind.Ping, pack(transport.PING))
+            self.router.call(COMMITTEE, f"node:{node}", MessageKind.Ping, pack(transport.PING))
         except transport.DeliveryDropped:
             return False
         return True
@@ -382,7 +380,7 @@ class Committee:
     def provision(self) -> None:
         """Publish the verification key, install every partition, and send
         the schedule to every party."""
-        self.ledger.upload_pk(PARTY, self.spec.taskid, self.vk.public_bytes())
+        self.ledger.upload_pk(COMMITTEE, self.spec.taskid, self.vk.public_bytes())
         for slot in self.conf.slots:
             self.install(slot)
         self.deliver_conf()
@@ -408,7 +406,7 @@ class Committee:
 
     def _call(self, node: int, kind: MessageKind, body: bytes) -> bytes:
         """One request to ``node``; a failure it reports ends the run."""
-        _, reply, _ = self.router.call(PARTY, f"node:{node}", kind, body)
+        _, reply, _ = self.router.call(COMMITTEE, f"node:{node}", kind, body)
         try:
             return transport.check_reply(reply)
         except Exception as exc:
@@ -427,7 +425,7 @@ class Committee:
         )
         (slot.eid,) = unpack(transport.INSTALLED, installed)
         self.ssk_by_eid[slot.eid] = enclave.attest(
-            self.router, PARTY, slot.node, spec.taskid, slot.eid, spec.program.measurement,
+            self.router, COMMITTEE, slot.node, spec.taskid, slot.eid, spec.program.measurement,
             self.rng,
         )
         self._key_deliver(slot, transport.KEY_PURPOSE_SK, self.vk.secret_scalar_bytes())
@@ -453,10 +451,10 @@ class Committee:
         body = self.conf.to_bytes()
         holders = {slot.node for slot in self.conf.slots}
         for uid in self.spec.clients:
-            self.router.call(PARTY, f"client:{uid}", MessageKind.ConfDeliver, body)
+            self.router.call(COMMITTEE, f"client:{uid}", MessageKind.ConfDeliver, body)
         for node in self.alive:
             try:
-                self.router.call(PARTY, f"node:{node}", MessageKind.ConfDeliver, body)
+                self.router.call(COMMITTEE, f"node:{node}", MessageKind.ConfDeliver, body)
             except transport.DeliveryDropped:
                 if node in holders:  # only a spare may miss the schedule
                     raise
@@ -469,7 +467,7 @@ class Committee:
         spec = self.spec
         self.armed_round = round_index
         self.chunk_bases = chunk_bases(self.conf, round_index, spec.model_meta, self.tx_capacity)
-        self.ledger.set_expected_chunks(PARTY, spec.taskid, self.chunk_bases[-1])
+        self.ledger.set_expected_chunks(COMMITTEE, spec.taskid, self.chunk_bases[-1])
         for slot in self.conf.slots:
             self._arm(slot, round_index)
 
@@ -478,7 +476,7 @@ class Committee:
         lost request is not fatal: :meth:`collect` asks again."""
         try:
             self.router.call(
-                PARTY, f"client:{uid}", MessageKind.ResendRequest,
+                COMMITTEE, f"client:{uid}", MessageKind.ResendRequest,
                 pack(transport.RESEND_REQUEST, slot.index, round_index),
             )
         except transport.DeliveryDropped:
@@ -579,7 +577,7 @@ class Committee:
         partitions have nowhere to go.
         """
         beat = set()
-        while (msg := self.router.recv(PARTY)) is not None:
+        while (msg := self.router.recv(COMMITTEE)) is not None:
             _, kind, payload, _ = msg
             if kind == MessageKind.Heartbeat:
                 beat.update(unpack(transport.HEARTBEAT, payload))

@@ -16,7 +16,7 @@ import numpy as np
 from . import model
 from .committee import check_task_shape, derive_seed
 from .ledger import CHAIN_PRESETS
-from .transport import MessageKind
+from .transport import COMMITTEE, MessageKind
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ class FaultEvent:
             kinds = (None, *MessageKind.__members__)
             _require(self.message_kind in kinds, f"unknown message kind {self.message_kind!r}")
             _require(self.count >= 1, f"drop: count {self.count!r} drops no frame")
-            parties = {"owner", "committee", "ledger"}
+            parties = {"owner", COMMITTEE, "ledger"}
             parties.update(f"client:{i}" for i in range(n_clients))
             parties.update(f"node:{j}" for j in range(n_nodes))
             for end in (self.src, self.dest):

@@ -7,7 +7,10 @@ same curve whose key derivation binds both party identifiers and the
 enclave's program measurement.
 
 All operations are pure or take caller-supplied randomness, so they are safe
-to use concurrently from independent role instances.
+to use concurrently from independent role instances. The process has one
+worker pool, a thread per usable CPU (:func:`pool_map`): long lists of
+signatures are made and checked there, one slice per CPU, since P-256 signing
+and verifying release the GIL, and the model's per-layer passes share it.
 
 Every model-sized byte string on a round's path is written once, into a
 buffer from :func:`new_buffer`: a decrypted plaintext, or an envelope sealed
@@ -18,7 +21,11 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
+import os
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from random import Random
 from typing import Callable, NamedTuple
@@ -36,6 +43,39 @@ SEED_BYTES = 32
 
 _CURVE = ec.SECP256R1()
 _CURVE_ORDER = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
+
+
+# ---------------------------------------------------------------------------
+# The worker pool
+# ---------------------------------------------------------------------------
+
+try:
+    CPUS = len(os.sched_getaffinity(0))  # the CPUs this process may run on
+except AttributeError:  # no affinity call on this platform
+    CPUS = os.cpu_count() or 1
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    """A forked child has none of the pool's threads, so it builds its own."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def pool_map(fn, *columns) -> list:
+    """``[fn(*args) for args in zip(*columns)]``, each call a task on the
+    process's one pool, built on first use with a thread per CPU. Every
+    result is read, so a task's error raises here."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(CPUS, thread_name_prefix="fedtee")
+    return list(_pool.map(fn, *columns))
 
 
 def new_buffer(n: int) -> memoryview:
@@ -290,6 +330,44 @@ def sig_verify(public: ec.EllipticCurvePublicKey, sig: Signature, *message: byte
         return True
     except (InvalidSignature, ValueError, TypeError):
         return False
+
+
+# Lists from this many messages up are signed or checked on the pool; below
+# it, handing the slices to the threads costs more than it saves.
+SIG_PARALLEL_MIN = 8
+
+
+# The slices call sig_sign and sig_verify by their module names, at call time.
+def _sign_slice(secret, messages: list[tuple]) -> list[Signature]:
+    return [sig_sign(secret, *message) for message in messages]
+
+
+def _verify_slice(public, items: list[tuple[Signature, tuple]]) -> list[bool]:
+    return [sig_verify(public, sig, *message) for sig, message in items]
+
+
+def _by_slices(fn, key, items: list) -> list:
+    """``fn(key, items)``, or on the pool one slice of ``items`` per CPU, the
+    results joined in order."""
+    if CPUS < 2 or len(items) < SIG_PARALLEL_MIN:
+        return fn(key, items)
+    step = -(-len(items) // CPUS)
+    slices = [items[i : i + step] for i in range(0, len(items), step)]
+    return list(itertools.chain.from_iterable(pool_map(fn, itertools.repeat(key), slices)))
+
+
+def sig_sign_all(secret: ec.EllipticCurvePrivateKey, messages: list[tuple]) -> list[Signature]:
+    """``[sig_sign(secret, *m) for m in messages]``. A long list is signed on
+    the pool; the nonces are deterministic, so the bytes are the same."""
+    return _by_slices(_sign_slice, secret, messages)
+
+
+def sig_verify_all(
+    public: ec.EllipticCurvePublicKey, items: list[tuple[Signature, tuple]]
+) -> list[bool]:
+    """``[sig_verify(public, sig, *m) for sig, m in items]``, a long list
+    checked on the pool."""
+    return _by_slices(_verify_slice, public, items)
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,11 @@ and :meth:`SgxHost.deliver` opens and applies. A resume decrypts the batch,
 checks that all clients delivered the same master key, runs the pluggable
 aggregation hook over the requested layers, seals the encoded result under
 the master key, splits the envelope's wire encoding into transaction-sized
-chunks, and signs each chunk. Each plaintext is decrypted into a fresh buffer
-the enclave owns, and the output is written once: its wire encoding is one
-buffer, the encoded result sealed in place inside it, and each chunk is a
-view of that buffer. A chunk is signed without joining its signed message.
+chunks, and signs them, on the pool when there are many. Each plaintext is
+decrypted into a fresh buffer the enclave owns, and the output is written
+once: its wire encoding is one buffer, the encoded result sealed in place
+inside it, and each chunk is a view of that buffer. A chunk is signed
+without joining its signed message.
 """
 
 from __future__ import annotations
@@ -184,8 +185,10 @@ class SgxHost:
     # -- provisioning -------------------------------------------------------
 
     def deliver(self, eid: int, sender: str, purpose: int, env: Envelope) -> None:
-        """Open a committee delivery under ``sender``'s session key, check it was
-        sealed for this task and purpose, and apply its step."""
+        """Open a committee delivery under the committee's session key, check it
+        was sealed for this task and purpose, and apply its step. A delivery
+        from any other ``sender`` is refused, though it attested to this
+        enclave."""
         if purpose not in _DELIVERIES:
             raise ValueError(f"unknown key-delivery purpose {purpose}")
         label, step = _DELIVERIES[purpose]
@@ -193,6 +196,8 @@ class SgxHost:
         key = inst.ssk_by_peer.get(sender)
         if key is None:
             raise AuthFailure(f"no session key with {sender}")
+        if sender != transport.COMMITTEE:
+            raise AuthFailure(f"{sender} may not deliver {label.decode()}")
         plain = crypto.ae_decrypt(key, env)
         if env.aad != crypto.keydeliver_aad(inst.taskid, label):
             raise AuthFailure(f"{label.decode()} envelope bound to a different context")
@@ -298,14 +303,16 @@ class SgxHost:
                 ),
             )
             cap = inst.partition.tx_capacity
-            chunks = []
-            for i in range(0, len(wire), cap):
-                index = chunk_base + i // cap
-                piece = wire[i : i + cap]
-                sigma = crypto.sig_sign(
-                    inst.sk_vk, *chunk_signed_parts(inst.taskid, round_index, index, piece)
-                )
-                chunks.append(SignedChunk(inst.taskid, round_index, index, piece, sigma))
+            pieces = [wire[i : i + cap] for i in range(0, len(wire), cap)]
+            indices = range(chunk_base, chunk_base + len(pieces))
+            sigmas = crypto.sig_sign_all(inst.sk_vk, [
+                chunk_signed_parts(inst.taskid, round_index, index, piece)
+                for index, piece in zip(indices, pieces)
+            ])
+            chunks = [
+                SignedChunk(inst.taskid, round_index, index, piece, sigma)
+                for index, piece, sigma in zip(indices, pieces, sigmas)
+            ]
 
             inst.round_counter = round_index + 1
             inst.expected_round = None  # consumed; replays need a fresh arm

@@ -251,7 +251,7 @@ class TaskRun:
         self.cfg = config
         self.clock = VirtualClock()
         self.router = Router(self.clock, transport.FaultPlan(config.faults))
-        self.ledger = Ledger("committee", CHAIN_PRESETS[config.chain])
+        self.ledger = Ledger(transport.COMMITTEE, CHAIN_PRESETS[config.chain])
         self.ledger_party = LedgerParty(self.ledger, self.router)
         eid_alloc = make_eid_allocator()
         self.nodes = {i: Node(i, self.router, eid_alloc) for i in range(config.n_nodes)}
@@ -297,7 +297,7 @@ class TaskRun:
         )
         self.owner.owner_initialize(cfg.taskid_bytes, initial_model(cfg), sorted(self.clients))
         _, reply, _ = self.router.call(
-            "owner", "committee", MessageKind.SubmitTask,
+            "owner", transport.COMMITTEE, MessageKind.SubmitTask,
             transport.pack(transport.SUBMIT_TASK, cfg.taskid_bytes),
         )
         transport.check_reply(reply)

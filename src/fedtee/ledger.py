@@ -7,9 +7,11 @@ a store costs O(1) besides its signature check: the round completes once its
 own index holds every expected chunk, and a read sorts only that round. The
 verification key is loaded once, when it is uploaded. All mutations pass
 through one serialized path (a lock standing in for consensus ordering), so
-the final state is independent of arrival interleaving. A configurable block
-model converts bytes written into end-to-end latency for the supported chain
-presets.
+the final state is independent of arrival interleaving. A run of chunks
+(:meth:`Ledger.upload_run`) has its signatures checked on the worker pool,
+outside the lock, before its chunks are stored one by one under it. A
+configurable block model converts bytes written into end-to-end latency for
+the supported chain presets.
 """
 
 from __future__ import annotations
@@ -98,7 +100,9 @@ class Ledger:
         # accepted chunks: (taskid, round) -> {index: chunk}
         self.by_round: dict[tuple[bytes, int], dict[int, SignedChunk]] = {}
         self.tasks: dict[bytes, _TaskRecord] = {}
-        self._lock = threading.Lock()  # the consensus stand-in: one writer at a time
+        self._lock = threading.RLock()  # the consensus stand-in: one writer at a time
+        # While a run is stored: id(chunk) -> (key it was checked with, verdict)
+        self._checked: dict[int, tuple[ec.EllipticCurvePublicKey, bool]] = {}
 
     # -- task lifecycle -----------------------------------------------------
 
@@ -140,26 +144,73 @@ class Ledger:
         with self._lock:
             return self._try_store(chunk)
 
-    def _try_store(self, chunk: SignedChunk) -> Receipt:
-        ident = (chunk.taskid, chunk.round, chunk.index)
+    def upload_run(self, sender: str, chunks: list[SignedChunk]) -> list[Receipt]:
+        """Store a run of one task's chunks in order, each through
+        :meth:`upload_global_model`, and return their receipts in that order.
+
+        The signatures are checked first, on the pool and outside the lock,
+        with the verification key read under it: those of the chunks that get
+        that far, the first chunk per index. The stores then run under one
+        hold of the lock, and a store takes its chunk's verdict from that
+        check while the task still has the same key. Every other chunk is
+        checked as a single upload is, so receipts and the number of checks
+        are those of uploading the chunks one by one."""
+        taskid = chunks[0].taskid if chunks else None
+        with self._lock:
+            rec = self.tasks.get(taskid)
+            vk = rec.vk if rec is not None else None
+            todo, indices = [], set()
+            for c in chunks if vk is not None else ():
+                if c.taskid == taskid and c.index not in indices and self._refusal(c) is None:
+                    todo.append(c)
+                    indices.add(c.index)
+        verdicts = crypto.sig_verify_all(vk, [
+            (c.sigma, chunk_signed_parts(c.taskid, c.round, c.index, c.payload)) for c in todo
+        ])
+        with self._lock:
+            self._checked = {id(c): (vk, ok) for c, ok in zip(todo, verdicts)}
+            try:
+                return [self.upload_global_model(sender, c) for c in chunks]
+            finally:
+                self._checked = {}
+
+    def _refusal(self, chunk: SignedChunk) -> str | None:
+        """Why ``chunk`` may not be stored now, short of its signature; None if
+        only its signature is left to check."""
         rec = self.tasks.get(chunk.taskid)
         if rec is None:
-            return Receipt("rejected", ident, "UnknownTask")
+            return "UnknownTask"
         if rec.vk_pk is None:
-            return Receipt("rejected", ident, "NoKey")
+            return "NoKey"
         if chunk.round != rec.round:
-            return Receipt("rejected", ident, "WrongRound")
-        stored = self.by_round.setdefault((chunk.taskid, chunk.round), {})
-        if chunk.index in stored:
-            return Receipt("rejected", ident, "DuplicateIndex")
+            return "WrongRound"
+        if chunk.index in self.by_round.get((chunk.taskid, chunk.round), ()):
+            return "DuplicateIndex"
         n = rec.expected_chunks
         # with no declared count, the bound is what the signed encoding's u32 holds
         if not 0 <= chunk.index < (2**32 if n is None else n):
-            return Receipt("rejected", ident, "IndexOutOfRange")
+            return "IndexOutOfRange"
+        return None
+
+    def _signed(self, chunk: SignedChunk) -> bool:
+        vk = self.tasks[chunk.taskid].vk
+        checked = self._checked.get(id(chunk))
+        if checked is not None and checked[0] is vk:
+            return checked[1]
         message = chunk_signed_parts(chunk.taskid, chunk.round, chunk.index, chunk.payload)
-        if rec.vk is None or not crypto.sig_verify(rec.vk, chunk.sigma, *message):
-            return Receipt("rejected", ident, "BadSignature")
+        return vk is not None and crypto.sig_verify(vk, chunk.sigma, *message)
+
+    def _try_store(self, chunk: SignedChunk) -> Receipt:
+        ident = (chunk.taskid, chunk.round, chunk.index)
+        reason = self._refusal(chunk)
+        if reason is None and not self._signed(chunk):
+            reason = "BadSignature"
+        if reason is not None:
+            return Receipt("rejected", ident, reason)
+        stored = self.by_round.setdefault((chunk.taskid, chunk.round), {})
         stored[chunk.index] = chunk
+        rec = self.tasks[chunk.taskid]
+        n = rec.expected_chunks
         # len() screens out all but about one check per round; all() keeps the
         # exact predicate when expected_chunks changes mid-round
         if n is not None and len(stored) >= n and all(i in stored for i in range(n)):

@@ -12,23 +12,21 @@ share their arrays with the vector they were sliced from; neither copies a
 weight. Code that needs to write weights works on a fresh array.
 
 The model-sized numeric passes (synthetic draws, scaled sums, divisions) run
-one task per layer, on a thread pool once a model's layers are large enough
-for numpy's released GIL to pay; each task writes only its own layer's
-output, so the bits are those of the layer-by-layer loop.
+one task per layer, on the process's thread pool once a model's layers are
+large enough for numpy's released GIL to pay; each task writes only its own
+layer's output, so the bits are those of the layer-by-layer loop.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import struct
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
 
+from . import crypto
 from .crypto import new_buffer
 
 _F8 = np.dtype("<f8")  # every weight, in memory and encoded
@@ -270,46 +268,26 @@ def decode_partial(data: bytes) -> PartialAggregate:
 
 # Layers from this many elements up run on the pool, one task per layer.
 PARALLEL_MIN = 2**18
-try:
-    _CPUS = len(os.sched_getaffinity(0))
-except AttributeError:  # no affinity call on this platform
-    _CPUS = os.cpu_count() or 1
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
-
-
-def _forget_pool() -> None:
-    """A forked child has none of the pool's threads, so it builds its own."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _threaded(sizes: list[int]) -> bool:
     """Whether layers of these element counts go to the pool."""
-    return _CPUS >= 2 and len(sizes) >= 2 and max(sizes) >= PARALLEL_MIN
+    return crypto.CPUS >= 2 and len(sizes) >= 2 and max(sizes) >= PARALLEL_MIN
 
 
 def _each_layer(fn, outs: list[np.ndarray], *columns) -> None:
     """``fn(outs[k], *(column[k] for column in columns))`` for every layer k.
 
-    The calls run on the pool when :func:`_threaded` holds, else inline in
-    layer order. Each call writes only into its own ``outs[k]``, which the
-    caller allocated, and may hold one layer-sized scratch array.
+    The calls run on the process's pool (:func:`crypto.pool_map`) when
+    :func:`_threaded` holds, else inline in layer order. Each call writes
+    only into its own ``outs[k]``, which the caller allocated, and may hold
+    one layer-sized scratch array.
     """
-    global _pool
     if not _threaded([len(out) for out in outs]):
         for args in zip(outs, *columns):
             fn(*args)
         return
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(_CPUS, thread_name_prefix="fedtee-layer")
-    for _ in _pool.map(fn, outs, *columns):  # reads every result, so a task's error raises
-        pass
+    crypto.pool_map(fn, outs, *columns)
 
 
 def uniform_layers(rng: np.random.Generator, sizes: list[int], low: float, high: float,

@@ -9,6 +9,7 @@ channel, never as plaintext on a frame.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -32,6 +33,10 @@ class Incomplete(Exception):
 
 
 _OWNER_CHANNEL_TAG = hashlib.sha256(b"owner-client-master-key-channel").digest()
+
+# A ChunkUpload carries a node's next chunks while their payloads add up to at
+# most this many bytes; a larger chunk goes alone, as it did before runs.
+RUN_BYTES = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +121,8 @@ class Node:
         return sorted(c for c in mine[1] if c not in box)
 
     def compute(self, taskid: bytes, round_index: int) -> dict:
-        """Resume the schedule's enclave over the collected batch and upload every chunk.
+        """Resume the schedule's enclave over the collected batch and upload
+        every chunk, in runs of up to ``RUN_BYTES`` of payload per frame.
 
         Returns receipts plus the byte counts the timing model charges.
         """
@@ -124,36 +130,45 @@ class Node:
         box = self.pending.get((taskid, round_index), {})
         inputs = [(box[c][0], box[c][1], c) for c in sorted(subset)]
         output = self.host.resume(slot.eid, inputs)
-        receipts = []
-        uploaded = 0
-
-        def upload(c: SignedChunk, body: bytes) -> None:
-            payload = pack(transport.CHUNK_UPLOAD, c.taskid, c.round, c.index, body, c.sigma.raw)
-            _, reply, _ = self.router.call(self.party, "ledger", MessageKind.ChunkUpload, payload)
-            outcome, rnd, index, reason = unpack(transport.RECEIPT, reply)
-            receipts.append(dict(outcome=outcome, round=rnd, index=index, reason=reason or None))
-
-        if self.router.faults.forges(round_index) and output.chunks:
-            first = output.chunks[0]  # a corrupt node uploads a forged copy first
+        chunks = output.chunks
+        if self.router.faults.forges(round_index) and chunks:
+            first = chunks[0]  # a corrupt node uploads a forged copy ahead of it
             mutated = bytearray(first.payload)
             mutated[0] ^= 0x01
-            upload(first, bytes(mutated))
-        for chunk in output.chunks:
-            upload(chunk, chunk.payload)
-            uploaded += len(chunk.payload)
+            chunks = [dataclasses.replace(first, payload=bytes(mutated)), *chunks]
+        receipts = []
+        for run in _runs(chunks):
+            receipts += self._upload_run(run)
         self.pending.pop((taskid, round_index), None)
         return {
             "receipts": receipts,
             "plain_input_bytes": output.plain_input_bytes,
             "paged_bytes": output.paged_bytes,
-            "uploaded_bytes": uploaded,
+            "uploaded_bytes": sum(len(c.payload) for c in output.chunks),
         }
+
+    def _upload_run(self, run: list[SignedChunk]) -> list[dict]:
+        """One ChunkUpload frame for ``run``; its receipts, in the run's order."""
+        body = pack(
+            transport.CHUNK_UPLOAD, run[0].taskid, run[0].round, [c.index for c in run],
+            [c.payload for c in run], [c.sigma.raw for c in run],
+        )
+        _, reply, _ = self.router.call(self.party, "ledger", MessageKind.ChunkUpload, body)
+        (reasons,) = unpack(transport.RECEIPT, reply)
+        if len(reasons) != len(run):
+            raise ValueError(f"{len(reasons)} receipts for a run of {len(run)} chunks")
+        return [
+            dict(outcome="rejected" if reason else "accepted", round=c.round, index=c.index,
+                 reason=str(reason, "utf-8") or None)
+            for c, reason in zip(run, reasons)
+        ]
 
     def send_heartbeat(self) -> None:
         if self.router.faults.killed(self.node_id):
             return  # a dead node is silent
         self.router.send(
-            self.party, "committee", MessageKind.Heartbeat, pack(transport.HEARTBEAT, self.node_id)
+            self.party, transport.COMMITTEE, MessageKind.Heartbeat,
+            pack(transport.HEARTBEAT, self.node_id),
         )
 
     def buffer_bytes(self) -> bytes:
@@ -168,6 +183,20 @@ class Node:
                 parts.append(env_m.to_bytes())
                 parts.append(env_k.to_bytes())
         return b"".join(parts)
+
+
+def _runs(chunks: list[SignedChunk]):
+    """``chunks`` cut, in order, into runs whose payloads add up to at most
+    ``RUN_BYTES``; a chunk larger than that is a run of its own."""
+    run, size = [], 0
+    for c in chunks:
+        if run and size + len(c.payload) > RUN_BYTES:
+            yield run
+            run, size = [], 0
+        run.append(c)
+        size += len(c.payload)
+    if run:
+        yield run
 
 
 # ---------------------------------------------------------------------------
@@ -189,16 +218,20 @@ class LedgerParty:
 
     def handle(self, src: str, kind: MessageKind, payload: bytes):
         if kind == MessageKind.ChunkUpload:
-            # The ledger stores a copy of the payload, not a view of the frame:
+            # The ledger stores a copy of each payload, not a view of the frame:
             # a view costs about 300 B per stored chunk (7% of a 4 KiB chunk),
             # and the copy is cheap next to hashing the payload for its signature.
-            taskid, round_index, index, body, sig_raw = unpack(transport.CHUNK_UPLOAD, payload)
-            chunk = SignedChunk(
-                bytes(taskid), round_index, index, bytes(body), crypto.Signature(bytes(sig_raw))
-            )
-            receipt = self.ledger.upload_global_model(src, chunk)
+            taskid, round_index, indices, bodies, sigs = unpack(transport.CHUNK_UPLOAD, payload)
+            if not len(indices) == len(bodies) == len(sigs):
+                raise ValueError("ChunkUpload columns differ in length")
+            taskid = bytes(taskid)
+            run = [
+                SignedChunk(taskid, round_index, index, bytes(body), crypto.Signature(bytes(sig)))
+                for index, body, sig in zip(indices, bodies, sigs)
+            ]
+            receipts = self.ledger.upload_run(src, run)
             return MessageKind.LedgerReply, pack(
-                transport.RECEIPT, receipt.outcome, round_index, index, receipt.reason or ""
+                transport.RECEIPT, [(r.reason or "").encode() for r in receipts]
             )
         if kind == MessageKind.LedgerRead:
             taskid, round_index = unpack(transport.LEDGER_READ, payload)

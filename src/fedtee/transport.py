@@ -18,6 +18,9 @@ from enum import IntEnum
 from . import crypto
 
 
+COMMITTEE = "committee"  # the committee's party name; enclaves take deliveries from it only
+
+
 class UnknownParty(Exception):
     pass
 
@@ -357,8 +360,11 @@ CONF_DELIVER = Schema(BYTES, BYTES, U32_ROWS, U32_ROWS)  # see committee.Conf.to
 INIT_MODEL = Schema(BYTES)  # model.encode_model bytes
 MODEL_ENVELOPE = Schema(BYTES, U64, U64, ENVELOPE, ENVELOPE)  # taskid, round, sender, model, key
 RESEND_REQUEST = Schema(U32, U64)  # slot, round
-CHUNK_UPLOAD = Schema(BYTES, U64, U32, BYTES, BYTES)  # taskid, round, index, payload, signature
-RECEIPT = Schema(TEXT, U64, U32, TEXT)  # outcome, round, index, reason ("" for none)
+# A run of one node's chunks of one round: taskid, round, and per chunk its
+# index, payload and signature. The reply, RECEIPT, holds one reason per
+# chunk, in the run's order; an empty reason means the chunk was accepted.
+CHUNK_UPLOAD = Schema(BYTES, U64, U32S, BLOBS, BLOBS)
+RECEIPT = Schema(BLOBS)
 LEDGER_READ = Schema(BYTES, U64)  # taskid, round
 # A round's chunks as columns: error ("" if complete, else the ledger's
 # exception name, with the indices present so far), indices, payloads.

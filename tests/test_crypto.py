@@ -275,6 +275,78 @@ def test_signature_bit_mutation_fuzz():
     assert accepted == 0
 
 
+def _sign_on_pool(monkeypatch):
+    """Every list of two or more messages goes through the pool, even on one
+    CPU; returns the list the pool's calls are recorded in."""
+    monkeypatch.setattr(crypto, "SIG_PARALLEL_MIN", 2)
+    monkeypatch.setattr(crypto, "CPUS", max(crypto.CPUS, 2))
+    calls, pool_map = [], crypto.pool_map
+    monkeypatch.setattr(crypto, "pool_map", lambda *a: calls.append(a) or pool_map(*a))
+    return calls
+
+
+def _messages(n):
+    return [(b"task", i.to_bytes(12, "big"), bytes([i % 256]) * (i * 37)) for i in range(n)]
+
+
+@pytest.mark.parametrize("n", [2, 7, 20])
+def test_sign_all_same_bytes_on_pool_and_inline(monkeypatch, n):
+    pair = sig_keygen(bytes(range(32)))
+    messages = _messages(n)
+    calls = _sign_on_pool(monkeypatch)
+    pooled = crypto.sig_sign_all(pair.secret, messages)
+    assert calls  # the pool ran the slices
+    monkeypatch.setattr(crypto, "SIG_PARALLEL_MIN", 2**62)
+    inline = crypto.sig_sign_all(pair.secret, messages)
+    one_by_one = [sig_sign(pair.secret, *m) for m in messages]
+    assert [s.raw for s in pooled] == [s.raw for s in inline] == [s.raw for s in one_by_one]
+
+
+def test_verify_all_keeps_each_verdict_in_order(monkeypatch):
+    pair = sig_keygen(bytes(range(32)))
+    messages = _messages(9)
+    sigs = [sig_sign(pair.secret, *m) for m in messages]
+    sigs[3] = crypto.Signature(_flip(sigs[3].raw, 100))
+    sigs[8] = sigs[7]  # a good signature over another message
+    want = [i not in (3, 8) for i in range(9)]
+    items = list(zip(sigs, messages))
+    calls = _sign_on_pool(monkeypatch)
+    assert crypto.sig_verify_all(pair.public, items) == want
+    assert calls
+    monkeypatch.setattr(crypto, "SIG_PARALLEL_MIN", 2**62)
+    assert crypto.sig_verify_all(pair.public, items) == want
+
+
+def test_short_lists_and_one_cpu_sign_inline(monkeypatch):
+    class NoPool:
+        def map(self, *args):
+            raise AssertionError("inline path used the pool")
+
+    pair = sig_keygen(bytes(range(32)))
+    monkeypatch.setattr(crypto, "_pool", NoPool())
+    monkeypatch.setattr(crypto, "CPUS", 2)
+    short = _messages(crypto.SIG_PARALLEL_MIN - 1)
+    crypto.sig_verify_all(pair.public, list(zip(crypto.sig_sign_all(pair.secret, short), short)))
+    assert crypto.sig_sign_all(pair.secret, []) == crypto.sig_verify_all(pair.public, []) == []
+    monkeypatch.setattr(crypto, "CPUS", 1)
+    crypto.sig_sign_all(pair.secret, _messages(3 * crypto.SIG_PARALLEL_MIN))
+
+
+def test_sign_all_counts_every_signature_through_the_module(monkeypatch):
+    """The slices call ``crypto.sig_sign`` and ``crypto.sig_verify`` by name,
+    so a wrapper installed there sees each call, on the pool too."""
+    pair = sig_keygen(bytes(range(32)))
+    _sign_on_pool(monkeypatch)
+    seen = []
+    for name in ("sig_sign", "sig_verify"):
+        fn = getattr(crypto, name)
+        monkeypatch.setattr(crypto, name, lambda *a, fn=fn: seen.append(1) or fn(*a))
+    messages = _messages(11)
+    sigs = crypto.sig_sign_all(pair.secret, messages)
+    crypto.sig_verify_all(pair.public, list(zip(sigs, messages)))
+    assert len(seen) == 22
+
+
 def test_secret_key_scalar_roundtrip():
     pair = sig_keygen(bytes(range(32)))
     restored = crypto.load_secret_key(pair.secret_scalar_bytes())

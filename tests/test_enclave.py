@@ -148,6 +148,26 @@ def test_delivery_from_a_sender_without_a_session_key_is_refused():
     assert _armed_state(ctx) == before
 
 
+@pytest.mark.parametrize("purpose", [KEY_PURPOSE_SK, KEY_PURPOSE_ROUND, KEY_PURPOSE_PARTITION],
+                         ids=["sk", "round", "partition"])
+def test_attested_client_cannot_deliver(purpose):
+    """A client holds a session key with every enclave it sends to; a
+    delivery sealed under it is refused before it is opened."""
+    ctx = provision_enclave(clients=(1,), round_index=3, chunk_base=2)
+    inst = ctx["host"].instances[ctx["eid"]]
+    before = (*_armed_state(ctx), inst.sk_vk)
+    plain = {
+        KEY_PURPOSE_SK: crypto.sig_keygen(b"\x07" * 32).secret_scalar_bytes(),
+        KEY_PURPOSE_ROUND: transport.pack(transport.ROUND_ARM, TASKID, 4, 7),
+        KEY_PURPOSE_PARTITION: transport.pack(transport.PARTITION, (0, 1), 64),
+    }[purpose]
+    env = enclave.seal_delivery(ctx["ssk_by_client"][1], TASKID, purpose, plain, ctx["rng"])
+    with pytest.raises(AuthFailure, match="client:1 may not deliver"):
+        ctx["host"].deliver(ctx["eid"], "client:1", purpose, env)
+    assert (*_armed_state(ctx), inst.sk_vk) == before
+    assert before[:2] == (3, 2)
+
+
 def test_tampered_round_arm_is_refused():
     ctx = provision_enclave(clients=(1,), round_index=3)
     before = _armed_state(ctx)
@@ -260,6 +280,20 @@ def test_resume_chunks_cut_the_wire_envelope_at_any_capacity(cap):
         msg = chunk_signed_parts(c.taskid, c.round, c.index, c.payload)
         assert crypto.sig_verify(ctx["vk"].public, c.sigma, *msg)
     assert model.combine_partials([decrypt_output(ctx, out)]).bit_equal(model.fedavg(updates))
+
+
+def test_resume_signs_the_same_bytes_on_the_pool(monkeypatch):
+    def resume():
+        ctx = provision_enclave(clients=(1, 2), layer_range=(0,), tx_capacity=20)
+        updates = [simple_update(1, [[1.0, 3.0]]), simple_update(2, [[3.0, 5.0]])]
+        out = ctx["host"].resume(ctx["eid"], client_inputs(ctx, updates))
+        return [(c.index, bytes(c.payload), c.sigma.raw) for c in out.chunks]
+
+    monkeypatch.setattr(crypto, "SIG_PARALLEL_MIN", 2**62)
+    inline = resume()
+    monkeypatch.setattr(crypto, "SIG_PARALLEL_MIN", 2)
+    monkeypatch.setattr(crypto, "CPUS", max(crypto.CPUS, 2))
+    assert len(inline) > 2 and resume() == inline
 
 
 def test_tampered_client_envelope_rejects_batch_and_names_sender():

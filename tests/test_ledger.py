@@ -1,5 +1,6 @@
 """Storage contract: write-once semantics, verification, chain latency model."""
 
+from dataclasses import replace
 from functools import lru_cache
 from random import Random
 
@@ -268,6 +269,121 @@ def test_malformed_key_gives_bad_signature_receipts(vk_pk):
 
 
 # ---------------------------------------------------------------------------
+# Runs: one ChunkUpload's chunks, their signatures checked on the pool
+# ---------------------------------------------------------------------------
+
+def _checks_on_pool(mp):
+    """Every run of two or more chunks is checked on the pool, even on one CPU."""
+    mp.setattr(crypto, "SIG_PARALLEL_MIN", 2)
+    mp.setattr(crypto, "CPUS", max(crypto.CPUS, 2))
+
+
+@pytest.fixture
+def on_pool(monkeypatch):
+    _checks_on_pool(monkeypatch)
+
+
+def _reasons(receipts):
+    return [r.reason for r in receipts]
+
+
+def _forged(chunk):
+    payload = bytearray(chunk.payload)
+    payload[0] ^= 0x01
+    return replace(chunk, payload=bytes(payload))
+
+
+def test_run_forged_copy_ahead_of_its_chunk(on_pool):
+    ctx, chunks = signed_round(n_chunks=3)
+    led = _prepared_ledger(ctx, chunks)
+    receipts = led.upload_run("node:0", [_forged(chunks[0]), *chunks])
+    assert _reasons(receipts) == ["BadSignature", None, None, None]
+    assert led.current_round(TASKID) == 1
+    assert led.read(TASKID, 0)[0].payload == chunks[0].payload
+
+
+def test_run_bad_signature_mid_run_fails_only_that_chunk(on_pool):
+    ctx, chunks = signed_round(n_chunks=3)
+    led = _prepared_ledger(ctx, chunks)
+    bad = replace(chunks[1], sigma=chunks[0].sigma)
+    assert _reasons(led.upload_run("node:0", [chunks[0], bad, chunks[2]])) == [
+        None, "BadSignature", None
+    ]
+    assert sorted(ledger_storage(led)) == [(TASKID, 0, 0), (TASKID, 0, 2)]
+
+
+def test_run_repeated_index_and_stale_round(on_pool):
+    ctx, chunks = signed_round(n_chunks=3)
+    led = _prepared_ledger(ctx, chunks)
+    receipts = led.upload_run("node:0", [chunks[0], chunks[0], chunks[1]])
+    assert _reasons(receipts) == [None, "DuplicateIndex", None]
+    # the last chunk closes round 0 mid-run, so the replay after it is stale
+    receipts = led.upload_run("node:0", [chunks[2], chunks[0]])
+    assert _reasons(receipts) == [None, "WrongRound"]
+    assert _reasons(led.upload_run("node:0", chunks)) == ["WrongRound"] * 3
+
+
+def test_run_receipts_follow_frame_order(on_pool):
+    ctx, chunks = signed_round(n_chunks=4)
+    led = _prepared_ledger(ctx, chunks)
+    run = [chunks[2], chunks[0], chunks[3], chunks[1]]
+    receipts = led.upload_run("node:0", run)
+    assert [r.id for r in receipts] == [(c.taskid, c.round, c.index) for c in run]
+    assert all(r.accepted for r in receipts)
+    assert led.current_round(TASKID) == 1
+
+
+@pytest.mark.parametrize("index", [-1, 2**32])
+def test_run_unencodable_index_rejected(on_pool, index):
+    ctx, chunks = signed_round(n_chunks=2)
+    led = make_ledger()
+    led.create_task(TASKID)
+    led.upload_pk(COMM, TASKID, ctx["vk"].public_bytes())
+    odd = replace(chunks[0], index=index)
+    receipts = led.upload_run("node:0", [chunks[0], odd, chunks[1]])
+    assert _reasons(receipts) == [None, "IndexOutOfRange", None]
+
+
+def test_run_checks_each_signature_once_as_single_uploads_do(monkeypatch, on_pool):
+    ctx, chunks = signed_round(n_chunks=3)
+    seen = []
+    verify = crypto.sig_verify
+    monkeypatch.setattr(crypto, "sig_verify", lambda *a: seen.append(1) or verify(*a))
+    run = [_forged(chunks[0]), chunks[0], chunks[0], chunks[1], replace(chunks[1], index=2**32),
+           replace(chunks[2], sigma=chunks[1].sigma), chunks[2]]
+    by_run = _prepared_ledger(ctx, chunks).upload_run("node:0", run)
+    checks_by_run = len(seen)
+    seen.clear()
+    one_by_one = _prepared_ledger(ctx, chunks)
+    singles = [one_by_one.upload_global_model("node:0", c) for c in run]
+    assert by_run == singles
+    assert _reasons(singles) == [
+        "BadSignature", None, "DuplicateIndex", None, "IndexOutOfRange", "BadSignature", None
+    ]
+    assert checks_by_run == len(seen) == 5
+
+
+def test_key_rotated_while_a_run_is_checked_is_the_one_stores_use(monkeypatch, on_pool):
+    ctx, chunks = signed_round(n_chunks=3)
+    led = _prepared_ledger(ctx, chunks)
+    other = crypto.sig_keygen(b"\x07" * 32)
+    check = crypto.sig_verify_all
+
+    def rotate_then_check(public, items):
+        led.upload_pk(COMM, TASKID, other.public_bytes())
+        return check(public, items)
+
+    monkeypatch.setattr(crypto, "sig_verify_all", rotate_then_check)
+    assert _reasons(led.upload_run("node:0", chunks)) == ["BadSignature"] * 3
+    assert not ledger_storage(led)
+
+
+def test_empty_run_stores_nothing():
+    led = make_ledger()
+    assert led.upload_run("node:0", []) == []
+
+
+# ---------------------------------------------------------------------------
 # Reference model: the ledger against a brute-force scan of one flat map
 # ---------------------------------------------------------------------------
 
@@ -370,6 +486,47 @@ def test_ledger_matches_scan_reference_model(ops):
             assert led.current_round(t) == ref.round[t]
         assert ledger_storage(led).keys() == ref.storage.keys()
     for t in MODEL_TASKS:
+        for r in range(ref.round[t] + 2):
+            assert _read(led, t, r) == ref.read(t, r)
+
+
+@given(_ops)
+@example([("upload", A, 0, 2, True), ("upload", A, 0, 2, True), ("expect", A, 3),
+          ("upload", A, 0, 0, False), ("upload", A, 0, 0, True), ("upload", A, 0, 1, True),
+          ("upload", A, 0, 1, True)])
+@settings(max_examples=100, deadline=None)
+def test_runs_match_scan_reference_model(ops):
+    """Consecutive uploads of one task go up as one run: the receipts, the
+    stored chunks and the reads are those of uploading them one by one."""
+    led, ref = make_ledger(), ScanLedger()
+    for tid in MODEL_TASKS:
+        led.create_task(tid)
+        led.upload_pk(COMM, tid, TASK_KEY.public_bytes())
+    run, want = [], []
+
+    def flush():
+        got = led.upload_run("node:0", run)
+        assert [(r.outcome, r.id, r.reason) for r in got] == want
+        run.clear()
+        want.clear()
+
+    with pytest.MonkeyPatch.context() as mp:
+        _checks_on_pool(mp)
+        for kind, tid, *args in ops:
+            if kind == "expect" or (run and run[0].taskid != tid):
+                flush()
+            if kind == "expect":
+                led.set_expected_chunks(COMM, tid, args[0])
+                ref.expected[tid] = args[0]
+            else:
+                offset, index, good = args
+                chunk = _chunk(tid, max(0, ref.round[tid] + offset), index, good)
+                run.append(chunk)
+                want.append(ref.upload(chunk, good))
+        flush()
+    assert ledger_storage(led).keys() == ref.storage.keys()
+    for t in MODEL_TASKS:
+        assert led.current_round(t) == ref.round[t]
         for r in range(ref.round[t] + 2):
             assert _read(led, t, r) == ref.read(t, r)
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedtee import model
+from fedtee import crypto, model
 from fedtee.model import (
     CoverageGap,
     CoverageOverlap,
@@ -460,7 +460,7 @@ def test_synth_int_mode_stays_on_grid():
 def _through_pool(monkeypatch):
     """Every model with 2 layers goes through the pool, even on one CPU."""
     monkeypatch.setattr(model, "PARALLEL_MIN", 1)
-    monkeypatch.setattr(model, "_CPUS", max(model._CPUS, 2))
+    monkeypatch.setattr(crypto, "CPUS", max(crypto.CPUS, 2))
 
 
 def _pooled_and_inline(monkeypatch, fn):
@@ -520,7 +520,7 @@ def test_large_layers_match_layer_by_layer_uniform(monkeypatch, sizes):
     ``rng.uniform`` draws."""
     from fedtee.config import RunConfig, initial_model
 
-    monkeypatch.setattr(model, "_CPUS", max(model._CPUS, 2))
+    monkeypatch.setattr(crypto, "CPUS", max(crypto.CPUS, 2))
     cfg = RunConfig(layers=dict(enumerate(sizes)), seed=6)
     digest = hashlib.sha256(struct.pack(">Q", cfg.seed) + b"m_init").digest()
     rng = np.random.default_rng(int.from_bytes(digest[:8], "big"))
@@ -556,11 +556,11 @@ def test_inline_path_makes_no_pool_call(monkeypatch):
         def map(self, *args):
             raise AssertionError("inline path used the pool")
 
-    monkeypatch.setattr(model, "_pool", NoPool())
+    monkeypatch.setattr(crypto, "_pool", NoPool())
     g = WeightVector([Layer(0, np.zeros(2**18)), Layer(1, np.zeros(2**18))])
-    monkeypatch.setattr(model, "_CPUS", 1)
+    monkeypatch.setattr(crypto, "CPUS", 1)
     fedavg([synth_local_update(g, c, 0, 1, taskid=TASK) for c in range(2)])
-    monkeypatch.setattr(model, "_CPUS", 2)
+    monkeypatch.setattr(crypto, "CPUS", 2)
     small = _three_layers()
     fedavg([synth_local_update(small, c, 0, 1, taskid=TASK) for c in range(2)])
 
@@ -579,7 +579,7 @@ def test_fedavg_memory_is_outputs_plus_one_scratch_layer_per_worker():
         tracemalloc.stop()
     assert out.structure() == g.structure()
     outputs = layers * 8 * n
-    assert peak <= outputs + min(model._CPUS, layers) * 8 * n + 64 * 1024
+    assert peak <= outputs + min(crypto.CPUS, layers) * 8 * n + 64 * 1024
 
 
 @pytest.mark.parametrize("name", ["single-float", "clientmax-float", "layermax-float"])

@@ -7,7 +7,7 @@ from fedtee import crypto, model, transport
 from fedtee.config import RunConfig, FaultEvent
 from fedtee.harness import TaskRun, run_task
 from fedtee.ledger import Ledger
-from fedtee.roles import DeliveryFailure, TaskOwner
+from fedtee.roles import RUN_BYTES, DeliveryFailure, TaskOwner
 from fedtee.transport import MessageKind, Router
 
 
@@ -272,6 +272,53 @@ def test_forged_chunk_rejected_but_round_completes():
     rejected = [r for r in report.receipts if r["outcome"] == "rejected"]
     assert len(rejected) == 1
     assert rejected[0]["reason"] == "BadSignature"
+
+
+def _chunk_uploads(tap):
+    """Every ChunkUpload frame the tap saw, as (chunk indices, payload lengths)."""
+    uploads = []
+    for _, _, raw in tap.frames:
+        frame = transport.Frame.from_bytes(raw)
+        if frame.kind == MessageKind.ChunkUpload:
+            _, _, indices, payloads, _ = transport.unpack(transport.CHUNK_UPLOAD, frame.payload)
+            uploads.append((list(indices), [len(p) for p in payloads]))
+    return uploads
+
+
+def test_small_chunks_go_up_in_runs_of_at_most_run_bytes():
+    """4 KiB chunks, as on the chunk-bound benchmark: 256 to a frame, in
+    index order, with the forged copy ahead of the chunk it copies."""
+    cfg = small_config(rounds=1, n_clients=2, layers={0: 300_000}, tx_capacity=4096,
+                       faults=[FaultEvent(kind="tamper_chunk", round=0)])
+    run = TaskRun(cfg)
+    tap = run.router.add_tap()
+    report = run.run()
+    assert report.ok
+    uploads = _chunk_uploads(tap)
+    assert all(sum(lengths) <= RUN_BYTES for _, lengths in uploads)
+    assert [len(indices) for indices, _ in uploads][:2] == [256, 256]
+    sent = [i for indices, _ in uploads for i in indices]
+    assert sent[:3] == [0, 0, 1] and sent[1:] == list(range(len(sent) - 1))
+    assert [r["index"] for r in report.receipts] == sent
+    assert [r["reason"] for r in report.receipts] == ["BadSignature"] + [None] * (len(sent) - 1)
+
+
+def test_chunks_larger_than_half_run_bytes_go_one_per_frame():
+    """2 MiB chunks, as on the byte-bound benchmark: each is a run of its own."""
+    run = TaskRun(small_config(rounds=1, n_clients=2, layers={0: 600_000}))
+    tap = run.router.add_tap()
+    report = run.run()
+    assert report.ok
+    uploads = _chunk_uploads(tap)
+    assert [indices for indices, _ in uploads] == [[0], [1], [2]]
+    assert uploads[0][1] == [run.cfg.tx_capacity] and run.cfg.tx_capacity > RUN_BYTES
+
+
+def test_chunk_upload_with_ragged_columns_is_refused():
+    run = TaskRun(small_config())
+    body = transport.pack(transport.CHUNK_UPLOAD, b"roles-task", 0, [0, 1], [b"p0"], [b"s0", b"s1"])
+    with pytest.raises(ValueError, match="columns differ"):
+        run.router.call("node:0", "ledger", MessageKind.ChunkUpload, body)
 
 
 def test_client_read_of_half_uploaded_round_is_incomplete():

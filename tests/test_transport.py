@@ -214,7 +214,8 @@ def _envelopes():
     "schema, values",
     [
         (transport.MODEL_ENVELOPE, (b"tid", 7, 42, *_envelopes())),
-        (transport.CHUNK_UPLOAD, (b"tid", 3, 9, b"chunk-payload", b"sig-bytes")),
+        (transport.CHUNK_UPLOAD,
+         (b"tid", 3, (9, 10, 9), (b"chunk-payload", b"", b"forged"), (b"sig-9", b"sig-10", b"sig-9"))),
     ],
     ids=["model-envelope", "chunk-upload"],
 )
