@@ -64,22 +64,22 @@ CONFIGS = {
 }
 
 GOLDEN = {
-    "chunks-64": "77f6325ed2eb5503d4b7106769074b95b99726a6200bcbfe4996fdadbe12b096",
-    "clientmax-float": "feff85e29a4bd09971083583c522bb380cc71d26f80606e470a2ea03affc28b0",
-    "clientmax-int": "ae13a75d76acfeb7c6b8c946dd6cee5b9ec2e585e7108590003b31f02f11920a",
-    "drop": "eede1139d1c8bc7d56e957c91b98d5dc700f94bc2002b07b30ac8e514a4d8be8",
-    "kill-between": "0cd2a37171d42c6f7678da1cabe9acb6b1e8d165606b718c27aac2933fb29f1a",
-    "kill-collect": "fc05a4f2b5bfb8c82a497600a645ac9204546ae28769b6798dc924aa6b9ddaef",
-    "layermax-float": "1e76fbb4ada139aa958b8576eec9c5dcf3a18f24e652631af91e8aba719aa613",
-    "layermax-int": "348413814380b7ad88ad81ff6e3b1e47441d826d8303e15e6e0bd195178ec98e",
-    "paging": "590f6a39521ff1c437db3b40d4a5f6af3cf763f3bd6cda8de13e73aae69646e3",
-    "sentinel-taps": "e5575e5aaf88b35b573dadceeffdc6cde6fe90292bfcacaf489cc11e86a42cc9",
-    "single-float": "76d8623931e6599a7fe96d1dac465402cc7c83118262748b3845075eab917675",
-    "single-int": "ceae392b5f5cff18f81f81b1e1de25677e252504640723c06b522475cc14c61b",
-    "straggler-exclude": "c261b01b134c5f76234d978e2b3acd0ae2d923a6dbcd3f0aeb0d9a869db4643e",
-    "tamper-chunk": "5858a3d5f42af27baaabf8c056460b8b0ca24a32dc3656113da255a74637e78d",
-    "tamper-install": "187abe1d0c4bd460d2a5f19188e8e9e64c4935924d95cec48c359da1830974db",
-    "uniform-tendermint": "cd40557090208f6e60cc4b8099b6f37de288e988f04eef64978ab4692e45077b",
+    "chunks-64": "25d9749e294a49dd85a3757d13001faf1c89d57c48d95aef83f54e83fab27ed5",
+    "clientmax-float": "c65e45a36ba77da9676eb843351f62cf1951c8f1de9a65f1fd75643e8c691f99",
+    "clientmax-int": "2f04f1130d60e35b96f7aa4ff7134e17ec7ced0c38b577211d49c3d0f27c7079",
+    "drop": "413e5a7a90fd098fb5e88832fcb2a744d5738bbfd529dced43e1febb9f477cc8",
+    "kill-between": "72fd272a3e28eb21d3203a849dc9387ae3da1052771cd019de8a54736f4bb92a",
+    "kill-collect": "8f9a97806477c6dbb5d473b12275e6d2784f8edfc782bc124ef3841d1d544b86",
+    "layermax-float": "3c1dee442bb6505ac7319873003775c08e64084f536afd58351ff1867d8b1e3f",
+    "layermax-int": "cccc1181d58c892d55c247008ce1c4bbf71ecae9513bf435126d3d96006d1112",
+    "paging": "ea5f9db9cb4a38bb7a1214b71643132e2cacc3958ef996defcbffe43a17edc43",
+    "sentinel-taps": "2307302491fc6c52fa1ec3144b354813a5280caf3db5f47e6a895c1dd4faab1d",
+    "single-float": "60427a6305205910ceb0f789e8c042a697675769b26bf977b64628ba5a58bb70",
+    "single-int": "016f0d566f9f0812c69cf1c10b09244dad0cc5cef28f1c03af71578a886e4b8b",
+    "straggler-exclude": "ea298381cefe2c098331515821e1845c4992ee3ca3098aaaa20607fefa696e06",
+    "tamper-chunk": "4a68e9b15f4e69093e0bd6d5e982f95de5f60a8f4f639c77cbd77c28ba8e0404",
+    "tamper-install": "16e0aff0f43fb99ea2a4dca8c6d46d804abddc4bfcc0c64221297e83b07c9862",
+    "uniform-tendermint": "0d75137b4bf3004f6b1d2900924468063e9bb924f643c5bc65856a14f1dcc89c",
 }
 
 MASKED = {
