@@ -154,8 +154,12 @@ class Ledger:
         hold of the lock, and a store takes its chunk's verdict from that
         check while the task still has the same key. Every other chunk is
         checked as a single upload is, so receipts and the number of checks
-        are those of uploading the chunks one by one."""
-        taskid = chunks[0].taskid if chunks else None
+        are those of uploading the chunks one by one. A run too short for
+        the pool is checked chunk by chunk as it is stored."""
+        if not crypto.pooled(len(chunks)):
+            with self._lock:
+                return [self.upload_global_model(sender, c) for c in chunks]
+        taskid = chunks[0].taskid
         with self._lock:
             rec = self.tasks.get(taskid)
             vk = rec.vk if rec is not None else None
