@@ -337,7 +337,8 @@ def sig_verify(public: ec.EllipticCurvePublicKey, sig: Signature, *message: byte
 SIG_PARALLEL_MIN = 8
 
 
-# The slices call sig_sign and sig_verify by their module names, at call time.
+# The slices look sig_sign and sig_verify up by name at call time, so a
+# wrapper set on this module sees every call, on the pool too.
 def _sign_slice(secret, messages: list[tuple]) -> list[Signature]:
     return [sig_sign(secret, *message) for message in messages]
 

@@ -148,14 +148,14 @@ class Ledger:
         """Store a run of one task's chunks in order, each through
         :meth:`upload_global_model`, and return their receipts in that order.
 
-        The signatures are checked first, on the pool and outside the lock,
-        with the verification key read under it: those of the chunks that get
-        that far, the first chunk per index. The stores then run under one
-        hold of the lock, and a store takes its chunk's verdict from that
-        check while the task still has the same key. Every other chunk is
-        checked as a single upload is, so receipts and the number of checks
-        are those of uploading the chunks one by one. A run too short for
-        the pool is checked chunk by chunk as it is stored."""
+        A run long enough for the pool has its signatures checked first,
+        there and outside the lock, under the verification key read inside
+        it; only chunks that would reach their signature check, the first
+        per index, are checked. The stores then run under one hold of the
+        lock, and a store takes its chunk's verdict from that check while the
+        task still has the same key. Every other chunk is checked as a single
+        upload is, so the receipts and the number of checks are those of
+        uploading the chunks one by one."""
         if not crypto.pooled(len(chunks)):
             with self._lock:
                 return [self.upload_global_model(sender, c) for c in chunks]
