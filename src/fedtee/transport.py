@@ -283,7 +283,7 @@ def pack(schema: Schema, *values) -> bytes | memoryview:
             v = v.encode() if code == TEXT else v
             parts += (_LEN.pack(len(v)), v)
         else:
-            lengths = v if code == U32S else [len(x) for x in v]
+            lengths = v if code == U32S else list(map(len, v))
             parts.append(struct.pack(f">I{len(v)}I", len(v), *lengths))
             if code == BLOBS:
                 parts += v
@@ -333,13 +333,16 @@ def unpack(schema: Schema, body: bytes) -> tuple:
                 out.append(lengths)
                 continue
             if code == BLOBS:
-                items, ends = body, list(itertools.accumulate(lengths, initial=off))
-                off = ends[-1]
+                items, at = body, off
+                off += sum(lengths)
             else:
-                ends = list(itertools.accumulate(lengths, initial=0))
-                items = struct.unpack_from(f">{ends[-1]}I", body, off)
-                off += 4 * ends[-1]
-            out.append(tuple(items[a:b] for a, b in zip(ends, ends[1:])))
+                items, at = struct.unpack_from(f">{sum(lengths)}I", body, off), 0
+                off += 4 * len(items)
+            rows = []
+            for n in lengths:
+                rows.append(items[at : at + n])
+                at += n
+            out.append(tuple(rows))
     except struct.error as exc:
         raise ValueError(f"{schema}: body truncated") from exc
     if off != len(body):
