@@ -347,15 +347,10 @@ def _verify_slice(public, items: list[tuple[Signature, tuple]]) -> list[bool]:
     return [sig_verify(public, sig, *message) for sig, message in items]
 
 
-def pooled(n: int) -> bool:
-    """Whether a list of ``n`` signatures is made or checked on the pool."""
-    return CPUS >= 2 and n >= SIG_PARALLEL_MIN
-
-
 def _by_slices(fn, key, items: list) -> list:
     """``fn(key, items)``, or on the pool one slice of ``items`` per CPU, the
     results joined in order."""
-    if not pooled(len(items)):
+    if CPUS < 2 or len(items) < SIG_PARALLEL_MIN:
         return fn(key, items)
     step = -(-len(items) // CPUS)
     slices = [items[i : i + step] for i in range(0, len(items), step)]

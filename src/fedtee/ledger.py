@@ -148,17 +148,16 @@ class Ledger:
         """Store a run of one task's chunks in order, each through
         :meth:`upload_global_model`, and return their receipts in that order.
 
-        A run long enough for the pool has its signatures checked first,
-        there and outside the lock, under the verification key read inside
+        The signatures are checked first, on the pool when the run is long
+        enough and outside the lock, under the verification key read inside
         it; only chunks that would reach their signature check, the first
         per index, are checked. The stores then run under one hold of the
-        lock, and a store takes its chunk's verdict from that check while the
-        task still has the same key. Every other chunk is checked as a single
-        upload is, so the receipts and the number of checks are those of
-        uploading the chunks one by one."""
-        if not crypto.pooled(len(chunks)):
-            with self._lock:
-                return [self.upload_global_model(sender, c) for c in chunks]
+        lock, and a store takes its chunk's verdict, once, from that check
+        while the task still has the same key. Every other chunk is checked
+        as a single upload is, so the receipts and the number of checks are
+        those of uploading the chunks one by one."""
+        if not chunks:
+            return []
         taskid = chunks[0].taskid
         with self._lock:
             rec = self.tasks.get(taskid)
@@ -198,7 +197,7 @@ class Ledger:
 
     def _signed(self, chunk: SignedChunk) -> bool:
         vk = self.tasks[chunk.taskid].vk
-        checked = self._checked.get(id(chunk))
+        checked = self._checked.pop(id(chunk), None)
         if checked is not None and checked[0] is vk:
             return checked[1]
         message = chunk_signed_parts(chunk.taskid, chunk.round, chunk.index, chunk.payload)

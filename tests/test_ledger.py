@@ -362,6 +362,18 @@ def test_run_checks_each_signature_once_as_single_uploads_do(monkeypatch, on_poo
     ]
     assert checks_by_run == len(seen) == 5
 
+    # the same refused object twice: its verdict is used once, the copy is checked again
+    bad = _forged(chunks[0])
+    seen.clear()
+    by_run = _prepared_ledger(ctx, chunks).upload_run("node:0", [bad, bad, chunks[0]])
+    checks_by_run = len(seen)
+    seen.clear()
+    one_by_one = _prepared_ledger(ctx, chunks)
+    singles = [one_by_one.upload_global_model("node:0", c) for c in [bad, bad, chunks[0]]]
+    assert by_run == singles
+    assert _reasons(singles) == ["BadSignature", "BadSignature", None]
+    assert checks_by_run == len(seen) == 3
+
 
 def test_key_rotated_while_a_run_is_checked_is_the_one_stores_use(monkeypatch, on_pool):
     ctx, chunks = signed_round(n_chunks=3)
