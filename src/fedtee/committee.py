@@ -296,14 +296,6 @@ RESCHEDULE_MS = 2.0
 STRAGGLER_TIMEOUT_MS = 100.0
 
 
-# The frame kind of each delivery purpose; enclave holds the rest of the format.
-_KEY_DELIVERIES = {
-    transport.KEY_PURPOSE_SK: MessageKind.KeyDeliver,
-    transport.KEY_PURPOSE_PARTITION: MessageKind.RoundDeliver,
-    transport.KEY_PURPOSE_ROUND: MessageKind.RoundDeliver,
-}
-
-
 class Committee:
     """The committee party for a single task.
 
@@ -425,8 +417,7 @@ class Committee:
         )
         (slot.eid,) = unpack(transport.INSTALLED, installed)
         self.ssk_by_eid[slot.eid] = enclave.attest(
-            self.router, COMMITTEE, slot.node, spec.taskid, slot.eid, spec.program.measurement,
-            self.rng,
+            self.router, COMMITTEE, slot.node, slot.eid, spec.program.measurement, self.rng
         )
         self._key_deliver(slot, transport.KEY_PURPOSE_SK, self.vk.secret_scalar_bytes())
         self._key_deliver(
@@ -435,17 +426,15 @@ class Committee:
         )
 
     def _arm(self, slot: Slot, round_index: int) -> None:
-        plain = pack(
-            transport.ROUND_ARM, self.spec.taskid, round_index, self.chunk_bases[slot.index]
-        )
+        plain = pack(transport.ROUND_ARM, round_index, self.chunk_bases[slot.index])
         self._key_deliver(slot, transport.KEY_PURPOSE_ROUND, plain)
 
     def _key_deliver(self, slot: Slot, purpose: int, plain: bytes) -> None:
         """Seal ``plain`` under the slot enclave's session key and deliver it."""
         taskid = self.spec.taskid
         env = enclave.seal_delivery(self.ssk_by_eid[slot.eid], taskid, purpose, plain, self.rng)
-        body = pack(transport.KEY_DELIVER, taskid, slot.eid, purpose, env)
-        self._call(slot.node, _KEY_DELIVERIES[purpose], body)
+        body = pack(transport.KEY_DELIVER, slot.eid, purpose, env)
+        self._call(slot.node, MessageKind.KeyDeliver, body)
 
     def deliver_conf(self) -> None:
         body = self.conf.to_bytes()

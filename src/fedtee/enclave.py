@@ -209,9 +209,7 @@ class SgxHost:
     def set_round(self, inst: EnclaveInstance, plain: bytes) -> None:
         """Arm the enclave for one round and its first chunk index; a round not
         yet consumed may be re-armed, the latest arm holding."""
-        taskid, round_index, chunk_base = transport.unpack(transport.ROUND_ARM, plain)
-        if taskid != inst.taskid:
-            raise RoundMismatch(f"round delivery for task {taskid!r}, enclave runs {inst.taskid!r}")
+        round_index, chunk_base = transport.unpack(transport.ROUND_ARM, plain)
         if round_index < inst.round_counter:
             raise RoundMismatch(f"round {round_index} already consumed")
         inst.expected_round, inst.chunk_base = round_index, chunk_base
@@ -328,7 +326,7 @@ def _aad_round(aad: bytes) -> int:
 
 
 def attest(
-    router: transport.Router, initiator: str, node: int, taskid: bytes, eid: int,
+    router: transport.Router, initiator: str, node: int, eid: int,
     expected_measurement: bytes, rng: Random,
 ) -> SymKey:
     """Initiator side of the attestation handshake with enclave ``eid`` on ``node``.
@@ -339,7 +337,7 @@ def attest(
     priv, point = crypto.ecdh_keypair(rng)
     kind, reply, _ = router.call(
         initiator, f"node:{node}", transport.MessageKind.RaHandshake1,
-        transport.pack(transport.RA_HANDSHAKE1, taskid, eid, initiator, point),
+        transport.pack(transport.RA_HANDSHAKE1, eid, initiator, point),
     )
     if kind != transport.MessageKind.RaHandshake2:
         transport.check_reply(reply)  # raises the error the node reported

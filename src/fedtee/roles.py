@@ -61,12 +61,12 @@ class Node:
             if kind == MessageKind.InstallProg:
                 return self._handle_install(payload)
             if kind == MessageKind.RaHandshake1:
-                taskid, eid, initiator, point = unpack(transport.RA_HANDSHAKE1, payload)
+                eid, initiator, point = unpack(transport.RA_HANDSHAKE1, payload)
                 point_out, measurement = self.host.ra_respond(eid, initiator, point)
                 reply = pack(transport.RA_HANDSHAKE2, point_out, measurement)
                 return MessageKind.RaHandshake2, reply
-            if kind in (MessageKind.KeyDeliver, MessageKind.RoundDeliver):
-                _, eid, purpose, env = unpack(transport.KEY_DELIVER, payload)
+            if kind == MessageKind.KeyDeliver:
+                eid, purpose, env = unpack(transport.KEY_DELIVER, payload)
                 self.host.deliver(eid, src, purpose, env)
                 return ok()
             if kind == MessageKind.ModelEnvelope:
@@ -291,9 +291,7 @@ class Client:
         self.msk: SymKey | None = None
         self.m_glob: model.WeightVector | None = None
         self.round = 0  # the round m_glob is the start model of
-        self.taskid: bytes | None = None
-        self.measurement: bytes | None = None
-        self.conf: Conf | None = None
+        self.conf: Conf | None = None  # the committee's schedule: task id, measurement, slots
         self.ssk_by_enclave: dict[int, SymKey] = {}
         # slot index -> this round's slice; re-encoded and re-sealed on a resend
         self.cached_updates: dict[int, model.LocalUpdate] = {}
@@ -313,8 +311,6 @@ class Client:
                 return ok()
             if kind == MessageKind.ConfDeliver:
                 self.conf = Conf.from_bytes(payload)
-                self.taskid = self.conf.taskid
-                self.measurement = self.conf.measurement
                 return ok()
             if kind == MessageKind.ResendRequest:
                 self._resend(*unpack(transport.RESEND_REQUEST, payload))
@@ -337,7 +333,7 @@ class Client:
 
     def attest(self, node: int, eid: int) -> SymKey:
         """Run the attestation handshake against an enclave on ``node``."""
-        ssk = attest(self.router, self.party, node, self.taskid, eid, self.measurement, self.rng)
+        ssk = attest(self.router, self.party, node, eid, self.conf.measurement, self.rng)
         self.ssk_by_enclave[eid] = ssk
         return ssk
 
@@ -347,7 +343,7 @@ class Client:
             self.uid,
             round_index,
             self.synth_seed,
-            taskid=self.taskid,
+            taskid=self.conf.taskid,
             int_mode=self.int_mode,
         )
         if self.sentinel:
@@ -377,7 +373,7 @@ class Client:
         arrivals = []
         for slot in self.conf.slots_for_client(round_index, self.uid):
             sliced = model.LocalUpdate(
-                taskid=self.taskid,
+                taskid=self.conf.taskid,
                 client=self.uid,
                 round=round_index,
                 weights=update.weights.slice_layers(slot.layer_range),
@@ -395,17 +391,17 @@ class Client:
         if eid not in self.ssk_by_enclave:
             self.attest(node, eid)
         ssk = self.ssk_by_enclave[eid]
-        r = update.round
+        taskid, r = self.conf.taskid, update.round
         counts = [len(l.values) for l in update.weights.layers]
-        size = model.encoded_update_size(len(self.taskid), counts)
+        size = model.encoded_update_size(len(taskid), counts)
         payload = pack(
-            transport.MODEL_ENVELOPE, self.taskid, r, self.uid,
+            transport.MODEL_ENVELOPE, taskid, r, self.uid,
             crypto.Sealing(
-                ssk, crypto.model_aad(self.taskid, r, self.uid), size,
+                ssk, crypto.model_aad(taskid, r, self.uid), size,
                 functools.partial(model.encode_model, update), self.rng,
             ),
             crypto.Sealing(
-                ssk, crypto.msk_aad(self.taskid, r, self.uid), crypto.KEY_BYTES,
+                ssk, crypto.msk_aad(taskid, r, self.uid), crypto.KEY_BYTES,
                 self.msk.raw, self.rng,
             ),
         )
@@ -427,7 +423,7 @@ class Client:
 
     def client_get_global(self, round_index: int) -> model.WeightVector:
         """Read the round's chunks, reassemble, decrypt, combine, advance."""
-        chunks = read_round_chunks(self.router, self.party, self.taskid, round_index)
+        chunks = read_round_chunks(self.router, self.party, self.conf.taskid, round_index)
         got = decode_round_chunks(self.conf, self.msk, chunks, round_index)
         self.m_glob = got
         self.round = round_index + 1

@@ -36,7 +36,6 @@ class MessageKind(IntEnum):
     RaHandshake1 = 4
     RaHandshake2 = 5
     KeyDeliver = 6
-    RoundDeliver = 7
     ModelEnvelope = 8
     ChunkUpload = 9
     LedgerRead = 10
@@ -355,9 +354,9 @@ SUBMIT_TASK = Schema(BYTES)  # taskid
 # taskid, code id, aggregation hook, enclave memory budget, paging, enclave rng seed
 INSTALL_PROG = Schema(BYTES, BYTES, TEXT, U64, U8, U64)
 INSTALLED = Schema(U64)  # the reply's result to InstallProg: eid
-RA_HANDSHAKE1 = Schema(BYTES, U64, TEXT, BYTES)  # taskid, eid, initiator, point
+RA_HANDSHAKE1 = Schema(U64, TEXT, BYTES)  # eid, initiator, point
 RA_HANDSHAKE2 = Schema(BYTES, BYTES)  # point, measurement
-KEY_DELIVER = Schema(BYTES, U64, U8, ENVELOPE)  # taskid, eid, purpose, sealed plaintext
+KEY_DELIVER = Schema(U64, U8, ENVELOPE)  # eid, purpose, sealed plaintext
 MASTER_KEY = Schema(U8, BYTES, BYTES)  # owner to client: phase, owner's point, sealed key
 CONF_DELIVER = Schema(BYTES, BYTES, U32_ROWS, U32_ROWS)  # see committee.Conf.to_bytes
 INIT_MODEL = Schema(BYTES)  # model.encode_model bytes
@@ -376,13 +375,13 @@ HEARTBEAT = Schema(U64)  # node
 PING = Schema()
 REPLY = Schema(TEXT, BYTES)  # error ("" on success, else "Type: message"), result
 
-# Plaintexts the committee seals into KeyDeliver / RoundDeliver envelopes,
-# and the KEY_DELIVER purpose naming each.
+# Plaintexts the committee seals into KeyDeliver envelopes, and the
+# KEY_DELIVER purpose naming each.
 KEY_PURPOSE_SK = 1
 KEY_PURPOSE_ROUND = 2
 KEY_PURPOSE_PARTITION = 3
 PARTITION = Schema(U32S, U32)  # enclave.PartitionConf's fields: layers, chunk capacity
-ROUND_ARM = Schema(BYTES, U64, U32)  # taskid, round, the partition's first chunk index
+ROUND_ARM = Schema(U64, U32)  # round, the partition's first chunk index
 # An enclave's output, sealed under the master key, before it is cut into chunks.
 ENCLAVE_OUTPUT = Schema(ENVELOPE)
 

@@ -156,7 +156,7 @@ def deliver(host, eid, committee_ssk, purpose, plain, rng):
 
 
 def arm_round(host, eid, committee_ssk, round_index, rng, chunk_base=0):
-    plain = transport.pack(transport.ROUND_ARM, TASKID, round_index, chunk_base)
+    plain = transport.pack(transport.ROUND_ARM, round_index, chunk_base)
     deliver(host, eid, committee_ssk, transport.KEY_PURPOSE_ROUND, plain, rng)
 
 

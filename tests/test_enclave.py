@@ -141,7 +141,7 @@ def test_partition_delivery_handed_in_as_a_round_arm_is_refused():
 def test_delivery_from_a_sender_without_a_session_key_is_refused():
     ctx = provision_enclave(clients=(1,), round_index=3)
     before = _armed_state(ctx)
-    arm = transport.pack(transport.ROUND_ARM, TASKID, 4, 7)
+    arm = transport.pack(transport.ROUND_ARM, 4, 7)
     env = enclave.seal_delivery(ctx["committee_ssk"], TASKID, KEY_PURPOSE_ROUND, arm, ctx["rng"])
     with pytest.raises(AuthFailure, match="no session key with node:0"):
         ctx["host"].deliver(ctx["eid"], "node:0", KEY_PURPOSE_ROUND, env)
@@ -158,7 +158,7 @@ def test_attested_client_cannot_deliver(purpose):
     before = (*_armed_state(ctx), inst.sk_vk)
     plain = {
         KEY_PURPOSE_SK: crypto.sig_keygen(b"\x07" * 32).secret_scalar_bytes(),
-        KEY_PURPOSE_ROUND: transport.pack(transport.ROUND_ARM, TASKID, 4, 7),
+        KEY_PURPOSE_ROUND: transport.pack(transport.ROUND_ARM, 4, 7),
         KEY_PURPOSE_PARTITION: transport.pack(transport.PARTITION, (0, 1), 64),
     }[purpose]
     env = enclave.seal_delivery(ctx["ssk_by_client"][1], TASKID, purpose, plain, ctx["rng"])
@@ -171,7 +171,7 @@ def test_attested_client_cannot_deliver(purpose):
 def test_tampered_round_arm_is_refused():
     ctx = provision_enclave(clients=(1,), round_index=3)
     before = _armed_state(ctx)
-    arm = transport.pack(transport.ROUND_ARM, TASKID, 4, 7)
+    arm = transport.pack(transport.ROUND_ARM, 4, 7)
     env = enclave.seal_delivery(ctx["committee_ssk"], TASKID, KEY_PURPOSE_ROUND, arm, ctx["rng"])
     for field in ("nonce", "aad", "ciphertext", "tag"):
         original = bytes(getattr(env, field))
@@ -183,7 +183,7 @@ def test_tampered_round_arm_is_refused():
 
 def test_unknown_delivery_purpose_is_refused():
     ctx = provision_enclave(clients=(1,), round_index=3)
-    arm = transport.pack(transport.ROUND_ARM, TASKID, 4, 7)
+    arm = transport.pack(transport.ROUND_ARM, 4, 7)
     env = enclave.seal_delivery(ctx["committee_ssk"], TASKID, KEY_PURPOSE_ROUND, arm, ctx["rng"])
     with pytest.raises(ValueError, match="unknown key-delivery purpose 9"):
         ctx["host"].deliver(ctx["eid"], "committee", 9, env)

@@ -581,8 +581,8 @@ def test_round_after_straggler_exclusion_only_arms_the_enclaves():
             break
         if src == "committee":
             sent.append(Frame.from_bytes(raw))
-    assert [f.kind for f in sent] == [MessageKind.RoundDeliver] * len(run.committee.conf.slots)
-    purposes = [transport.unpack(transport.KEY_DELIVER, f.payload)[2] for f in sent]
+    assert [f.kind for f in sent] == [MessageKind.KeyDeliver] * len(run.committee.conf.slots)
+    purposes = [transport.unpack(transport.KEY_DELIVER, f.payload)[1] for f in sent]
     assert purposes == [transport.KEY_PURPOSE_ROUND] * len(sent)
 
 
@@ -620,9 +620,9 @@ def test_failover_in_an_open_round_arms_the_new_enclave_once_and_asks_each_clien
     resends = [dest for dest, kind, _ in sent if kind == MessageKind.ResendRequest]
     assert sorted(resends) == [f"client:{uid}" for uid in run.committee.conf.subset(1, 1)]
     arms = [
-        transport.unpack(transport.KEY_DELIVER, payload)[1:3]
+        transport.unpack(transport.KEY_DELIVER, payload)[:2]
         for dest, kind, payload in sent
-        if dest == "node:4" and kind == MessageKind.RoundDeliver
+        if dest == "node:4" and kind == MessageKind.KeyDeliver
     ]
     assert arms.count((slot.eid, transport.KEY_PURPOSE_ROUND)) == 1
 

@@ -225,7 +225,7 @@ def test_codec_examples(schema, values):
 
 def test_ra_handshake1_cut_short_is_rejected():
     point = crypto.ecdh_keypair(Random(3))[1]
-    body = transport.pack(transport.RA_HANDSHAKE1, b"tid", 5, "client:1", point)
+    body = transport.pack(transport.RA_HANDSHAKE1, 5, "client:1", point)
     with pytest.raises(ValueError):
         transport.unpack(transport.RA_HANDSHAKE1, body[:-10])
 
@@ -233,7 +233,7 @@ def test_ra_handshake1_cut_short_is_rejected():
 @pytest.mark.parametrize(
     "schema, values",
     [
-        (transport.RA_HANDSHAKE1, (b"tid", 5, "client:1", b"\x04" * 65)),
+        (transport.RA_HANDSHAKE1, (5, "client:1", b"\x04" * 65)),
         (transport.LEDGER_READ, (b"tid", 2)),
     ],
     ids=["ra-handshake1", "ledger-read"],
