@@ -64,22 +64,22 @@ CONFIGS = {
 }
 
 GOLDEN = {
-    "chunks-64": "25d9749e294a49dd85a3757d13001faf1c89d57c48d95aef83f54e83fab27ed5",
-    "clientmax-float": "c65e45a36ba77da9676eb843351f62cf1951c8f1de9a65f1fd75643e8c691f99",
-    "clientmax-int": "2f04f1130d60e35b96f7aa4ff7134e17ec7ced0c38b577211d49c3d0f27c7079",
-    "drop": "413e5a7a90fd098fb5e88832fcb2a744d5738bbfd529dced43e1febb9f477cc8",
-    "kill-between": "72fd272a3e28eb21d3203a849dc9387ae3da1052771cd019de8a54736f4bb92a",
-    "kill-collect": "8f9a97806477c6dbb5d473b12275e6d2784f8edfc782bc124ef3841d1d544b86",
-    "layermax-float": "3c1dee442bb6505ac7319873003775c08e64084f536afd58351ff1867d8b1e3f",
-    "layermax-int": "cccc1181d58c892d55c247008ce1c4bbf71ecae9513bf435126d3d96006d1112",
-    "paging": "ea5f9db9cb4a38bb7a1214b71643132e2cacc3958ef996defcbffe43a17edc43",
-    "sentinel-taps": "2307302491fc6c52fa1ec3144b354813a5280caf3db5f47e6a895c1dd4faab1d",
-    "single-float": "60427a6305205910ceb0f789e8c042a697675769b26bf977b64628ba5a58bb70",
-    "single-int": "016f0d566f9f0812c69cf1c10b09244dad0cc5cef28f1c03af71578a886e4b8b",
-    "straggler-exclude": "ea298381cefe2c098331515821e1845c4992ee3ca3098aaaa20607fefa696e06",
-    "tamper-chunk": "4a68e9b15f4e69093e0bd6d5e982f95de5f60a8f4f639c77cbd77c28ba8e0404",
-    "tamper-install": "16e0aff0f43fb99ea2a4dca8c6d46d804abddc4bfcc0c64221297e83b07c9862",
-    "uniform-tendermint": "0d75137b4bf3004f6b1d2900924468063e9bb924f643c5bc65856a14f1dcc89c",
+    "chunks-64": "85736e5e5d68eef35c9e905dd1149dfc282f62ec1ef50135da66bd114ff965b7",
+    "clientmax-float": "43e72078ece756c6b832a6dd14c42cc1f6562328def5671fe131843b4e8beecb",
+    "clientmax-int": "172fcc6dfc3e88abcd0576b35e2c6ea6d726aff8ae7a3c419a8791544583e613",
+    "drop": "2082a3bf8123ef5f4e5af1b3d8bce31871e62b72b0065f6d59cb3cccbfba055f",
+    "kill-between": "715de813d864d2cb2828e0859b68699f3a108d6a25d8d6f47f4845aa454fb807",
+    "kill-collect": "0e3aba20318e85b22403cbccc12a4c6b3b658ddee5fa2225f210ca0957ecf690",
+    "layermax-float": "70661a37232ee7272f69d5dad9b50301be279933cf045be6b93ceba14adeb07b",
+    "layermax-int": "0b436c4ff37295cdb8e04df096a4ed5e8ac9e0ec0632dd669a3b46ec0f6fe26d",
+    "paging": "b8348a3eb0bf78b7ffa7e4f08395ffb926afa324f0f47038e3bffc84451ad875",
+    "sentinel-taps": "d7e212f9a836a04a908a5b7a10527fbcda2d2521646b020dbe2aa7356b12b75e",
+    "single-float": "560c15b80f01ba93883ad0dd0e803c907e71d3dfb9d63f26ea77ff7eadcbf2ef",
+    "single-int": "b7521beb1b8b0b94a41c56211ed484782daac40ad7091b020d9dcd8042520ff4",
+    "straggler-exclude": "53e0254873674c26d95384c1b13f0fb976ceb249a89bcbbefc510c9dddfe368a",
+    "tamper-chunk": "13a802489c8fc7719d56f72825f3c454e365b5adab3cc4ba5391d506c87ed623",
+    "tamper-install": "4e5e293b19138a1f28aeb930912e4f15dacc5c28e3c99f8e5ea25c042deb0de1",
+    "uniform-tendermint": "44e19ac9f03f8f6ceaab4e809ec9c0aa3e00d557424c808bbdcd666c1732b6e2",
 }
 
 MASKED = {
