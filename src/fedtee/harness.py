@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import committee as committee_mod
-from . import model, transport
+from . import crypto, model, transport
 from .committee import Committee, RunFailed, TaskSpec
 from .config import SENTINEL, RunConfig, initial_model, plant_sentinel
 from .enclave import EnclaveProgram, make_eid_allocator
@@ -371,7 +371,10 @@ class TaskRun:
         # client's next round would still be alive in verify(); drop them here.
         for client in self.clients.values():
             client.cached_updates.clear()
-        global_model = self.owner.get_global_model(conf, round_index)
+        try:
+            global_model = self.owner.get_global_model(conf, round_index)
+        except (crypto.AuthFailure, ValueError, model.MalformedModel) as exc:
+            raise RunFailed(str(exc)) from exc
         self.report.round_models.append(global_model)
         self.report.round_model_digests.append(global_model.digest())
 

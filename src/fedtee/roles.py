@@ -453,8 +453,12 @@ def decode_round_chunks(conf: Conf, msk: SymKey, chunks, round_index: int) -> mo
             raise ValueError(f"round {round_index}: no output starts at byte {off}")
         env, off = crypto.parse_envelope_at(data, off)
         if env.aad != crypto.output_aad(conf.taskid, round_index, base):
-            raise AuthFailure(f"slot {slot.index} output bound to a different context")
-        parts.append(model.decode_partial(crypto.ae_decrypt(msk, env)))
+            raise AuthFailure(f"output of partition {slot.index} bound to a different context")
+        try:
+            plain = crypto.ae_decrypt(msk, env)
+        except AuthFailure as exc:
+            raise AuthFailure(f"output of partition {slot.index} failed authentication") from exc
+        parts.append(model.decode_partial(plain))
     if off != len(data):
         raise ValueError(f"round {round_index}: {len(data) - off} bytes after the last output")
     return model.combine_partials(parts)

@@ -1,5 +1,6 @@
 """Orchestration: traffic model, phases, verification, faults, CLI."""
 
+import dataclasses
 import json
 import random
 import re
@@ -501,6 +502,46 @@ def test_every_dropped_frame_ends_in_a_report(strategy, kind):
         FaultEvent(kind="drop", message_kind=kind.name, count=1),
     ]))
     assert report.ok or re.match(r"(setup|round \d+): failed: ", report.events[-1])
+
+
+@pytest.mark.parametrize("strategy", ["single", "clientmax", "layermax"])
+def test_dropped_committee_delivery_ends_in_a_setup_report(strategy):
+    # every delivery into an enclave is a KeyDeliver; the first is node 0's signing key
+    report = run_task(small_config(n_nodes=6, rounds=2, strategy=strategy, faults=[
+        FaultEvent(kind="drop", message_kind="KeyDeliver", src="committee", count=1),
+    ]))
+    assert not report.ok and not report.stalled
+    assert report.events == ["setup: failed: dropped KeyDeliver committee->node:0"]
+
+
+def test_drop_of_a_kind_no_party_sends_is_rejected_when_built():
+    with pytest.raises(ValueError, match="unknown message kind 'RoundDeliver'"):
+        small_config(faults=[FaultEvent(kind="drop", message_kind="RoundDeliver")])
+
+
+def test_an_output_failing_its_tag_ends_the_round_in_a_report(monkeypatch):
+    from fedtee.roles import TaskOwner
+
+    cfg = small_config(strategy="clientmax", n_nodes=6, layers={0: 24, 1: 16}, epc_budget=800)
+    read = TaskOwner.get_global_model
+    taskid = cfg.taskid_bytes
+
+    def read_after_flip(owner, conf, round_index):
+        if round_index == 1:  # the last payload byte of partition 0's output is its tag's
+            stored = owner.ledger.by_round[(taskid, 1)]
+            last = max(i for i in stored if i < run.committee.chunk_bases[1])
+            payload = bytearray(stored[last].payload)
+            payload[-1] ^= 0x01
+            stored[last] = dataclasses.replace(stored[last], payload=bytes(payload))
+        return read(owner, conf, round_index)
+
+    monkeypatch.setattr(TaskOwner, "get_global_model", read_after_flip)
+    run = TaskRun(cfg)
+    report = run.run()
+    assert len(run.committee.conf.slots) > 1
+    assert not report.ok and not report.stalled
+    assert len(report.rounds) == 1 and report.verification == {}
+    assert report.events[-1] == "round 1: failed: output of partition 0 failed authentication"
 
 
 @pytest.mark.parametrize("dest, ok", [("node:0", False), ("node:3", True)], ids=["holder", "spare"])
