@@ -281,6 +281,7 @@ class SgxHost:
                 elif msk != this_msk:
                     raise MskDisagreement(f"client {sender} delivered a different master key")
                 update = model.decode_model(plain_m)
+                # a client that writes another client's id or round into its update
                 if update.client != sender or update.round != round_index or update.taskid != inst.taskid:
                     raise AuthFailure(f"client {sender}: decoded update header disagrees with context")
                 updates.append(update)

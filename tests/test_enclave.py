@@ -1,5 +1,6 @@
 """Enclave simulator: install, attestation, provisioning, resume, signing."""
 
+import dataclasses
 from random import Random
 
 import numpy as np
@@ -11,6 +12,7 @@ from conftest import (
     build_program,
     client_inputs,
     decrypt_output,
+    deliver,
     provision_enclave,
     ra_key_exchange,
     simple_update,
@@ -330,9 +332,111 @@ def test_replayed_batch_never_produces_output():
     inputs = client_inputs(ctx, [simple_update(1, [[1.0]])])
     out = ctx["host"].resume(ctx["eid"], inputs)
     assert out.chunks
-    with pytest.raises(RoundMismatch):
+    with pytest.raises(RoundMismatch, match="enclave 1 has no armed round"):
         ctx["host"].resume(ctx["eid"], inputs)
     assert ctx["host"].instances[ctx["eid"]].round_counter == 1
+
+
+# ---------------------------------------------------------------------------
+# Refused batches leave the enclave as it was
+# ---------------------------------------------------------------------------
+# Each refusal below is one check in SgxHost; after it, the arm, the round
+# counter and the single-entrant flag are what they were before the call.
+
+def _guarded_state(ctx):
+    inst = ctx["host"].instances[ctx["eid"]]
+    return (*_armed_state(ctx), inst.round_counter, inst.busy)
+
+
+def _refused(ctx, inputs, exc, match):
+    before = _guarded_state(ctx)
+    with pytest.raises(exc, match=match):
+        ctx["host"].resume(ctx["eid"], inputs)
+    assert _guarded_state(ctx) == before
+    assert before[0] is not None and before[-1] is False
+
+
+def test_unknown_aggregation_hook_is_refused_at_install():
+    host = SgxHost(make_eid_allocator())
+    with pytest.raises(ValueError, match="unknown aggregation hook 'median'"):
+        host.install(TASKID, build_program("median"))
+    assert host.instances == {}
+
+
+def test_reentrant_resume_is_refused(monkeypatch):
+    ctx, batches = {}, []
+
+    def reentering_hook(updates, layer_range):  # calls back into the enclave it runs in
+        batches.append(len(updates))
+        return ctx["host"].resume(ctx["eid"], [])
+
+    monkeypatch.setitem(enclave.HOOKS, "reenter", reentering_hook)
+    ctx.update(provision_enclave(clients=(1,), round_index=2, chunk_base=5, hook="reenter"))
+    _refused(ctx, client_inputs(ctx, [simple_update(1, [[1.0]], round_index=2)], round_index=2),
+             RuntimeError, "enclave 1 is single-entrant")
+    assert batches == [1]
+
+
+def test_resume_without_a_partition_is_refused():
+    rng = Random(4)
+    host = SgxHost(make_eid_allocator())
+    program = build_program()
+    eid = host.install(TASKID, program)
+    ssk = ra_key_exchange("committee", host, eid, program.measurement, rng)
+    scalar = crypto.sig_keygen(rng.randbytes(32)).secret_scalar_bytes()
+    deliver(host, eid, ssk, KEY_PURPOSE_SK, scalar, rng)
+    arm_round(host, eid, ssk, 0, rng)
+    ctx = {"host": host, "eid": eid}
+    _refused(ctx, [], RoundMismatch, "no partition configuration")
+
+
+def test_sender_without_an_attested_session_is_refused():
+    ctx = provision_enclave(clients=(1,))
+    stranger = crypto.SymKey(b"\x33" * 16)
+    u = simple_update(3, [[1.0]])
+    rng = ctx["rng"]
+    env_m = crypto.ae_encrypt(stranger, crypto.model_aad(TASKID, 0, 3), model.encode_model(u), rng)
+    env_k = crypto.ae_encrypt(stranger, crypto.msk_aad(TASKID, 0, 3), ctx["msk"].raw, rng)
+    _refused(ctx, [*client_inputs(ctx, [simple_update(1, [[1.0]])]), (env_m, env_k, 3)],
+             AuthFailure, "client 3: no attested session key")
+
+
+def test_malformed_model_envelope_context_is_refused():
+    ctx = provision_enclave(clients=(1,))
+    ((env_m, env_k, sender),) = client_inputs(ctx, [simple_update(1, [[1.0]])])
+    short = with_envelope_field(env_m, "aad", env_m.aad[:5])
+    _refused(ctx, [(short, env_k, sender)], AuthFailure, "client 1: malformed envelope context")
+
+
+def test_one_clients_envelope_handed_in_as_anothers_is_refused():
+    ctx = provision_enclave(clients=(1, 2))
+    one, two = client_inputs(ctx, [simple_update(1, [[1.0]]), simple_update(2, [[2.0]])])
+    _refused(ctx, [one, (one[0], one[1], 2)], AuthFailure,
+             "client 2: model envelope bound to wrong context")
+    _refused(ctx, [one, (two[0], one[1], 2)], AuthFailure,
+             "client 2: envelope failed authentication")
+
+
+def test_older_rounds_master_key_envelope_beside_a_fresh_model_is_refused():
+    ctx = provision_enclave(clients=(1,), round_index=3, chunk_base=4)
+    ((env_m, _, sender),) = client_inputs(ctx, [simple_update(1, [[1.0]], round_index=3)], 3)
+    ssk = ctx["ssk_by_client"][1]
+    old_k = crypto.ae_encrypt(ssk, crypto.msk_aad(TASKID, 2, 1), ctx["msk"].raw, rng=ctx["rng"])
+    _refused(ctx, [(env_m, old_k, sender)], AuthFailure,
+             "client 1: master-key envelope bound to wrong context")
+
+
+@pytest.mark.parametrize("header", [dict(client=2), dict(round=1), dict(taskid=b"other-task")],
+                         ids=["client", "round", "task"])
+def test_update_whose_header_names_another_context_is_refused(header):
+    ctx = provision_enclave(clients=(1,))
+    honest = simple_update(1, [[1.0]])
+    ((_, env_k, sender),) = client_inputs(ctx, [honest])
+    forged = dataclasses.replace(honest, **header)
+    ssk, aad = ctx["ssk_by_client"][1], crypto.model_aad(TASKID, 0, 1)
+    env_m = crypto.ae_encrypt(ssk, aad, model.encode_model(forged), ctx["rng"])
+    _refused(ctx, [(env_m, env_k, sender)], AuthFailure,
+             "client 1: decoded update header disagrees with context")
 
 
 def test_capacity_exceeded_without_paging():
