@@ -514,11 +514,6 @@ def test_dropped_committee_delivery_ends_in_a_setup_report(strategy):
     assert report.events == ["setup: failed: dropped KeyDeliver committee->node:0"]
 
 
-def test_drop_of_a_kind_no_party_sends_is_rejected_when_built():
-    with pytest.raises(ValueError, match="unknown message kind 'RoundDeliver'"):
-        small_config(faults=[FaultEvent(kind="drop", message_kind="RoundDeliver")])
-
-
 def test_an_output_failing_its_tag_ends_the_round_in_a_report(monkeypatch):
     from fedtee.roles import TaskOwner
 
@@ -808,6 +803,7 @@ def _faults(**kw):
         pytest.param(dict(tx_capacity=0), id="tx_capacity-0"),
         pytest.param(dict(chain="nope"), id="unknown-chain"),
         pytest.param(_faults(kind="drop", message_kind="NoSuchKind"), id="drop-unknown-kind"),
+        pytest.param(_faults(kind="drop", message_kind="RoundDeliver"), id="drop-retired-kind"),
         pytest.param(_faults(kind="drop", count=0), id="drop-count-0"),
         pytest.param(_faults(kind="drop", count=-3), id="drop-count-negative"),
         pytest.param(_faults(kind="drop", dest="node:9"), id="drop-missing-dest"),
