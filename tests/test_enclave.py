@@ -306,7 +306,7 @@ def test_tampered_client_envelope_rejects_batch_and_names_sender():
     flipped = bytearray(env_m.ciphertext)
     flipped[0] ^= 1
     inputs[1] = (Envelope(env_m.nonce, env_m.aad, bytes(flipped) + env_m.tag), env_k, sender)
-    with pytest.raises(AuthFailure, match="client 2"):
+    with pytest.raises(AuthFailure, match="client 2: envelope failed authentication"):
         ctx["host"].resume(ctx["eid"], inputs)
     # whole batch rejected: the armed round is still live, and a clean batch works
     out = ctx["host"].resume(ctx["eid"], client_inputs(ctx, updates))
