@@ -10,7 +10,9 @@ All operations are pure or take caller-supplied randomness, so they are safe
 to use concurrently from independent role instances. The process has one
 worker pool, a thread per usable CPU (:func:`pool_map`): long lists of
 signatures are made and checked there, one slice per CPU, since P-256 signing
-and verifying release the GIL, and the model's per-layer passes share it.
+and verifying release the GIL. The model's per-layer passes share it, and so
+do the oracle's clients, one task each, in a round whose layers are too small
+to pool. A :func:`pool_map` called from a pool task runs inline.
 
 Every model-sized byte string on a round's path is written once, into a
 buffer from :func:`new_buffer`: a decrypted plaintext, or an envelope sealed
@@ -55,6 +57,11 @@ except AttributeError:  # no affinity call on this platform
     CPUS = os.cpu_count() or 1
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
+_on_pool = threading.local()  # ``worker`` is set on the pool's own threads
+
+
+def _mark_worker() -> None:
+    _on_pool.worker = True
 
 
 def _forget_pool() -> None:
@@ -70,11 +77,17 @@ if hasattr(os, "register_at_fork"):
 def pool_map(fn, *columns) -> list:
     """``[fn(*args) for args in zip(*columns)]``, each call a task on the
     process's one pool, built on first use with a thread per CPU. Every
-    result is read, so a task's error raises here."""
+    result is read, so a task's error raises here.
+
+    A call from one of the pool's own threads runs its calls in order on that
+    thread: two tasks that each waited on tasks of their own would otherwise
+    hold every worker forever."""
+    if getattr(_on_pool, "worker", False):
+        return list(map(fn, *columns))
     global _pool
     with _pool_lock:
         if _pool is None:
-            _pool = ThreadPoolExecutor(CPUS, thread_name_prefix="fedtee")
+            _pool = ThreadPoolExecutor(CPUS, thread_name_prefix="fedtee", initializer=_mark_worker)
     return list(_pool.map(fn, *columns))
 
 

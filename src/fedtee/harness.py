@@ -133,18 +133,17 @@ def oracle_run(config: RunConfig, subsets_by_round: list[list[int]] | None = Non
                 clients, config.participation, r, config.seed,
                 config.uniform_random_participants,
             )
-        updates = []
-        for uid in sorted(participants):
-            u = model.synth_local_update(
-                m, uid, r, config.seed,
-                taskid=config.taskid_bytes,
-                int_mode=config.int_mode,
-            )
-            if config.sentinel:
+        updates = model.synth_round(
+            m, participants, r, config.seed,
+            taskid=config.taskid_bytes,
+            int_mode=config.int_mode,
+        )
+        if config.sentinel:
+            for u in updates:
                 plant_sentinel(u.weights)
-            updates.append(u)
         m = model.fedavg(updates)
         out.append(m)
+        del updates  # released before the next round's are drawn
     return out
 
 

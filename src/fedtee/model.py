@@ -14,7 +14,9 @@ weight. Code that needs to write weights works on a fresh array.
 The model-sized numeric passes (synthetic draws, scaled sums, divisions) run
 one task per layer, on the process's thread pool once a model's layers are
 large enough for numpy's released GIL to pay; each task writes only its own
-layer's output, so the bits are those of the layer-by-layer loop.
+layer's output, so the bits are those of the layer-by-layer loop. A round's
+clients whose layers are too small for that, in a model large enough to
+pay, are drawn one pool task per client instead (:func:`synth_round`).
 """
 
 from __future__ import annotations
@@ -290,21 +292,56 @@ def _each_layer(fn, outs: list[np.ndarray], *columns) -> None:
     crypto.pool_map(fn, outs, *columns)
 
 
-def uniform_layers(rng: np.random.Generator, sizes: list[int], low: float, high: float,
-                   bases: list[np.ndarray] | None = None) -> list[np.ndarray]:
-    """``rng.uniform(low, high, n)`` for each ``n`` of ``sizes`` in order, each
-    plus its ``bases`` layer when given, and ``rng`` left after the last draw.
+def synth_round(global_model: WeightVector, clients, round_index: int, seed: int, *,
+                taskid: bytes, int_mode: bool = False) -> list[LocalUpdate]:
+    """:func:`synth_local_update` for each of ``clients``, in ascending
+    client order.
 
-    On the pool the draws are bit for bit the same: every double takes one
-    step of ``rng``'s PCG64 stream, so layer k draws from a copy advanced
-    past the layers before it, through numpy's own ``uniform`` formula.
+    One level of parallelism only: a model whose layers :func:`_threaded`
+    sends to the pool has its clients drawn one after another; otherwise a
+    model of ``PARALLEL_MIN`` elements or more draws each client as one pool
+    task. Each client draws from its own stream, so the bits are the loop's.
+    """
+    clients = sorted(clients)
+    sizes = [len(l.values) for l in global_model.layers]
+
+    def draw(client: int, out=None) -> LocalUpdate:  # by name, so a wrapper sees every call
+        return synth_local_update(global_model, client, round_index, seed,
+                                  taskid=taskid, int_mode=int_mode, out=out)
+
+    if (not _threaded(sizes) and crypto.CPUS >= 2 and len(clients) >= 2
+            and sum(sizes) >= PARALLEL_MIN):
+        # The weights are allocated on this thread. An array a worker made
+        # goes back to the worker's malloc arena when it is freed here, and
+        # glibc returns a freed arena top to the kernel, so every round's
+        # updates would be faulted in afresh.
+        outs = [[np.empty(n) for n in sizes] for _ in clients]
+        return crypto.pool_map(draw, clients, outs)
+    return [draw(c) for c in clients]
+
+
+def uniform_layers(rng: np.random.Generator, sizes: list[int], low: float, high: float,
+                   bases: list[np.ndarray] | None = None,
+                   out: list[np.ndarray] | None = None) -> list[np.ndarray]:
+    """``rng.uniform(low, high, n)`` for each ``n`` of ``sizes`` in order, each
+    plus its ``bases`` layer when given, and ``rng`` left after the last draw;
+    written into the arrays of ``out`` when given.
+
+    On the pool, or into ``out``, the draws are bit for bit the same: every
+    double takes one step of ``rng``'s PCG64 stream, so layer k draws from a
+    copy advanced past the layers before it, through numpy's own ``uniform``
+    formula.
     """
     if not _threaded(sizes):
+        if out is not None:
+            for o, base in zip(out, bases or repeat(None)):
+                _uniform_into(o, rng, low, high - low, base)
+            return out
         outs = [rng.uniform(low, high, n) for n in sizes]
-        for out, base in zip(outs, bases or ()):
-            out += base
+        for o, base in zip(outs, bases or ()):
+            o += base
         return outs
-    outs = [np.empty(n) for n in sizes]
+    outs = [np.empty(n) for n in sizes] if out is None else out
     gens, offset = [], 0
     for n in sizes:
         bits = np.random.PCG64()
@@ -465,13 +502,15 @@ def synth_local_update(
     taskid: bytes,
     perturb: float = 0.05,
     int_mode: bool = False,
+    out: list[np.ndarray] | None = None,
 ) -> LocalUpdate:
     """Deterministic stand-in for local training.
 
     Adds a seeded perturbation (|delta| <= ``perturb``) to each element and
     draws a dataset size in [1, 1000]. In ``int_mode`` the incoming weights
     are snapped to the dyadic grid and perturbations stay on it, so weighted
-    sums remain exact in 64-bit floats regardless of summation order.
+    sums remain exact in 64-bit floats regardless of summation order. With
+    ``out``, one array per layer, the weights are written there.
     """
     rng = _derive_rng(seed, client, round_index)
     if int_mode:
@@ -479,13 +518,18 @@ def synth_local_update(
         # so this stream cannot be split by layer.
         steps = int(max(1, round(perturb / INT_MODE_QUANTUM)))
         layers = []
-        for l in global_model.layers:
-            base = np.round(l.values / INT_MODE_QUANTUM) * INT_MODE_QUANTUM
-            delta = rng.integers(-steps, steps + 1, size=len(l.values)) * INT_MODE_QUANTUM
-            layers.append(Layer(l.index, np.add(base, delta, out=delta)))
+        for l, o in zip(global_model.layers, out or repeat(None)):
+            # The quantum is 2**-8, so scaling by it or by 256 is exact and
+            # commutes with rounding: this is round(v / Q) * Q + k * Q bit for
+            # bit, -0.0 + 0 giving +0.0 on both, through one buffer.
+            g = np.multiply(l.values, 256.0, out=o)
+            np.rint(g, out=g)
+            g += rng.integers(-steps, steps + 1, size=len(l.values))
+            g *= INT_MODE_QUANTUM
+            layers.append(Layer(l.index, g))
     else:
         outs = uniform_layers(rng, [len(l.values) for l in global_model.layers],
-                              -perturb, perturb, [l.values for l in global_model.layers])
-        layers = [Layer(l.index, out) for l, out in zip(global_model.layers, outs)]
+                              -perturb, perturb, [l.values for l in global_model.layers], out)
+        layers = [Layer(l.index, o) for l, o in zip(global_model.layers, outs)]
     dataset_size = int(rng.integers(1, 1001))
     return LocalUpdate(taskid, client, round_index, WeightVector(layers), dataset_size)

@@ -1,6 +1,8 @@
 """Crypto layer: AEAD envelopes, signatures, and the attestation KDF."""
 
 import os
+import signal
+import threading
 from random import Random
 
 import pytest
@@ -345,6 +347,29 @@ def test_sign_all_counts_every_signature_through_the_module(monkeypatch):
     sigs = crypto.sig_sign_all(pair.secret, messages)
     crypto.sig_verify_all(pair.public, list(zip(sigs, messages)))
     assert len(seen) == 22
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_nested_pool_map_runs_inline_on_the_worker(monkeypatch):
+    """Four outer tasks on two workers, each mapping inner ones: a nested
+    call that queued on the pool would hold both workers forever."""
+    monkeypatch.setattr(crypto, "CPUS", 2)
+
+    def outer(i):
+        me = threading.get_ident()
+        return crypto.pool_map(lambda j: (i, j, threading.get_ident() == me), range(3))
+
+    pid = os.fork()
+    if pid == 0:  # the child builds its own two-thread pool; a hang ends at the alarm
+        signal.alarm(10)
+        ok = False
+        try:  # an error must end the child here, not hand it back to the test runner
+            want = [[(i, j, True) for j in range(3)] for i in range(4)]
+            ok = crypto.pool_map(outer, range(4)) == want
+        finally:
+            os._exit(0 if ok else 1)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
 
 
 def test_secret_key_scalar_roundtrip():

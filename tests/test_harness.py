@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ledger_storage, stub_sealed_model_envelopes, tap_bytes, use_leaky_cipher
-from fedtee import model, transport
+from fedtee import crypto, model, transport
 from fedtee.cli import main as cli_main
 from fedtee.committee import _per_client_bytes
 from fedtee.config import SENTINEL, FaultEvent, MODEL_PRESETS, RunConfig, preset_layer_meta
@@ -182,6 +182,60 @@ def test_verify_fails_when_a_round_model_is_missing():
     run.verify()
     assert report.verification["end_to_end_matches_oracle"] == "FAIL"
     assert not report.ok
+
+
+def _clients_on_pool(monkeypatch):
+    """Every oracle round with 2 or more clients draws them on the pool, one
+    task each, even on one CPU; returns the client lists the pool was given."""
+    monkeypatch.setattr(crypto, "CPUS", max(crypto.CPUS, 2))
+    calls, pool_map = [], crypto.pool_map
+    monkeypatch.setattr(
+        crypto, "pool_map", lambda fn, *cols: calls.append(list(cols[0])) or pool_map(fn, *cols)
+    )
+    return calls
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [dict(int_mode=True), dict(int_mode=True, sentinel=True), dict(int_mode=False)],
+    ids=["int", "int-sentinel", "float"],
+)
+def test_oracle_same_bits_with_clients_on_pool_and_inline(monkeypatch, kw):
+    cfg = small_config(layers={0: 600, 1: 500}, **kw)
+    calls = _clients_on_pool(monkeypatch)
+    seen, synth = [], model.synth_local_update  # a wrapper set on the module sees each draw
+    monkeypatch.setattr(model, "synth_local_update", lambda *a, **k: seen.append(a[1]) or synth(*a, **k))
+    # the layers stay below the bar, the model reaches it: one task per client
+    monkeypatch.setattr(model, "PARALLEL_MIN", 1100)
+    pooled = oracle_run(cfg)
+    assert calls == [list(range(cfg.n_clients))] * cfg.rounds
+    assert sorted(seen) == sorted(list(range(cfg.n_clients)) * cfg.rounds)
+    monkeypatch.setattr(model, "PARALLEL_MIN", 2**62)
+    inline = oracle_run(cfg)
+    assert len(calls) == cfg.rounds  # nothing more on the pool
+    assert len(pooled) == len(inline) == cfg.rounds
+    assert all(p.bit_equal(i) for p, i in zip(pooled, inline))
+
+
+def test_oracle_memory_is_round_models_plus_one_rounds_updates(monkeypatch):
+    """The last round's updates are released before the next round's are
+    drawn, with the clients on the pool."""
+    import tracemalloc
+
+    n, layers, clients = 2**16, 4, 4
+    cfg = small_config(int_mode=True, n_clients=clients, layers={i: n for i in range(layers)})
+    oracle_run(small_config(int_mode=True))  # the first run imports modules lazily
+    calls = _clients_on_pool(monkeypatch)
+    tracemalloc.start()
+    try:
+        out = oracle_run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == [list(range(clients))] * cfg.rounds
+    assert len(out) == cfg.rounds
+    layer, models = 8 * n, cfg.rounds + clients  # the initial model counts as one in round 0
+    assert peak <= models * layers * layer + min(crypto.CPUS, clients) * layer + 64 * 1024
 
 
 def test_sentinel_clean_run_passes_confidentiality():

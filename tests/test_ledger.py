@@ -60,6 +60,19 @@ def test_read_before_any_upload_not_found():
         led.read(b"unknown-task", 0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda led, t: led.current_round(t),
+    lambda led, t: led.upload_pk(COMM, t, crypto.sig_keygen(bytes(32)).public_bytes()),
+    lambda led, t: led.set_expected_chunks(COMM, t, 3),
+    lambda led, t: led.read(t, 0),
+], ids=["current_round", "upload_pk", "set_expected_chunks", "read"])
+def test_unknown_task_is_not_found(call):
+    led = make_ledger()
+    led.create_task(TASKID)
+    with pytest.raises(LedgerNotFound):
+        call(led, b"unknown-task")
+
+
 def test_upload_pk_authorization_and_rotation():
     led = make_ledger()
     led.create_task(TASKID)

@@ -536,19 +536,58 @@ def test_large_layers_match_layer_by_layer_uniform(monkeypatch, sizes):
     assert got.dataset_size == want_size
 
 
-def test_int_mode_synth_is_drawn_in_layer_order(monkeypatch):
+@pytest.mark.parametrize("int_mode", [False, True], ids=["float", "int"])
+def test_synth_into_given_arrays_keeps_the_bits(int_mode):
     g = _three_layers()
+    want = synth_local_update(g, 4, 2, 42, taskid=TASK, int_mode=int_mode)
+    out = [np.full(len(l.values), np.nan) for l in g.layers]
+    got = synth_local_update(g, 4, 2, 42, taskid=TASK, int_mode=int_mode, out=out)
+    assert all(l.values is o for l, o in zip(got.weights.layers, out))
+    assert got.weights.bit_equal(want.weights)
+    assert got.dataset_size == want.dataset_size
+
+
+def _edge_layers():
+    """Values where snapping to the int-mode grid could go wrong: signed
+    zeros, half-quantum ties, subnormals, magnitudes of 2**45 and more,
+    infinities, and random draws."""
+    q = model.INT_MODE_QUANTUM
+    ties = [s * (k + 0.5) * q for k in range(4) for s in (1, -1)]
+    tiny = [5e-324, -5e-324, 2.2250738585072014e-308, -2.225073858507201e-308]
+    huge = [s * x for x in (2.0**45, 2.0**45 + q / 2, 2.0**52 + 0.5, 2.0**53 + 2, 1e300) for s in (1, -1)]
+    edge = np.array([0.0, -0.0, *ties, *tiny, *huge, np.inf, -np.inf])
+    rng = np.random.default_rng(12)
+    drawn = np.concatenate([rng.uniform(-4, 4, 500), rng.integers(-4000, 4000, 500) * q / 2])
+    return WeightVector([Layer(0, edge), Layer(1, drawn), Layer(2, edge[::-1].copy())])
+
+
+def _int_mode_reference(g):
+    """Client 4's round-2 update of ``g`` at seed 42 and its dataset size,
+    drawn layer by layer and snapped as round(v / Q) * Q + k * Q."""
     rng = model._derive_rng(42, 4, 2)
     want = []
     for l in g.layers:
         base = np.round(l.values / model.INT_MODE_QUANTUM) * model.INT_MODE_QUANTUM
         want.append(base + rng.integers(-13, 14, size=len(l.values)) * model.INT_MODE_QUANTUM)
-    want_size = int(rng.integers(1, 1001))
+    return WeightVector([Layer(l.index, w) for l, w in zip(g.layers, want)]), int(rng.integers(1, 1001))
+
+
+def test_int_mode_synth_is_drawn_in_layer_order(monkeypatch):
+    g = _three_layers()
+    want, want_size = _int_mode_reference(g)
     for u in _pooled_and_inline(
         monkeypatch, lambda: synth_local_update(g, 4, 2, 42, taskid=TASK, int_mode=True)
     ):
-        assert u.weights.bit_equal(WeightVector([Layer(i, w) for i, w in enumerate(want)]))
+        assert u.weights.bit_equal(want)
         assert u.dataset_size == want_size
+
+
+def test_int_mode_synth_snaps_edge_values_as_the_reference():
+    g = _edge_layers()
+    want, want_size = _int_mode_reference(g)
+    u = synth_local_update(g, 4, 2, 42, taskid=TASK, int_mode=True)
+    assert u.weights.bit_equal(want)
+    assert u.dataset_size == want_size
 
 
 def test_inline_path_makes_no_pool_call(monkeypatch):
