@@ -327,21 +327,15 @@ def uniform_layers(rng: np.random.Generator, sizes: list[int], low: float, high:
     plus its ``bases`` layer when given, and ``rng`` left after the last draw;
     written into the arrays of ``out`` when given.
 
-    On the pool, or into ``out``, the draws are bit for bit the same: every
-    double takes one step of ``rng``'s PCG64 stream, so layer k draws from a
-    copy advanced past the layers before it, through numpy's own ``uniform``
-    formula.
+    The draws are numpy's own ``uniform`` formula, so bit for bit the same.
+    On the pool every double takes one step of ``rng``'s PCG64 stream, so
+    layer k draws from a copy advanced past the layers before it.
     """
-    if not _threaded(sizes):
-        if out is not None:
-            for o, base in zip(out, bases or repeat(None)):
-                _uniform_into(o, rng, low, high - low, base)
-            return out
-        outs = [rng.uniform(low, high, n) for n in sizes]
-        for o, base in zip(outs, bases or ()):
-            o += base
-        return outs
     outs = [np.empty(n) for n in sizes] if out is None else out
+    if not _threaded(sizes):
+        for o, base in zip(outs, bases or repeat(None)):
+            _uniform_into(o, rng, low, high - low, base)
+        return outs
     gens, offset = [], 0
     for n in sizes:
         bits = np.random.PCG64()

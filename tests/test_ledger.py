@@ -64,8 +64,7 @@ def test_read_before_any_upload_not_found():
     lambda led, t: led.current_round(t),
     lambda led, t: led.upload_pk(COMM, t, crypto.sig_keygen(bytes(32)).public_bytes()),
     lambda led, t: led.set_expected_chunks(COMM, t, 3),
-    lambda led, t: led.read(t, 0),
-], ids=["current_round", "upload_pk", "set_expected_chunks", "read"])
+], ids=["current_round", "upload_pk", "set_expected_chunks"])
 def test_unknown_task_is_not_found(call):
     led = make_ledger()
     led.create_task(TASKID)
