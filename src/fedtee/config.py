@@ -25,10 +25,6 @@ class ModelPreset:
     parameters: int
     size_bytes: int
 
-    @property
-    def size_mb(self) -> float:
-        return self.size_bytes / 1e6
-
 
 MODEL_PRESETS = {
     "mlp": ModelPreset("mlp", 10_901, 42_580),            # 42.58 KB

@@ -8,10 +8,10 @@ own index holds every expected chunk, and a read sorts only that round. The
 verification key is loaded once, when it is uploaded. All mutations pass
 through one serialized path (a lock standing in for consensus ordering), so
 the final state is independent of arrival interleaving. A run of chunks
-(:meth:`Ledger.upload_run`) has its signatures checked on the worker pool,
-outside the lock, before its chunks are stored one by one under it. A
-configurable block model converts bytes written into end-to-end latency for
-the supported chain presets.
+(:meth:`Ledger.upload_run`) is stored under one hold of the lock: its
+signatures are checked together, on the worker pool when the run is long,
+then its chunks are stored one by one. A configurable block model converts
+bytes written into end-to-end latency for the supported chain presets.
 """
 
 from __future__ import annotations
@@ -101,8 +101,6 @@ class Ledger:
         self.by_round: dict[tuple[bytes, int], dict[int, SignedChunk]] = {}
         self.tasks: dict[bytes, _TaskRecord] = {}
         self._lock = threading.RLock()  # the consensus stand-in: one writer at a time
-        # While a run is stored: id(chunk) -> (key it was checked with, verdict)
-        self._checked: dict[int, tuple[ec.EllipticCurvePublicKey, bool]] = {}
 
     # -- task lifecycle -----------------------------------------------------
 
@@ -139,43 +137,54 @@ class Ledger:
 
     # -- writes -------------------------------------------------------------
 
-    def upload_global_model(self, sender: str, chunk: SignedChunk) -> Receipt:
-        """Store a chunk iff the success predicate holds; write-once per slot."""
+    def upload_global_model(self, sender: str, chunk: SignedChunk,
+                            signed: bool | None = None) -> Receipt:
+        """Store a chunk iff the success predicate holds; write-once per slot.
+        ``signed``, if given, is its signature's verdict under the task's key."""
         with self._lock:
-            return self._try_store(chunk)
+            ident = (chunk.taskid, chunk.round, chunk.index)
+            reason = self._refusal(chunk)
+            if reason is None and not (self._verify(chunk) if signed is None else signed):
+                reason = "BadSignature"
+            if reason is not None:
+                return Receipt("rejected", ident, reason)
+            stored = self.by_round.setdefault((chunk.taskid, chunk.round), {})
+            stored[chunk.index] = chunk
+            rec = self.tasks[chunk.taskid]
+            n = rec.expected_chunks
+            # len() screens out all but about one check per round; all() keeps the
+            # exact predicate when expected_chunks changes mid-round
+            if n is not None and len(stored) >= n and all(i in stored for i in range(n)):
+                rec.round += 1
+            return Receipt("accepted", ident)
 
     def upload_run(self, sender: str, chunks: list[SignedChunk]) -> list[Receipt]:
         """Store a run of one task's chunks in order, each through
         :meth:`upload_global_model`, and return their receipts in that order.
 
-        The signatures are checked first, on the pool when the run is long
-        enough and outside the lock, under the verification key read inside
-        it; only chunks that would reach their signature check, the first
-        per index, are checked. The stores then run under one hold of the
-        lock, and a store takes its chunk's verdict, once, from that check
-        while the task still has the same key. Every other chunk is checked
-        as a single upload is, so the receipts and the number of checks are
-        those of uploading the chunks one by one."""
+        Under one hold of the lock, the chunks that would reach their
+        signature check, the first per index, are checked together, and each
+        verdict is passed by position to its chunk's store. Every other chunk
+        is checked as a single upload is, so the receipts and the number of
+        checks are those of uploading the chunks one by one."""
         if not chunks:
             return []
         taskid = chunks[0].taskid
         with self._lock:
             rec = self.tasks.get(taskid)
             vk = rec.vk if rec is not None else None
-            todo, indices = [], set()
-            for c in chunks if vk is not None else ():
+            todo, indices = {}, set()  # position in the run -> chunk
+            for pos, c in enumerate(chunks if vk is not None else ()):
                 if c.taskid == taskid and c.index not in indices and self._refusal(c) is None:
-                    todo.append(c)
+                    todo[pos] = c
                     indices.add(c.index)
-        verdicts = crypto.sig_verify_all(vk, [
-            (c.sigma, chunk_signed_parts(c.taskid, c.round, c.index, c.payload)) for c in todo
-        ])
-        with self._lock:
-            self._checked = {id(c): (vk, ok) for c, ok in zip(todo, verdicts)}
-            try:
-                return [self.upload_global_model(sender, c) for c in chunks]
-            finally:
-                self._checked = {}
+            verdicts = crypto.sig_verify_all(vk, [
+                (c.sigma, chunk_signed_parts(c.taskid, c.round, c.index, c.payload))
+                for c in todo.values()
+            ])
+            # a key uploaded during the check, re-entrantly, voids its verdicts
+            ok = dict(zip(todo, verdicts)) if todo and rec.vk is vk else {}
+            return [self.upload_global_model(sender, c, ok.get(p)) for p, c in enumerate(chunks)]
 
     def _refusal(self, chunk: SignedChunk) -> str | None:
         """Why ``chunk`` may not be stored now, short of its signature; None if
@@ -195,30 +204,10 @@ class Ledger:
             return "IndexOutOfRange"
         return None
 
-    def _signed(self, chunk: SignedChunk) -> bool:
+    def _verify(self, chunk: SignedChunk) -> bool:
         vk = self.tasks[chunk.taskid].vk
-        checked = self._checked.pop(id(chunk), None)
-        if checked is not None and checked[0] is vk:
-            return checked[1]
         message = chunk_signed_parts(chunk.taskid, chunk.round, chunk.index, chunk.payload)
         return vk is not None and crypto.sig_verify(vk, chunk.sigma, *message)
-
-    def _try_store(self, chunk: SignedChunk) -> Receipt:
-        ident = (chunk.taskid, chunk.round, chunk.index)
-        reason = self._refusal(chunk)
-        if reason is None and not self._signed(chunk):
-            reason = "BadSignature"
-        if reason is not None:
-            return Receipt("rejected", ident, reason)
-        stored = self.by_round.setdefault((chunk.taskid, chunk.round), {})
-        stored[chunk.index] = chunk
-        rec = self.tasks[chunk.taskid]
-        n = rec.expected_chunks
-        # len() screens out all but about one check per round; all() keeps the
-        # exact predicate when expected_chunks changes mid-round
-        if n is not None and len(stored) >= n and all(i in stored for i in range(n)):
-            rec.round += 1
-        return Receipt("accepted", ident)
 
     # -- reads --------------------------------------------------------------
 

@@ -77,12 +77,6 @@ class WeightVector:
     def structure(self) -> tuple[tuple[int, int], ...]:
         return tuple((l.index, len(l.values)) for l in self.layers)
 
-    def layer(self, index: int) -> Layer:
-        for l in self.layers:
-            if l.index == index:
-                return l
-        raise KeyError(index)
-
     def slice_layers(self, layer_range: tuple[int, ...]) -> "WeightVector":
         wanted = set(layer_range)
         picked = [l for l in self.layers if l.index in wanted]
@@ -349,19 +343,14 @@ def uniform_layers(rng: np.random.Generator, sizes: list[int], low: float, high:
     return outs
 
 
-def _plus(out: np.ndarray, base: np.ndarray | None) -> np.ndarray:
-    if base is not None:
-        out += base
-    return out
-
-
 def _uniform_into(out: np.ndarray, rng: np.random.Generator, low: float, span: float,
                   base: np.ndarray | None) -> None:
     """numpy's ``uniform``, low + span * random(), written into ``out``; then + base."""
     rng.random(out=out)
     out *= span
     out += low
-    _plus(out, base)
+    if base is not None:
+        out += base
 
 
 def _scaled_sum(acc: np.ndarray, terms: list[tuple[int, np.ndarray]], total: int | None) -> None:

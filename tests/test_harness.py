@@ -469,6 +469,23 @@ def test_straggler_exclusion_policy_replans_round():
     assert all(0 not in rd["participants"] for rd in report.rounds)
 
 
+def test_straggler_exclusion_that_empties_a_partition_fails_the_run():
+    # partition 3 holds only client 4, so excluding it leaves that partition empty
+    cfg = small_config(
+        n_clients=5, n_nodes=8, rounds=2, strategy="clientmax", layers={0: 24, 1: 16},
+        epc_budget=800, seed=5, straggler_policy="exclude", straggler_max_retries=1,
+        faults=[FaultEvent(kind="drop", message_kind="ModelEnvelope",
+                           src="client:4", count=999)],
+    )
+    report = run_task(cfg)
+    assert not report.ok
+    assert report.events == [
+        "round 0: stragglers [4] on partition 1",
+        "round 0: stragglers [4] on partition 3",
+        "round 0: failed: partition 3 lost all clients to stragglers",
+    ]
+
+
 def test_tampered_install_is_replaced_during_provisioning():
     cfg = small_config(faults=[FaultEvent(kind="tamper_install", node=0)])
     report = run_task(cfg)

@@ -386,6 +386,30 @@ def test_run_checks_each_signature_once_as_single_uploads_do(monkeypatch, on_poo
     assert _reasons(singles) == ["BadSignature", "BadSignature", None]
     assert checks_by_run == len(seen) == 3
 
+    # a run refused before any signature check makes none: on an unknown task,
+    # before the key is uploaded, and entirely in a round already closed
+    def no_key():
+        led = make_ledger()
+        led.create_task(TASKID)
+        return led
+
+    def round_closed():
+        led = _prepared_ledger(ctx, chunks)
+        for c in chunks:
+            led.upload_global_model("node:0", c)
+        return led
+
+    for fresh, reason in [(make_ledger, "UnknownTask"), (no_key, "NoKey"),
+                          (round_closed, "WrongRound")]:
+        led, one_by_one = fresh(), fresh()
+        seen.clear()
+        by_run = led.upload_run("node:0", chunks)
+        assert not seen
+        singles = [one_by_one.upload_global_model("node:0", c) for c in chunks]
+        assert by_run == singles
+        assert _reasons(singles) == [reason] * 3
+        assert not seen
+
 
 def test_key_rotated_while_a_run_is_checked_is_the_one_stores_use(monkeypatch, on_pool):
     ctx, chunks = signed_round(n_chunks=3)

@@ -206,8 +206,9 @@ def test_slice_layers_shares_arrays():
     wv = make_update(1, [[1.0], [2.0, 3.0], [4.0]], 1).weights
     sliced = wv.slice_layers((0, 2))
     assert [l.index for l in sliced.layers] == [0, 2]
+    # the layers' indices are their positions in wv
     for l in sliced.layers:
-        assert l.values is wv.layer(l.index).values
+        assert l.values is wv.layers[l.index].values
 
 
 def test_truncated_bytes_rejected():
