@@ -15,8 +15,9 @@ do the oracle's clients, one task each, in a round whose layers are too small
 to pool. A :func:`pool_map` called from a pool task runs inline.
 
 Every model-sized byte string on a round's path is written once, into a
-buffer from :func:`new_buffer`: a decrypted plaintext, or an envelope sealed
-in place inside the frame or output that carries it (:class:`Sealing`).
+buffer from :func:`new_buffer`: a decrypted plaintext, into a fresh buffer or
+one the caller reuses, or an envelope sealed in place inside the frame or
+output that carries it (:class:`Sealing`).
 """
 
 from __future__ import annotations
@@ -226,12 +227,17 @@ def ae_encrypt(key: SymKey, aad: bytes, plaintext: bytes, rng: Random, out=None)
     return Envelope(nonce, aad, out)
 
 
-def ae_decrypt(key: SymKey, env: Envelope) -> memoryview:
-    """Recover the plaintext into a fresh buffer; :class:`AuthFailure` if
-    anything was altered. The ciphertext is never overwritten: it may lie in
-    a frame that others can see, and AES-GCM writes plaintext before it has
-    checked the tag."""
-    out = new_buffer(max(0, len(env.sealed) - TAG_BYTES))
+def ae_decrypt(key: SymKey, env: Envelope, out=None) -> memoryview:
+    """Recover the plaintext into ``out``, a writable buffer of exactly the
+    ciphertext's length (ValueError otherwise), or into a fresh buffer;
+    :class:`AuthFailure` if anything was altered. Returns the buffer written.
+
+    AES-GCM writes plaintext before it has checked the tag, so ``out`` holds
+    unchecked bytes after a failure: it must be the caller's own, and the
+    ciphertext is never decrypted in place, as it may lie in a frame that
+    others can see."""
+    if out is None:
+        out = new_buffer(max(0, len(env.sealed) - TAG_BYTES))
     try:
         key._cipher.decrypt_into(env.nonce, env.sealed, env.aad, out)
     except InvalidTag as exc:

@@ -6,15 +6,19 @@ module; the hosting node only ever sees envelopes going in and signed chunks
 coming out. The committee provisions an enclave over its attested session
 with the signing key, the partition, then each round's arm. One table here
 holds each delivery's format: the committee seals with :func:`seal_delivery`,
-and :meth:`SgxHost.deliver` opens and applies. A resume decrypts the batch,
-checks that all clients delivered the same master key, runs the pluggable
-aggregation hook over the requested layers, seals the encoded result under
-the master key, splits the envelope's wire encoding into transaction-sized
-chunks, and signs them, on the pool when there are many. Each plaintext is
-decrypted into a fresh buffer the enclave owns, and the output is written
-once: its wire encoding is one buffer, the encoded result sealed in place
-inside it, and each chunk is a view of that buffer. A chunk is signed
-without joining its signed message.
+and :meth:`SgxHost.deliver` opens and applies. A resume refuses a batch that
+names a sender twice, then hands the pluggable aggregation hook the batch in
+ascending sender order, one input at a time: each is decrypted, checked
+(context, tag, header, and that all clients delivered the same master key)
+and folded into the sum over the requested layers before the next is
+decrypted. It then seals the encoded result under the master key, splits the
+envelope's wire encoding into transaction-sized chunks, and signs them, on
+the pool when there are many. Every model plaintext of a batch is decrypted
+into one buffer the enclave owns, allocated once per batch and dropped
+before the output is written, so a batch holds one plaintext and the sum.
+The output is written once: its wire encoding is one buffer, the encoded
+result sealed in place inside it, and each chunk is a view of that buffer.
+A chunk is signed without joining its signed message.
 """
 
 from __future__ import annotations
@@ -49,7 +53,10 @@ class CapacityExceeded(Exception):
 
 
 # Named, deterministic aggregation hooks; detection schemes plug in here.
-# A hook maps (updates, layer_range) -> PartialAggregate.
+# A hook maps (updates, layer_range) -> PartialAggregate. ``updates`` yields
+# the batch's decoded updates in ascending client order, one at a time; each
+# is a view of a buffer that the next one overwrites, so a hook folds it
+# before it asks for the next.
 HOOKS = {"fedavg": model.partial_aggregate}
 
 
@@ -224,11 +231,14 @@ class SgxHost:
         check, aggregate, seal, sign.
 
         ``inputs`` is a list of (model envelope, master-key envelope, sender
-        client id). Any tampered envelope rejects the whole batch and reports
-        the offending sender. A batch for a round that was already consumed,
-        or for a round the committee has not armed, never produces output.
-        The output is bound to the armed chunk base, and its chunks are
-        numbered from it.
+        client id). A batch that names one sender twice is refused before
+        anything is decrypted. The hook folds the inputs in ascending sender
+        order, each decrypted and checked only when the hook asks for it.
+        Any tampered envelope rejects the whole batch and reports the
+        offending sender. A batch for a round that was already consumed, or
+        for a round the committee has not armed, never produces output. The
+        output is bound to the armed chunk base, and its chunks are numbered
+        from it.
         """
         inst = self._instance(eid)
         if inst.busy:
@@ -251,43 +261,56 @@ class SgxHost:
                 raise CapacityExceeded(
                     f"batch needs {plain_bytes} bytes, budget is {inst.epc_budget}"
                 )
+            inputs = sorted(inputs, key=lambda i: i[2])
+            for (_, _, a), (_, _, b) in zip(inputs, inputs[1:]):
+                if a == b:
+                    raise AuthFailure(f"client {a}: named twice in one batch")
 
-            updates = []
             msk: SymKey | None = None
-            for env_m, env_k, sender in inputs:
-                ssk = inst.ssk_by_peer.get(f"client:{sender}")
-                if ssk is None:
-                    raise AuthFailure(f"client {sender}: no attested session key")
-                try:
-                    claimed = _aad_round(env_m.aad)
-                except struct.error as exc:
-                    raise AuthFailure(f"client {sender}: malformed envelope context") from exc
-                if claimed != round_index:
-                    raise RoundMismatch(
-                        f"client {sender} submitted round {claimed}, expected {round_index}"
-                    )
-                if env_m.aad != crypto.model_aad(inst.taskid, round_index, sender):
-                    raise AuthFailure(f"client {sender}: model envelope bound to wrong context")
-                try:
-                    plain_m = crypto.ae_decrypt(ssk, env_m)
-                    plain_k = crypto.ae_decrypt(ssk, env_k)
-                except AuthFailure as exc:
-                    raise AuthFailure(f"client {sender}: envelope failed authentication") from exc
-                if env_k.aad != crypto.msk_aad(inst.taskid, round_index, sender):
-                    raise AuthFailure(f"client {sender}: master-key envelope bound to wrong context")
-                this_msk = SymKey(plain_k)
-                if msk is None:
-                    msk = this_msk
-                elif msk != this_msk:
-                    raise MskDisagreement(f"client {sender} delivered a different master key")
-                update = model.decode_model(plain_m)
-                # a client that writes another client's id or round into its update
-                if update.client != sender or update.round != round_index or update.taskid != inst.taskid:
-                    raise AuthFailure(f"client {sender}: decoded update header disagrees with context")
-                updates.append(update)
 
-            hook = HOOKS[inst.program.aggregation_hook]
-            result = hook(updates, inst.partition.layer_range)
+            def opened():
+                """Each input's decoded update, checked. Every model plaintext
+                is decrypted into one buffer, allocated once for the batch,
+                so an update is a view of it that the next input overwrites;
+                the buffer goes when the batch is done."""
+                nonlocal msk
+                buf = crypto.new_buffer(max((len(m.ciphertext) for m, _, _ in inputs), default=0))
+                for env_m, env_k, sender in inputs:
+                    ssk = inst.ssk_by_peer.get(f"client:{sender}")
+                    if ssk is None:
+                        raise AuthFailure(f"client {sender}: no attested session key")
+                    try:
+                        claimed = _aad_round(env_m.aad)
+                    except struct.error as exc:
+                        raise AuthFailure(f"client {sender}: malformed envelope context") from exc
+                    if claimed != round_index:
+                        raise RoundMismatch(
+                            f"client {sender} submitted round {claimed}, expected {round_index}"
+                        )
+                    if env_m.aad != crypto.model_aad(inst.taskid, round_index, sender):
+                        raise AuthFailure(f"client {sender}: model envelope bound to wrong context")
+                    try:
+                        plain_m = crypto.ae_decrypt(ssk, env_m, buf[: len(env_m.ciphertext)])
+                        plain_k = crypto.ae_decrypt(ssk, env_k)
+                    except AuthFailure as exc:
+                        raise AuthFailure(f"client {sender}: envelope failed authentication") from exc
+                    if env_k.aad != crypto.msk_aad(inst.taskid, round_index, sender):
+                        raise AuthFailure(f"client {sender}: master-key envelope bound to wrong context")
+                    this_msk = SymKey(plain_k)
+                    if msk is None:
+                        msk = this_msk
+                    elif msk != this_msk:
+                        raise MskDisagreement(f"client {sender} delivered a different master key")
+                    update = model.decode_model(plain_m)
+                    # a client that writes another client's id or round into its update
+                    if update.client != sender or update.round != round_index or update.taskid != inst.taskid:
+                        raise AuthFailure(f"client {sender}: decoded update header disagrees with context")
+                    yield update
+
+            updates = opened()
+            result = HOOKS[inst.program.aggregation_hook](updates, inst.partition.layer_range)
+            for _ in updates:  # a hook that stopped early leaves no check unrun
+                pass
             size = model.encoded_partial_size(
                 len(result.client_set), [len(l.values) for l in result.scaled_sum.layers]
             )

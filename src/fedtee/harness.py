@@ -121,6 +121,8 @@ def oracle_run(config: RunConfig, subsets_by_round: list[list[int]] | None = Non
 
     ``subsets_by_round`` overrides the planned participant sets (used after a
     straggler was excluded); by default the schedule's selection is used.
+    Each update is folded into the round's sum as it is drawn, so the run
+    holds its round models, one sum and at most two updates.
     """
     m = initial_model(config)
     out = []
@@ -138,13 +140,16 @@ def oracle_run(config: RunConfig, subsets_by_round: list[list[int]] | None = Non
             taskid=config.taskid_bytes,
             int_mode=config.int_mode,
         )
-        if config.sentinel:
-            for u in updates:
-                plant_sentinel(u.weights)
-        m = model.fedavg(updates)
+        m = model.fedavg(_planted(updates) if config.sentinel else updates)
         out.append(m)
-        del updates  # released before the next round's are drawn
     return out
+
+
+def _planted(updates):
+    """Each update with the sentinel written into it, as it arrives."""
+    for u in updates:
+        plant_sentinel(u.weights)
+        yield u
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Weight vectors, canonical byte encoding, and weighted averaging.
 
 The aggregation rule is the dataset-size-weighted mean: every element of the
-output is sum(D_i * w_i) / sum(D_i) over the contributing clients. Summation
-runs in ascending client-id order per layer, in 64-bit floats, with a single
-division at the end; partial aggregates preserve the scaled sums so that a
+output is sum(D_i * w_i) / sum(D_i) over the contributing clients. Both
+:func:`fedavg` and :func:`partial_aggregate` run one fold, which takes the
+updates one at a time in ascending client-id order and adds each one's
+D_i * w_i to every layer's sum, in 64-bit floats, so an aggregator holds one
+sum and the update in hand rather than the whole batch. A single division
+comes at the end; partial aggregates preserve the scaled sums so that a
 partitioned execution merges to the same result (bit-exactly when weights are
 kept on a dyadic grid, within 1e-9 relative otherwise).
 
@@ -16,7 +19,9 @@ one task per layer, on the process's thread pool once a model's layers are
 large enough for numpy's released GIL to pay; each task writes only its own
 layer's output, so the bits are those of the layer-by-layer loop. A round's
 clients whose layers are too small for that, in a model large enough to
-pay, are drawn one pool task per client instead (:func:`synth_round`).
+pay, are drawn one pool task per client instead; otherwise
+:func:`synth_round` yields them one after another, each drawn only when the
+fold asks for it.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import hashlib
 import struct
 from dataclasses import dataclass
 from itertools import repeat
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -287,14 +293,16 @@ def _each_layer(fn, outs: list[np.ndarray], *columns) -> None:
 
 
 def synth_round(global_model: WeightVector, clients, round_index: int, seed: int, *,
-                taskid: bytes, int_mode: bool = False) -> list[LocalUpdate]:
-    """:func:`synth_local_update` for each of ``clients``, in ascending
-    client order.
+                taskid: bytes, int_mode: bool = False) -> Iterator[LocalUpdate]:
+    """:func:`synth_local_update` for each of ``clients``, yielded in
+    ascending client order.
 
     One level of parallelism only: a model whose layers :func:`_threaded`
-    sends to the pool has its clients drawn one after another; otherwise a
-    model of ``PARALLEL_MIN`` elements or more draws each client as one pool
-    task. Each client draws from its own stream, so the bits are the loop's.
+    sends to the pool has its clients drawn one after another, each only
+    when the caller asks for it; otherwise a model of ``PARALLEL_MIN``
+    elements or more draws each client as one pool task, all at the first
+    request. Each client draws from its own stream, so the bits are the
+    loop's.
     """
     clients = sorted(clients)
     sizes = [len(l.values) for l in global_model.layers]
@@ -310,8 +318,10 @@ def synth_round(global_model: WeightVector, clients, round_index: int, seed: int
         # glibc returns a freed arena top to the kernel, so every round's
         # updates would be faulted in afresh.
         outs = [[np.empty(n) for n in sizes] for _ in clients]
-        return crypto.pool_map(draw, clients, outs)
-    return [draw(c) for c in clients]
+        yield from crypto.pool_map(draw, clients, outs)
+        return
+    for c in clients:
+        yield draw(c)
 
 
 def uniform_layers(rng: np.random.Generator, sizes: list[int], low: float, high: float,
@@ -353,15 +363,17 @@ def _uniform_into(out: np.ndarray, rng: np.random.Generator, low: float, span: f
         out += base
 
 
-def _scaled_sum(acc: np.ndarray, terms: list[tuple[int, np.ndarray]], total: int | None) -> None:
-    """acc (zeros) += D * values over ``terms`` in order, through one scratch
-    array, then acc /= ``total`` unless it is None."""
-    tmp = np.empty_like(acc)
-    for d, values in terms:
-        np.multiply(values, d, out=tmp)
-        acc += tmp
-    if total is not None:
-        acc /= total
+def _add_scaled(acc: np.ndarray, values: np.ndarray, d: float, tmp: np.ndarray | None = None) -> None:
+    """acc += d * values through ``tmp`` (else a fresh array), one block of up
+    to ``FOLD_BLOCK`` elements at a time: each element gets ``acc + d * value``,
+    as through a layer-sized temporary."""
+    if tmp is None:
+        tmp = np.empty(min(len(acc), FOLD_BLOCK))
+    for i in range(0, len(acc), FOLD_BLOCK):
+        a = acc[i : i + FOLD_BLOCK]
+        t = tmp[: len(a)]
+        np.multiply(values[i : i + FOLD_BLOCK], d, out=t)
+        a += t
 
 
 def _divide(out: np.ndarray, acc: np.ndarray, total: int) -> None:
@@ -372,52 +384,74 @@ def _divide(out: np.ndarray, acc: np.ndarray, total: int) -> None:
 # Aggregation
 # ---------------------------------------------------------------------------
 
-def _sums(structure, terms: list[list[tuple[int, np.ndarray]]], total: int | None) -> WeightVector:
-    """One scaled sum per layer of ``structure`` over that layer's ``terms``,
-    each divided by ``total`` unless it is None."""
-    outs = [np.zeros(count) for _, count in structure]
-    _each_layer(_scaled_sum, outs, terms, repeat(total))
-    return WeightVector([Layer(idx, acc) for (idx, _), acc in zip(structure, outs)])
+# The fold's products go through scratch arrays of at most this many elements.
+FOLD_BLOCK = 2**16
 
 
-def fedavg(updates: list[LocalUpdate]) -> WeightVector:
-    """Dataset-size-weighted average, summed in ascending client-id order."""
-    if not updates:
+def _fold(updates: Iterable[LocalUpdate], layer_range: tuple[int, ...] | None = None) -> PartialAggregate:
+    """Scaled sums over ``updates``, restricted to ``layer_range`` unless it
+    is None: each update, as it arrives, adds D * w to every layer's sum.
+
+    ``updates`` may be any iterable, such as a generator that makes each
+    update only when the fold asks for it; the fold keeps no update after
+    adding it. Updates must arrive in strictly ascending client order, so
+    every element is summed from 0.0 in that order, and the bits do not
+    depend on how the updates were delivered. How the layers are summed is
+    decided once, from the first update's structure: on the pool, each task
+    through a scratch block of its own; else through one scratch array, with
+    one multiply and one add per layer when every layer fits it, block by
+    block when not.
+    """
+    wanted = None if layer_range is None else tuple(sorted(layer_range))
+    sums = None
+    weight_sum, clients = 0, []
+    for u in updates:
+        wv = u.weights if wanted is None else u.weights.slice_layers(wanted)
+        if sums is None:
+            structure = wv.structure()
+            sizes = [n for _, n in structure]
+            sums = [np.zeros(n) for n in sizes]
+            threaded = _threaded(sizes)
+            scratch = np.empty(0 if threaded else min(max(sizes, default=0), FOLD_BLOCK))
+            whole = len(scratch) == max(sizes, default=0)
+            tmps = [scratch[:n] for n in sizes]
+        elif wv.structure() != structure:
+            raise ShapeMismatch(f"client {u.client} has structure {wv.structure()}, expected {structure}")
+        elif u.client <= clients[-1]:
+            raise ValueError(f"client {u.client} after client {clients[-1]}: not in ascending order")
+        d = float(u.dataset_size)  # numpy turns the int into this double on every call
+        if threaded:
+            crypto.pool_map(_add_scaled, sums, [l.values for l in wv.layers], repeat(d))
+        elif whole:
+            for acc, l, tmp in zip(sums, wv.layers, tmps):
+                np.multiply(l.values, d, out=tmp)
+                acc += tmp
+        else:
+            for acc, l, tmp in zip(sums, wv.layers, tmps):
+                _add_scaled(acc, l.values, d, tmp)
+        weight_sum += u.dataset_size
+        clients.append(u.client)
+    if sums is None:
         raise EmptyInput("no updates to aggregate")
-    ordered = sorted(updates, key=lambda u: u.client)
-    structure = ordered[0].weights.structure()
-    for u in ordered[1:]:
-        if u.weights.structure() != structure:
-            raise ShapeMismatch(
-                f"client {u.client} has structure {u.weights.structure()}, expected {structure}"
-            )
-    terms = [
-        [(u.dataset_size, u.weights.layers[pos].values) for u in ordered]
-        for pos in range(len(structure))
-    ]
-    return _sums(structure, terms, sum(u.dataset_size for u in ordered))
-
-
-def partial_aggregate(updates: list[LocalUpdate], layer_range: tuple[int, ...]) -> PartialAggregate:
-    """Scaled sums over ``updates`` restricted to ``layer_range`` (no division)."""
-    if not updates:
-        raise EmptyInput("no updates to aggregate")
-    ordered = sorted(updates, key=lambda u: u.client)
-    wanted = tuple(sorted(layer_range))
-    sliced = [u.weights.slice_layers(wanted) for u in ordered]
-    structure = sliced[0].structure()
-    for u, s in zip(ordered[1:], sliced[1:]):
-        if s.structure() != structure:
-            raise ShapeMismatch(f"client {u.client} disagrees on sliced structure")
-    terms = [
-        [(u.dataset_size, s.layers[pos].values) for u, s in zip(ordered, sliced)]
-        for pos in range(len(structure))
-    ]
     return PartialAggregate(
-        scaled_sum=_sums(structure, terms, None),
-        weight_sum=sum(u.dataset_size for u in ordered),
-        client_set=tuple(u.client for u in ordered),
+        scaled_sum=WeightVector([Layer(idx, acc) for (idx, _), acc in zip(structure, sums)]),
+        weight_sum=weight_sum,
+        client_set=tuple(clients),
     )
+
+
+def fedavg(updates: Iterable[LocalUpdate]) -> WeightVector:
+    """Dataset-size-weighted average of updates in ascending client order:
+    the fold, then each sum divided in place."""
+    part = _fold(updates)
+    sums = [l.values for l in part.scaled_sum.layers]
+    _each_layer(_divide, sums, sums, repeat(part.weight_sum))
+    return part.scaled_sum
+
+
+def partial_aggregate(updates: Iterable[LocalUpdate], layer_range: tuple[int, ...]) -> PartialAggregate:
+    """Scaled sums over ``updates`` restricted to ``layer_range`` (no division)."""
+    return _fold(updates, layer_range)
 
 
 def combine_partials(parts: list[PartialAggregate]) -> WeightVector:

@@ -56,7 +56,8 @@ def _stub_tag(key, aad, plaintext):
 def use_leaky_cipher(monkeypatch):
     """Swap AES-GCM for a stub that leaves the plaintext in the clear, as the
     leak detector's self-test needs. Like the real cipher it honours ``out``:
-    it writes the plaintext, then its tag, there."""
+    its encrypt writes the plaintext, then its tag, there, and its decrypt
+    writes the plaintext there."""
 
     def leaky_encrypt(key, aad, plaintext, rng=None, out=None):
         sealed = bytes(plaintext) + _stub_tag(key, aad, plaintext)
@@ -65,10 +66,13 @@ def use_leaky_cipher(monkeypatch):
             sealed = out
         return crypto.Envelope(_STUB_NONCE, aad, sealed)
 
-    def leaky_decrypt(key, env):
+    def leaky_decrypt(key, env, out=None):
         if bytes(env.tag) != _stub_tag(key, env.aad, env.ciphertext):
             raise crypto.AuthFailure("stub cipher tag mismatch")
-        return bytes(env.ciphertext)
+        if out is None:
+            return bytes(env.ciphertext)
+        out[:] = env.ciphertext
+        return out
 
     monkeypatch.setattr(crypto, "ae_encrypt", leaky_encrypt)
     monkeypatch.setattr(crypto, "ae_decrypt", leaky_decrypt)

@@ -198,6 +198,22 @@ def test_single_bit_flips_anywhere_fail_auth():
             ae_decrypt(key, parsed)
 
 
+def test_decrypt_into_a_given_buffer():
+    """``out`` receives the bytes a fresh buffer would, a flipped tag bit
+    still fails, and an ``out`` of another length is refused."""
+    key = SymKey(b"\x09" * 16)
+    plaintext = bytes(range(200))
+    env = ae_encrypt(key, b"ctx", plaintext, rng=Random(8))
+    out = crypto.new_buffer(len(plaintext))
+    assert ae_decrypt(key, env, out) is out
+    assert bytes(out) == bytes(ae_decrypt(key, env)) == plaintext
+    with pytest.raises(AuthFailure):
+        ae_decrypt(key, with_envelope_field(env, "tag", _flip(bytes(env.tag), 5)), out)
+    for n in (len(plaintext) - 1, len(plaintext) + 1):
+        with pytest.raises(ValueError):
+            ae_decrypt(key, env, crypto.new_buffer(n))
+
+
 def test_ciphertext_and_tag_are_read_only_views_of_sealed():
     env = ae_encrypt(SymKey(b"\x07" * 16), b"", b"twelve bytes", rng=Random(6))
     assert bytes(env.ciphertext) + bytes(env.tag) == env.sealed

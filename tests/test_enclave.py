@@ -367,7 +367,7 @@ def test_reentrant_resume_is_refused(monkeypatch):
     ctx, batches = {}, []
 
     def reentering_hook(updates, layer_range):  # calls back into the enclave it runs in
-        batches.append(len(updates))
+        batches.append(sum(1 for _ in updates))
         return ctx["host"].resume(ctx["eid"], [])
 
     monkeypatch.setitem(enclave.HOOKS, "reenter", reentering_hook)
@@ -375,6 +375,58 @@ def test_reentrant_resume_is_refused(monkeypatch):
     _refused(ctx, client_inputs(ctx, [simple_update(1, [[1.0]], round_index=2)], round_index=2),
              RuntimeError, "enclave 1 is single-entrant")
     assert batches == [1]
+
+
+def test_repeated_sender_is_refused_before_anything_is_decrypted(monkeypatch):
+    ctx = provision_enclave(clients=(1, 2))
+    one, two = client_inputs(ctx, [simple_update(1, [[1.0]]), simple_update(2, [[2.0]])])
+    decrypts, real = [], crypto.ae_decrypt
+    monkeypatch.setattr(crypto, "ae_decrypt", lambda *a, **k: decrypts.append(a[1]) or real(*a, **k))
+    _refused(ctx, [one, two, one], AuthFailure, "client 1: named twice in one batch")
+    assert decrypts == []
+
+
+def test_hook_is_handed_the_batch_one_update_at_a_time_in_sender_order(monkeypatch):
+    """Inputs in any order reach the hook in ascending sender order, each
+    decrypted when the hook asks for it, and give the same output."""
+    seen, decrypts, real = [], [], crypto.ae_decrypt
+
+    def recording_hook(updates, layer_range):
+        def each():
+            for u in updates:
+                seen.append((u.client, len(decrypts)))
+                yield u
+        return model.partial_aggregate(each(), layer_range)
+
+    monkeypatch.setitem(enclave.HOOKS, "record", recording_hook)
+    monkeypatch.setattr(crypto, "ae_decrypt", lambda *a, **k: decrypts.append(a[1]) or real(*a, **k))
+    updates = [simple_update(c, [[float(c), -1.0]], dataset_size=c) for c in (1, 2, 3)]
+    outputs = []
+    for order in ((0, 1, 2), (2, 0, 1)):
+        ctx = provision_enclave(clients=(1, 2, 3), hook="record")
+        inputs = client_inputs(ctx, updates)
+        del decrypts[:]  # the committee's deliveries
+        out = ctx["host"].resume(ctx["eid"], [inputs[i] for i in order])
+        outputs.append(decrypt_output(ctx, out))
+    # each update is its model and master-key envelopes' two decrypts, no more
+    assert seen == [(1, 2), (2, 4), (3, 6)] * 2
+    assert outputs[0].client_set == outputs[1].client_set == (1, 2, 3)
+    assert outputs[0].scaled_sum.bit_equal(outputs[1].scaled_sum)
+    assert model.combine_partials([outputs[0]]).bit_equal(model.fedavg(updates))
+
+
+def test_hook_that_stops_early_leaves_no_check_unrun(monkeypatch):
+    def first_only(updates, layer_range):
+        return model.partial_aggregate([next(iter(updates))], layer_range)
+
+    monkeypatch.setitem(enclave.HOOKS, "first", first_only)
+    ctx = provision_enclave(clients=(1, 2), hook="first")
+    inputs = client_inputs(ctx, [simple_update(1, [[1.0]]), simple_update(2, [[2.0]])])
+    env_m, env_k, sender = inputs[1]
+    tag = bytearray(env_m.tag)
+    tag[0] ^= 1
+    inputs[1] = (Envelope(env_m.nonce, env_m.aad, bytes(env_m.ciphertext) + bytes(tag)), env_k, sender)
+    _refused(ctx, inputs, AuthFailure, "client 2: envelope failed authentication")
 
 
 def test_resume_without_a_partition_is_refused():

@@ -238,6 +238,36 @@ def test_oracle_memory_is_round_models_plus_one_rounds_updates(monkeypatch):
     assert peak <= models * layers * layer + min(crypto.CPUS, clients) * layer + 64 * 1024
 
 
+@pytest.mark.parametrize("int_mode", [True, False], ids=["int", "float"])
+@pytest.mark.parametrize("layers_on_pool", [True, False], ids=["layers-on-pool", "inline"])
+def test_oracle_memory_is_round_models_one_sum_and_two_updates(monkeypatch, layers_on_pool, int_mode):
+    """With clients drawn one after another, each update is folded as it
+    is drawn: the oracle holds its round models, one sum, the update being
+    folded and the one being drawn, one layer-sized scratch per worker (an
+    int-mode draw's integers) and the fold's scratch block."""
+    import tracemalloc
+
+    n, layers, clients = 2**16, 4, 4
+    cfg = small_config(int_mode=int_mode, sentinel=True, n_clients=clients,
+                       layers={i: n for i in range(layers)})
+    oracle_run(small_config(int_mode=int_mode))  # the first run imports modules lazily
+    monkeypatch.setattr(crypto, "CPUS", max(crypto.CPUS, 2) if layers_on_pool else 1)
+    monkeypatch.setattr(model, "PARALLEL_MIN", n)
+    assert model._threaded([n] * layers) is layers_on_pool
+    tracemalloc.start()
+    try:
+        out = oracle_run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out) == cfg.rounds
+    layer = 8 * n
+    models = cfg.rounds + 2  # the sum is the round's model; the initial model counts in round 0
+    workers = min(crypto.CPUS, layers) if layers_on_pool else 1
+    # 128 KiB for objects and numpy's cast buffers (an int-mode draw adds int64 to float64)
+    assert peak <= models * layers * layer + workers * layer + 8 * model.FOLD_BLOCK + 128 * 1024
+
+
 def test_sentinel_clean_run_passes_confidentiality():
     report = run_task(small_config(sentinel=True, taps=True))
     assert report.verification["confidentiality_sentinel_hits"] == "pass"

@@ -591,6 +591,35 @@ def test_int_mode_synth_snaps_edge_values_as_the_reference():
     assert u.dataset_size == want_size
 
 
+@pytest.mark.parametrize("block", [7, 1000, 2**16], ids=["blocks", "one-layer-whole", "whole-layers"])
+def test_fold_gives_the_bits_of_layer_sized_products(monkeypatch, block):
+    """Each sum is 0.0 + D * w over the clients in order, whether the products
+    go through scratch blocks or whole layers, on the pool or inline, and
+    whether the updates come as a list or one at a time."""
+    monkeypatch.setattr(model, "FOLD_BLOCK", block)
+    g = _three_layers()
+    updates = [synth_local_update(g, c, 0, 3, taskid=TASK) for c in range(4)]
+    total = sum(u.dataset_size for u in updates)
+    want = []
+    for pos in range(len(g.layers)):
+        acc = np.zeros(len(g.layers[pos].values))
+        for u in updates:
+            acc += u.weights.layers[pos].values * u.dataset_size
+        want.append(acc / total)
+    for got in (*_pooled_and_inline(monkeypatch, lambda: fedavg(iter(updates))), fedavg(updates)):
+        assert all(np.array_equal(a.values.view(np.uint64), b.view(np.uint64))
+                   for a, b in zip(got.layers, want))
+
+
+def test_fold_refuses_updates_out_of_client_order():
+    a, b = make_update(1, [[1.0]], 1), make_update(2, [[2.0]], 1)
+    for bad in ([b, a], [a, a]):
+        with pytest.raises(ValueError, match="not in ascending order"):
+            fedavg(bad)
+        with pytest.raises(ValueError, match="not in ascending order"):
+            partial_aggregate(iter(bad), (0,))
+
+
 def test_inline_path_makes_no_pool_call(monkeypatch):
     class NoPool:
         def map(self, *args):

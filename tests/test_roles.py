@@ -386,14 +386,16 @@ def _traced_peaks(monkeypatch, cls, name):
 def test_node_compute_memory_stays_within_budget(monkeypatch):
     """One round's enclave batch and upload build each model-sized value once.
 
-    2 clients send one 2**20-element layer (8 MiB). Each plaintext is
-    decrypted into a fresh buffer, decoded inputs are views of it, and the
-    aggregation sums into one array through one scratch array. The output's
-    wire encoding is one buffer with the encoded sum sealed in place, and
-    the chunks are views of it. So the peak is about 4.0x the model's bytes:
-    two plaintexts, the sum and its scratch array, which is freed before the
-    output is written. Encoding the sum and sealing it into separate
-    buffers, as an earlier enclave did, peaks at 5.25x.
+    2 clients send one 2**20-element layer (8 MiB). The enclave decrypts
+    each plaintext into one buffer it allocates once for the batch, and
+    folds each decoded input, a view of that buffer, into one sum before it
+    decrypts the next, through a scratch block of ``model.FOLD_BLOCK``
+    elements. The buffer is dropped before the output is written: its wire
+    encoding is one buffer with the encoded sum sealed in place, and the
+    chunks are views of it. So the peak is about 2.25x the model's bytes:
+    one plaintext buffer and the sum, then the sum and the output, plus the
+    upload's frames. Decrypting every plaintext before summing them, as an
+    earlier enclave did, peaks at 4.0x.
     """
     from fedtee.roles import Node
 
@@ -402,7 +404,7 @@ def test_node_compute_memory_stays_within_budget(monkeypatch):
     report = run_task(small_config(n_clients=2, n_nodes=1, rounds=1, layers={0: n}))
     assert report.ok
     assert len(peaks) == 1
-    assert peaks[0] < 4.5 * 8 * n
+    assert peaks[0] < 2.5 * 8 * n
 
 
 def test_client_round_memory_stays_within_budget(monkeypatch):
