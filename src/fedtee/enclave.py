@@ -8,14 +8,16 @@ with the signing key, the partition, then each round's arm. One table here
 holds each delivery's format: the committee seals with :func:`seal_delivery`,
 and :meth:`SgxHost.deliver` opens and applies. A resume refuses a batch that
 names a sender twice, then hands the pluggable aggregation hook the batch in
-ascending sender order, one input at a time: each is decrypted, checked
+ascending sender order, one input at a time: each is decrypted and checked
 (context, tag, header, and that all clients delivered the same master key)
-and folded into the sum over the requested layers before the next is
-decrypted. It then seals the encoded result under the master key, splits the
-envelope's wire encoding into transaction-sized chunks, and signs them, on
-the pool when there are many. Every model plaintext of a batch is decrypted
-into one buffer the enclave owns, allocated once per batch and dropped
-before the output is written, so a batch holds one plaintext and the sum.
+only when the hook asks for it. The default hook folds each into the sum over
+the requested layers before it asks for the next. The enclave then seals the
+encoded result under the master key, splits the envelope's wire encoding
+into transaction-sized chunks, and signs them, on the pool when there are
+many. For the ``fedavg`` fold, every model plaintext of a batch is decrypted
+into one buffer the enclave owns, allocated once per batch and dropped before
+the output is written, so a batch holds one plaintext and the sum; any other
+hook may keep its updates, so each of its inputs gets a fresh buffer.
 The output is written once: its wire encoding is one buffer, the encoded
 result sealed in place inside it, and each chunk is a view of that buffer.
 A chunk is signed without joining its signed message.
@@ -54,9 +56,8 @@ class CapacityExceeded(Exception):
 
 # Named, deterministic aggregation hooks; detection schemes plug in here.
 # A hook maps (updates, layer_range) -> PartialAggregate. ``updates`` yields
-# the batch's decoded updates in ascending client order, one at a time; each
-# is a view of a buffer that the next one overwrites, so a hook folds it
-# before it asks for the next.
+# the batch's decoded updates in ascending client order, one at a time, and
+# a hook may keep them.
 HOOKS = {"fedavg": model.partial_aggregate}
 
 
@@ -232,13 +233,14 @@ class SgxHost:
 
         ``inputs`` is a list of (model envelope, master-key envelope, sender
         client id). A batch that names one sender twice is refused before
-        anything is decrypted. The hook folds the inputs in ascending sender
-        order, each decrypted and checked only when the hook asks for it.
-        Any tampered envelope rejects the whole batch and reports the
-        offending sender. A batch for a round that was already consumed, or
-        for a round the committee has not armed, never produces output. The
-        output is bound to the armed chunk base, and its chunks are numbered
-        from it.
+        anything is decrypted. The hook is handed the inputs in ascending
+        sender order, each decrypted and checked only when the hook asks for
+        it. Any tampered envelope rejects the whole batch; it reports the
+        offending sender unless the hook failed first, on an earlier input
+        (a layer structure that disagrees, say). A batch for a round that
+        was already consumed, or for a round the committee has not armed,
+        never produces output. The output is bound to the armed chunk base,
+        and its chunks are numbered from it.
         """
         inst = self._instance(eid)
         if inst.busy:
@@ -269,12 +271,15 @@ class SgxHost:
             msk: SymKey | None = None
 
             def opened():
-                """Each input's decoded update, checked. Every model plaintext
-                is decrypted into one buffer, allocated once for the batch,
-                so an update is a view of it that the next input overwrites;
-                the buffer goes when the batch is done."""
+                """Each input's decoded update, checked. For the fold, every
+                model plaintext is decrypted into one buffer, allocated once
+                for the batch, so an update is a view of it that the next
+                input overwrites; the buffer goes when the batch is done."""
                 nonlocal msk
-                buf = crypto.new_buffer(max((len(m.ciphertext) for m, _, _ in inputs), default=0))
+                buf = None
+                # Only the fold reads no update after it asks for the next.
+                if inst.program.aggregation_hook == "fedavg":
+                    buf = crypto.new_buffer(max((len(m.ciphertext) for m, _, _ in inputs), default=0))
                 for env_m, env_k, sender in inputs:
                     ssk = inst.ssk_by_peer.get(f"client:{sender}")
                     if ssk is None:
@@ -290,7 +295,9 @@ class SgxHost:
                     if env_m.aad != crypto.model_aad(inst.taskid, round_index, sender):
                         raise AuthFailure(f"client {sender}: model envelope bound to wrong context")
                     try:
-                        plain_m = crypto.ae_decrypt(ssk, env_m, buf[: len(env_m.ciphertext)])
+                        plain_m = crypto.ae_decrypt(
+                            ssk, env_m, None if buf is None else buf[: len(env_m.ciphertext)]
+                        )
                         plain_k = crypto.ae_decrypt(ssk, env_k)
                     except AuthFailure as exc:
                         raise AuthFailure(f"client {sender}: envelope failed authentication") from exc

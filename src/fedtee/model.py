@@ -393,14 +393,13 @@ def _fold(updates: Iterable[LocalUpdate], layer_range: tuple[int, ...] | None = 
     is None: each update, as it arrives, adds D * w to every layer's sum.
 
     ``updates`` may be any iterable, such as a generator that makes each
-    update only when the fold asks for it; the fold keeps no update after
-    adding it. Updates must arrive in strictly ascending client order, so
-    every element is summed from 0.0 in that order, and the bits do not
-    depend on how the updates were delivered. How the layers are summed is
-    decided once, from the first update's structure: on the pool, each task
-    through a scratch block of its own; else through one scratch array, with
-    one multiply and one add per layer when every layer fits it, block by
-    block when not.
+    update only when the fold asks for it, even in the buffer of the last:
+    the fold reads no update after it asks for the next. Updates must
+    arrive in strictly ascending client order, so every element is summed
+    from 0.0 in that order, and the bits do not depend on how the updates
+    were delivered. How the layers are summed is decided once, from the
+    first update's structure: on the pool, each task through a scratch
+    block of its own; else through one scratch array.
     """
     wanted = None if layer_range is None else tuple(sorted(layer_range))
     sums = None
@@ -413,7 +412,6 @@ def _fold(updates: Iterable[LocalUpdate], layer_range: tuple[int, ...] | None = 
             sums = [np.zeros(n) for n in sizes]
             threaded = _threaded(sizes)
             scratch = np.empty(0 if threaded else min(max(sizes, default=0), FOLD_BLOCK))
-            whole = len(scratch) == max(sizes, default=0)
             tmps = [scratch[:n] for n in sizes]
         elif wv.structure() != structure:
             raise ShapeMismatch(f"client {u.client} has structure {wv.structure()}, expected {structure}")
@@ -422,10 +420,6 @@ def _fold(updates: Iterable[LocalUpdate], layer_range: tuple[int, ...] | None = 
         d = float(u.dataset_size)  # numpy turns the int into this double on every call
         if threaded:
             crypto.pool_map(_add_scaled, sums, [l.values for l in wv.layers], repeat(d))
-        elif whole:
-            for acc, l, tmp in zip(sums, wv.layers, tmps):
-                np.multiply(l.values, d, out=tmp)
-                acc += tmp
         else:
             for acc, l, tmp in zip(sums, wv.layers, tmps):
                 _add_scaled(acc, l.values, d, tmp)

@@ -415,6 +415,26 @@ def test_hook_is_handed_the_batch_one_update_at_a_time_in_sender_order(monkeypat
     assert model.combine_partials([outputs[0]]).bit_equal(model.fedavg(updates))
 
 
+def test_only_a_folding_hook_shares_one_plaintext_buffer(monkeypatch):
+    """A hook that keeps every update gets a fresh buffer per input, so its
+    sum is right; the fold's inputs are decrypted into one buffer."""
+    given, real = [], crypto.ae_decrypt
+    monkeypatch.setattr(crypto, "ae_decrypt", lambda key, env, out=None: given.append(out) or real(key, env, out))
+    monkeypatch.setitem(enclave.HOOKS, "keep", lambda updates, lr: model.partial_aggregate(list(updates), lr))
+    updates = [simple_update(1, [[1.0, 3.0]], dataset_size=5), simple_update(2, [[3.0, 5.0]], dataset_size=5)]
+    for hook in ("keep", "fedavg"):
+        ctx = provision_enclave(clients=(1, 2), hook=hook)
+        inputs = client_inputs(ctx, updates)
+        del given[:]  # the committee's deliveries
+        part = decrypt_output(ctx, ctx["host"].resume(ctx["eid"], inputs))
+        assert part.scaled_sum.layers[0].values.tolist() == [20.0, 40.0]
+        bufs = [out for out in given if out is not None]
+        if hook == "keep":
+            assert bufs == []
+        else:
+            assert len(bufs) == 2 and bufs[0].obj is bufs[1].obj
+
+
 def test_hook_that_stops_early_leaves_no_check_unrun(monkeypatch):
     def first_only(updates, layer_range):
         return model.partial_aggregate([next(iter(updates))], layer_range)
