@@ -336,9 +336,8 @@ class Committee:
     def handle(self, src: str, kind: MessageKind, payload: bytes):
         """Acknowledge a task submission; heartbeats wait in the mailbox."""
         if kind != MessageKind.SubmitTask:
-            return transport.err(transport.RemoteError(f"committee cannot handle {kind.name}"))
+            raise transport.RemoteError(f"committee cannot handle {kind.name}")
         unpack(transport.SUBMIT_TASK, payload)
-        return transport.ok()
 
     def setup(self, nodes: list[int]) -> list[int]:
         """Hold alive the nodes answering the initial ping, none of them overdue."""
@@ -351,7 +350,7 @@ class Committee:
 
     def _answers_ping(self, node: int) -> bool:
         try:
-            self.router.call(COMMITTEE, f"node:{node}", MessageKind.Ping, pack(transport.PING))
+            self._call(f"node:{node}", MessageKind.Ping, pack(transport.PING))
         except transport.DeliveryDropped:
             return False
         return True
@@ -396,26 +395,28 @@ class Committee:
                     raise
                 self.events.append(f"{failed} replaced")
 
-    def _call(self, node: int, kind: MessageKind, body: bytes) -> bytes:
-        """One request to ``node``; a failure it reports ends the run."""
-        _, reply, _ = self.router.call(COMMITTEE, f"node:{node}", kind, body)
+    def _call(self, party: str, kind: MessageKind, body: bytes, schema=transport.ACK) -> tuple:
+        """One request to ``party``, its reply read under ``schema``; a
+        failure it reports ends the run, naming it."""
+        reply_kind, reply, _ = self.router.call(COMMITTEE, party, kind, body)
         try:
-            return transport.check_reply(reply)
+            return transport.check_reply(reply_kind, reply, schema)
         except Exception as exc:
-            raise RunFailed(f"{kind.name} failed on node {node}: {exc}") from exc
+            role, _, n = party.partition(":")
+            raise RunFailed(f"{kind.name} failed on {role} {n}: {exc}") from exc
 
     def _install(self, slot: Slot) -> None:
         """Install, attest, and provision one partition's enclave."""
         spec = self.spec
-        installed = self._call(
-            slot.node, MessageKind.InstallProg,
+        (slot.eid,) = self._call(
+            f"node:{slot.node}", MessageKind.InstallProg,
             pack(
                 transport.INSTALL_PROG, spec.taskid, spec.program.code_id,
                 spec.program.aggregation_hook, self.epc_budget, self.paging,
                 derive_seed(self.seed, f"enclave:{slot.index}:{slot.node}"),
             ),
+            transport.INSTALLED,
         )
-        (slot.eid,) = unpack(transport.INSTALLED, installed)
         self.ssk_by_eid[slot.eid] = enclave.attest(
             self.router, COMMITTEE, slot.node, slot.eid, spec.program.measurement, self.rng
         )
@@ -434,18 +435,21 @@ class Committee:
         taskid = self.spec.taskid
         env = enclave.seal_delivery(self.ssk_by_eid[slot.eid], taskid, purpose, plain, self.rng)
         body = pack(transport.KEY_DELIVER, slot.eid, purpose, env)
-        self._call(slot.node, MessageKind.KeyDeliver, body)
+        self._call(f"node:{slot.node}", MessageKind.KeyDeliver, body)
 
     def deliver_conf(self) -> None:
+        """Send the schedule to every client and alive node. A party that
+        refuses it ends the run; of the lost frames, only one to a spare
+        node is tolerated."""
         body = self.conf.to_bytes()
         holders = {slot.node for slot in self.conf.slots}
         for uid in self.spec.clients:
-            self.router.call(COMMITTEE, f"client:{uid}", MessageKind.ConfDeliver, body)
+            self._call(f"client:{uid}", MessageKind.ConfDeliver, body)
         for node in self.alive:
             try:
-                self.router.call(COMMITTEE, f"node:{node}", MessageKind.ConfDeliver, body)
+                self._call(f"node:{node}", MessageKind.ConfDeliver, body)
             except transport.DeliveryDropped:
-                if node in holders:  # only a spare may miss the schedule
+                if node in holders:
                     raise
 
     # -- rounds ----------------------------------------------------------------------
@@ -462,13 +466,11 @@ class Committee:
 
     def request_resend(self, uid: int, slot: Slot, round_index: int) -> None:
         """Ask a client to re-send its cached slice to the slot's enclave. A
-        lost request is not fatal: :meth:`collect` asks again."""
+        lost or refused request is not fatal: :meth:`collect` asks again."""
+        body = pack(transport.RESEND_REQUEST, slot.index, round_index)
         try:
-            self.router.call(
-                COMMITTEE, f"client:{uid}", MessageKind.ResendRequest,
-                pack(transport.RESEND_REQUEST, slot.index, round_index),
-            )
-        except transport.DeliveryDropped:
+            self._call(f"client:{uid}", MessageKind.ResendRequest, body)
+        except (transport.DeliveryDropped, RunFailed):
             pass
 
     def collect(self, round_index: int) -> None:

@@ -370,9 +370,7 @@ def attest(
         initiator, f"node:{node}", transport.MessageKind.RaHandshake1,
         transport.pack(transport.RA_HANDSHAKE1, eid, initiator, point),
     )
-    if kind != transport.MessageKind.RaHandshake2:
-        transport.check_reply(reply)  # raises the error the node reported
-    enclave_point, quoted = transport.unpack(transport.RA_HANDSHAKE2, reply)
+    enclave_point, quoted = transport.check_reply(kind, reply, transport.RA_HANDSHAKE2)
     if quoted != expected_measurement:
         raise MeasurementMismatch(
             f"enclave {eid} on node {node} quotes {quoted.hex()[:16]}…, "

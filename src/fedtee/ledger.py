@@ -41,8 +41,8 @@ class LedgerNotFound(Exception):
 class LedgerIncomplete(Exception):
     """Round still filling up; carries the indices present so far."""
 
-    def __init__(self, present: list[int]):
-        super().__init__(f"round incomplete, indices present: {present}")
+    def __init__(self, round_index: int, present: list[int], expected: int):
+        super().__init__(f"round {round_index} has {len(present)} of {expected} chunks")
         self.present = present
 
 
@@ -220,7 +220,7 @@ class Ledger:
                 raise LedgerNotFound(f"no chunks for task {taskid!r} round {round_index}")
             present = sorted(stored)
             if rec.expected_chunks is not None and round_index >= rec.round:
-                raise LedgerIncomplete(present)
+                raise LedgerIncomplete(round_index, present, rec.expected_chunks)
             return [stored[i] for i in present]
 
     def current_round(self, taskid: bytes) -> int:

@@ -20,16 +20,12 @@ from .committee import Conf, RunFailed, Slot, derive_seed
 from .config import plant_sentinel
 from .crypto import AuthFailure, Envelope, SymKey
 from .enclave import EnclaveProgram, SgxHost, SignedChunk, attest
-from .ledger import Ledger, LedgerIncomplete, LedgerNotFound
-from .transport import MessageKind, RemoteError, Router, check_reply, err, ok, pack, unpack
+from .ledger import Ledger
+from .transport import MessageKind, RemoteError, Router, check_reply, pack, unpack
 
 
 class DeliveryFailure(RunFailed):
     """A client could not be reached during key distribution."""
-
-
-class Incomplete(Exception):
-    """The requested round is not fully present on the ledger yet."""
 
 
 _OWNER_CHANNEL_TAG = hashlib.sha256(b"owner-client-master-key-channel").digest()
@@ -57,30 +53,25 @@ class Node:
         router.register(self.party, handler=self.handle)
 
     def handle(self, src: str, kind: MessageKind, payload: bytes):
-        try:
-            if kind == MessageKind.InstallProg:
-                return self._handle_install(payload)
-            if kind == MessageKind.RaHandshake1:
-                eid, initiator, point = unpack(transport.RA_HANDSHAKE1, payload)
-                point_out, measurement = self.host.ra_respond(eid, initiator, point)
-                reply = pack(transport.RA_HANDSHAKE2, point_out, measurement)
-                return MessageKind.RaHandshake2, reply
-            if kind == MessageKind.KeyDeliver:
-                eid, purpose, env = unpack(transport.KEY_DELIVER, payload)
-                self.host.deliver(eid, src, purpose, env)
-                return ok()
-            if kind == MessageKind.ModelEnvelope:
-                return self._handle_model_envelope(payload)
-            if kind == MessageKind.ConfDeliver:
-                conf = Conf.from_bytes(payload)
-                self.confs[conf.taskid] = conf
-                return ok()
-            if kind == MessageKind.Ping:
-                unpack(transport.PING, payload)
-                return ok()
-        except Exception as exc:  # map protocol errors back to the caller
-            return err(exc)
-        return err(RemoteError(f"node cannot handle {kind.name}"))
+        if kind == MessageKind.InstallProg:
+            return self._handle_install(payload)
+        if kind == MessageKind.RaHandshake1:
+            eid, initiator, point = unpack(transport.RA_HANDSHAKE1, payload)
+            point_out, measurement = self.host.ra_respond(eid, initiator, point)
+            return MessageKind.RaHandshake2, pack(transport.RA_HANDSHAKE2, point_out, measurement)
+        if kind == MessageKind.KeyDeliver:
+            eid, purpose, env = unpack(transport.KEY_DELIVER, payload)
+            self.host.deliver(eid, src, purpose, env)
+        elif kind == MessageKind.ModelEnvelope:
+            self._handle_model_envelope(payload)
+        elif kind == MessageKind.ConfDeliver:
+            conf = Conf.from_bytes(payload)
+            self.confs[conf.taskid] = conf
+        elif kind == MessageKind.Ping:
+            unpack(transport.PING, payload)
+        else:
+            raise RemoteError(f"node cannot handle {kind.name}")
+        return None
 
     def _handle_install(self, payload: bytes):
         taskid, code_id, hook, epc_budget, paging, rng_seed = unpack(
@@ -90,16 +81,15 @@ class Node:
             code_id += b"\xee"  # a corrupt node loads something else
         program = EnclaveProgram(code_id, hook)
         eid = self.host.install(taskid, program, epc_budget, bool(paging), rng_seed)
-        return ok(pack(transport.INSTALLED, eid))
+        return MessageKind.Ack, pack(transport.INSTALLED, eid)
 
-    def _handle_model_envelope(self, payload: bytes):
+    def _handle_model_envelope(self, payload: bytes) -> None:
         # the envelopes stay views of the frame, buffered without a copy
         taskid, round_index, sender, env_m, env_k = unpack(
             transport.MODEL_ENVELOPE, memoryview(payload)
         )
         box = self.pending.setdefault((bytes(taskid), round_index), {})
         box[sender] = (env_m, env_k)
-        return ok()
 
     # -- driven by the orchestrator ------------------------------------------
 
@@ -153,8 +143,8 @@ class Node:
             transport.CHUNK_UPLOAD, run[0].taskid, run[0].round, [c.index for c in run],
             [c.payload for c in run], [c.sigma.raw for c in run],
         )
-        _, reply, _ = self.router.call(self.party, "ledger", MessageKind.ChunkUpload, body)
-        (reasons,) = unpack(transport.RECEIPT, reply)
+        kind, reply, _ = self.router.call(self.party, "ledger", MessageKind.ChunkUpload, body)
+        (reasons,) = check_reply(kind, reply, transport.RECEIPT)
         if len(reasons) != len(run):
             raise ValueError(f"{len(reasons)} receipts for a run of {len(run)} chunks")
         return [
@@ -238,40 +228,31 @@ class LedgerParty:
             key = (bytes(taskid), round_index)
             if self._closed is not None and self._closed[0] == key:
                 return MessageKind.LedgerReply, self._closed[1]
-            try:
-                chunks = self.ledger.read(taskid, round_index)
-            except (LedgerNotFound, LedgerIncomplete) as exc:
-                present = exc.present if isinstance(exc, LedgerIncomplete) else ()
-                return MessageKind.LedgerReply, pack(
-                    transport.LEDGER_ROUND, type(exc).__name__, present, ()
-                )
+            chunks = self.ledger.read(taskid, round_index)
             reply = pack(
-                transport.LEDGER_ROUND, "", [c.index for c in chunks], [c.payload for c in chunks]
+                transport.LEDGER_ROUND, [c.index for c in chunks], [c.payload for c in chunks]
             )
             if round_index < self.ledger.current_round(taskid):
                 self._closed = (key, reply)
             return MessageKind.LedgerReply, reply
-        return err(RemoteError(f"ledger cannot handle {kind.name}"))
+        raise RemoteError(f"ledger cannot handle {kind.name}")
 
 
 def read_round_chunks(router: Router, party: str, taskid: bytes, round_index: int):
     """Framed ledger read of a completed round: its chunk indices, ascending,
-    their payload lengths, and one read-only view of the payloads end to end;
-    raises Incomplete or KeyError.
+    their payload lengths, and one read-only view of the payloads end to end.
+    A round the ledger cannot serve, unknown or still incomplete, raises
+    RemoteError naming the ledger's reason.
 
     The payloads are the reply's last field, so they already lie end to end
     in the frame and are read without a copy. The ledger checked every
     chunk's signature when it stored it; what a reader checks is the AEAD
     tag and context of each reassembled output."""
-    _, reply, _ = router.call(
+    kind, reply, _ = router.call(
         party, "ledger", MessageKind.LedgerRead, pack(transport.LEDGER_READ, taskid, round_index)
     )
     body = memoryview(reply)
-    error, indices, payloads = unpack(transport.LEDGER_ROUND, body)
-    if error == "LedgerNotFound":
-        raise KeyError(f"no chunks for round {round_index}")
-    if error:
-        raise Incomplete(f"indices present: {list(indices)}")
+    indices, payloads = check_reply(kind, body, transport.LEDGER_ROUND)
     lengths = [len(p) for p in payloads]
     return indices, lengths, body[len(body) - sum(lengths) :]
 
@@ -302,32 +283,28 @@ class Client:
         router.register(self.party, handler=self.handle)
 
     def handle(self, src: str, kind: MessageKind, payload: bytes):
-        try:
-            if kind == MessageKind.KeyDeliver:
-                return self._handle_msk_delivery(src, payload)
-            if kind == MessageKind.InitModel:
-                (encoded,) = unpack(transport.INIT_MODEL, memoryview(payload))
-                self.m_glob = model.decode_model(encoded).weights  # the task comes with the Conf
-                return ok()
-            if kind == MessageKind.ConfDeliver:
-                self.conf = Conf.from_bytes(payload)
-                return ok()
-            if kind == MessageKind.ResendRequest:
-                self._resend(*unpack(transport.RESEND_REQUEST, payload))
-                return ok()
-        except Exception as exc:
-            return err(exc)
-        return err(RemoteError(f"client cannot handle {kind.name}"))
+        if kind == MessageKind.KeyDeliver:
+            return self._handle_msk_delivery(src, payload)
+        if kind == MessageKind.InitModel:
+            (encoded,) = unpack(transport.INIT_MODEL, memoryview(payload))
+            self.m_glob = model.decode_model(encoded).weights  # the task comes with the Conf
+        elif kind == MessageKind.ConfDeliver:
+            self.conf = Conf.from_bytes(payload)
+        elif kind == MessageKind.ResendRequest:
+            self._resend(*unpack(transport.RESEND_REQUEST, payload))
+        else:
+            raise RemoteError(f"client cannot handle {kind.name}")
+        return None
 
     def _handle_msk_delivery(self, src: str, payload: bytes):
         phase, owner_point, sealed = unpack(transport.MASTER_KEY, payload)
         if phase == 1:
             priv, point = crypto.ecdh_keypair(self.rng)
             self._dh_priv = priv
-            return ok(point)
+            return MessageKind.Ack, pack(transport.MASTER_KEY_POINT, point)
         key = crypto.derive_session_key(self._dh_priv, owner_point, src, 0, _OWNER_CHANNEL_TAG)
         self.msk = SymKey(crypto.ae_decrypt(key, Envelope.from_bytes(sealed)))
-        return ok()
+        return None
 
     # -- one round ------------------------------------------------------------
 
@@ -354,7 +331,8 @@ class Client:
         """Train, slice per partition, encrypt, and deliver to assigned nodes.
 
         A client trains from the previous round's global model, which it reads
-        from the ledger here unless it already holds it. Returns the arrival
+        from the ledger here unless it already holds it; a read the ledger
+        refuses raises RunFailed. Returns the arrival
         timestamps of the envelopes that got through; slots whose delivery was
         dropped stay cached for the resend path.
         """
@@ -363,11 +341,8 @@ class Client:
         if round_index > self.round:
             try:
                 self.client_get_global(round_index - 1)
-            except (KeyError, Incomplete) as exc:
-                raise RuntimeError(
-                    f"client {self.uid} cannot start round {round_index}: "
-                    f"round {round_index - 1} is not on the ledger ({exc})"
-                ) from exc
+            except RemoteError as exc:
+                raise RunFailed(f"client {self.uid} cannot start round {round_index}: {exc}") from exc
         update = self.train(round_index)
         self.cached_updates.clear()
         arrivals = []
@@ -405,10 +380,10 @@ class Client:
                 self.msk.raw, self.rng,
             ),
         )
-        _, reply, arrival = self.router.call(
+        kind, reply, arrival = self.router.call(
             self.party, f"node:{node}", MessageKind.ModelEnvelope, payload
         )
-        check_reply(reply)
+        check_reply(kind, reply)
         return arrival
 
     def _resend(self, slot_index: int, round_index: int) -> None:
@@ -478,7 +453,10 @@ class TaskOwner:
         self.rng = Random(derive_seed(seed, self.party))
         self.msk: SymKey | None = None
         self.taskid: bytes | None = None
-        router.register(self.party, handler=lambda s, k, p: ok())
+        router.register(self.party, handler=self.handle)
+
+    def handle(self, src: str, kind: MessageKind, payload: bytes):
+        raise RemoteError(f"owner cannot handle {kind.name}")
 
     def owner_initialize(self, taskid: bytes, m_init: model.WeightVector, clients: list[int]) -> None:
         """Deploy the task record on the ledger and hand clients the initial model."""
@@ -487,8 +465,8 @@ class TaskOwner:
         encoded = model.encode_model(model.LocalUpdate(taskid, 0, 0, m_init, 1))
         body = pack(transport.INIT_MODEL, encoded)
         for uid in clients:
-            _, reply, _ = self.router.call(self.party, f"client:{uid}", MessageKind.InitModel, body)
-            check_reply(reply)
+            kind, reply, _ = self.router.call(self.party, f"client:{uid}", MessageKind.InitModel, body)
+            check_reply(kind, reply)
 
     def owner_key_exchange(self, clients: list[int]) -> SymKey:
         """Generate the master key and deliver it pairwise, never in clear."""
@@ -506,17 +484,17 @@ class TaskOwner:
     def _deliver_msk(self, uid: int) -> None:
         dest = f"client:{uid}"
         priv, point = crypto.ecdh_keypair(self.rng)
-        _, reply, _ = self.router.call(
+        kind, reply, _ = self.router.call(
             self.party, dest, MessageKind.KeyDeliver, pack(transport.MASTER_KEY, 1, b"", b"")
         )
-        client_point = check_reply(reply)
+        (client_point,) = check_reply(kind, reply, transport.MASTER_KEY_POINT)
         key = crypto.derive_session_key(priv, client_point, self.party, 0, _OWNER_CHANNEL_TAG)
         env = crypto.ae_encrypt(key, b"msk-delivery", self.msk.raw, rng=self.rng)
-        _, reply, _ = self.router.call(
+        kind, reply, _ = self.router.call(
             self.party, dest, MessageKind.KeyDeliver,
             pack(transport.MASTER_KEY, 2, point, env.to_bytes()),
         )
-        check_reply(reply)
+        check_reply(kind, reply)
 
     def get_global_model(self, conf: Conf, round_index: int) -> model.WeightVector:
         """Same read path as a client; the owner holds the master key too."""

@@ -5,6 +5,13 @@ router gives reliable, ordered, at-most-once delivery per channel and doubles
 as an RPC fabric; taps observe every frame's raw bytes without altering
 delivery, which is what the confidentiality checks hook into. Each payload is
 one named :class:`Schema` encoded by :func:`pack` and decoded by :func:`unpack`.
+
+An RPC reply has one of two shapes. On success it is the request's reply
+schema and nothing else, under its success kind (``Ack``, ``LedgerReply`` or
+``RaHandshake2``). On failure it is a ``Nack`` whose body, ``NACK``, is the
+text ``"Type: message"``. Handlers raise; :meth:`Router.call` is the only
+place a handler's exception becomes a ``Nack``, and every caller reads its
+reply through :func:`check_reply`.
 """
 
 from __future__ import annotations
@@ -45,6 +52,7 @@ class MessageKind(IntEnum):
     ResendRequest = 14
     Ack = 15
     Ping = 16
+    Nack = 17
 
 
 _FRAME_HEADER = struct.Struct(">IB")  # payload length, kind
@@ -129,8 +137,10 @@ class Router:
     """In-process loopback transport with per-channel FIFO and RPC calls.
 
     Parties register either a mailbox (one-way ``send``/``recv``) or a
-    handler ``fn(src, kind, payload) -> (kind, payload) | None`` for ``call``.
-    All frames, both directions, pass through the taps.
+    handler ``fn(src, kind, payload) -> (kind, payload) | None`` for ``call``:
+    it returns its success reply, or None for an empty ``Ack``, and what it
+    raises goes back as a ``Nack``. All frames, both directions, pass through
+    the taps.
     """
 
     def __init__(self, clock=None, faults: FaultPlan | None = None) -> None:
@@ -201,17 +211,22 @@ class Router:
         return box.popleft() if box else None
 
     def call(self, src: str, dest: str, kind: MessageKind, payload: bytes):
-        """Deliver a frame to ``dest``'s handler and return its framed reply.
+        """Deliver a frame to ``dest``'s handler and return its framed reply,
+        ``(kind, payload, arrival)``; an exception the handler raises is
+        answered with a ``Nack`` naming it.
 
-        Raises DeliveryDropped when the fault plan eats the request (the caller
-        models its own timeout/retry policy on top).
+        Raises DeliveryDropped when the fault plan eats the request or its
+        reply (the caller models its own timeout/retry policy on top).
         """
         self._check_parties(src, dest)
         arrival = self._pass_frame(src, dest, kind, payload)
         handler = self._handlers.get(dest)
         if handler is None:
             raise UnknownParty(f"{dest} registered without a handler")
-        reply = handler(src, kind, payload)
+        try:
+            reply = handler(src, kind, payload)
+        except Exception as exc:  # the one place a handler's error becomes a reply
+            reply = MessageKind.Nack, pack(NACK, f"{type(exc).__name__}: {exc}")
         if reply is None:
             reply = (MessageKind.Ack, b"")
         reply_kind, reply_payload = reply
@@ -349,15 +364,19 @@ def unpack(schema: Schema, body: bytes) -> tuple:
     return tuple(out)
 
 
-# Frame bodies, by the message kind that carries them.
+# Frame bodies, by the message kind that carries them. A request whose reply
+# names no schema is answered with an empty Ack, ACK.
+ACK = Schema()
+NACK = Schema(TEXT)  # an error reply: "Type: message"
 SUBMIT_TASK = Schema(BYTES)  # taskid
 # taskid, code id, aggregation hook, enclave memory budget, paging, enclave rng seed
 INSTALL_PROG = Schema(BYTES, BYTES, TEXT, U64, U8, U64)
-INSTALLED = Schema(U64)  # the reply's result to InstallProg: eid
+INSTALLED = Schema(U64)  # the reply to InstallProg: eid
 RA_HANDSHAKE1 = Schema(U64, TEXT, BYTES)  # eid, initiator, point
 RA_HANDSHAKE2 = Schema(BYTES, BYTES)  # point, measurement
 KEY_DELIVER = Schema(U64, U8, ENVELOPE)  # eid, purpose, sealed plaintext
 MASTER_KEY = Schema(U8, BYTES, BYTES)  # owner to client: phase, owner's point, sealed key
+MASTER_KEY_POINT = Schema(BYTES)  # the reply to MASTER_KEY phase 1: the client's point
 CONF_DELIVER = Schema(BYTES, BYTES, U32_ROWS, U32_ROWS)  # see committee.Conf.to_bytes
 INIT_MODEL = Schema(BYTES)  # model.encode_model bytes
 MODEL_ENVELOPE = Schema(BYTES, U64, U64, ENVELOPE, ENVELOPE)  # taskid, round, sender, model, key
@@ -368,12 +387,11 @@ RESEND_REQUEST = Schema(U32, U64)  # slot, round
 CHUNK_UPLOAD = Schema(BYTES, U64, U32S, BLOBS, BLOBS)
 RECEIPT = Schema(BLOBS)
 LEDGER_READ = Schema(BYTES, U64)  # taskid, round
-# A round's chunks as columns: error ("" if complete, else the ledger's
-# exception name, with the indices present so far), indices, payloads.
-LEDGER_ROUND = Schema(TEXT, U32S, BLOBS)
+# The reply to LedgerRead: a completed round's chunks as columns, indices and
+# payloads; the payloads come last, so they lie end to end in the frame.
+LEDGER_ROUND = Schema(U32S, BLOBS)
 HEARTBEAT = Schema(U64)  # node
 PING = Schema()
-REPLY = Schema(TEXT, BYTES)  # error ("" on success, else "Type: message"), result
 
 # Plaintexts the committee seals into KeyDeliver envelopes, and the
 # KEY_DELIVER purpose naming each.
@@ -400,19 +418,12 @@ _REMOTE_ERRORS = {
 }
 
 
-def ok(result: bytes = b""):
-    return MessageKind.Ack, pack(REPLY, "", result)
-
-
-def err(exc: Exception):
-    return MessageKind.Ack, pack(REPLY, f"{type(exc).__name__}: {exc}", b"")
-
-
-def check_reply(body: bytes) -> bytes:
-    """The result of a successful reply; a failed one raises the peer's error."""
-    error, result = unpack(REPLY, body)
-    if error:
+def check_reply(kind: MessageKind, body: bytes, schema: Schema = ACK) -> tuple:
+    """The fields of a successful reply under ``schema``; a ``Nack`` raises
+    the peer's error, as its local type when it has one."""
+    if kind == MessageKind.Nack:
+        (error,) = unpack(NACK, body)
         name, _, msg = error.partition(": ")
         exc_type = _REMOTE_ERRORS.get(name)
         raise exc_type(msg) if exc_type is not None else RemoteError(error)
-    return result
+    return unpack(schema, body)

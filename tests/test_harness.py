@@ -28,8 +28,9 @@ from fedtee.harness import (
     traffic_fedtee,
     traffic_vanilla_fl,
 )
+from fedtee.enclave import EnclaveProgram
 from fedtee.ledger import Ledger
-from fedtee.roles import Node
+from fedtee.roles import Client, Node
 from fedtee.transport import Frame, MessageKind
 
 
@@ -650,6 +651,57 @@ def test_schedule_dropped_on_its_way_to_a_node(dest, ok):
     assert report.ok is ok
     if not ok:
         assert report.events == ["setup: failed: dropped ConfDeliver committee->node:0"]
+
+
+@pytest.mark.parametrize("party", ["client:2", "node:0", "node:3"], ids=["client", "holder", "spare"])
+def test_a_party_refusing_the_schedule_ends_the_run(party, monkeypatch):
+    # unlike a lost frame, a refusal ends the run even from a spare node
+    role, _, n = party.partition(":")
+    cls = Client if role == "client" else Node
+    handle = cls.handle
+
+    def refusing(self, src, kind, payload):
+        if kind == MessageKind.ConfDeliver and self.party == party:
+            raise ValueError("schedule unreadable")
+        return handle(self, src, kind, payload)
+
+    monkeypatch.setattr(cls, "handle", refusing)
+    report = run_task(small_config())
+    assert not report.ok and not report.stalled
+    assert report.rounds == [] and report.verification == {}
+    assert report.events == [
+        f"setup: failed: ConfDeliver failed on {role} {n}: ValueError: schedule unreadable"
+    ]
+
+
+def test_an_install_the_node_refuses_ends_the_run():
+    run = TaskRun(small_config())
+    run.program = EnclaveProgram(run.program.code_id, "nope")
+    report = run.run()
+    assert not report.ok and not report.stalled
+    assert report.rounds == [] and report.verification == {}
+    assert report.events == [
+        "setup: failed: InstallProg failed on node 0: ValueError: unknown aggregation hook 'nope'"
+    ]
+
+
+@pytest.mark.parametrize("strategy", ["single", "clientmax", "layermax"])
+def test_a_round_the_ledger_cannot_complete_ends_in_the_owners_report(strategy, monkeypatch):
+    # the committee declares one more chunk than the nodes will upload
+    budget = 1 << 30 if strategy == "single" else 700
+    cfg = small_config(strategy=strategy, n_nodes=6, layers={0: 8, 1: 8}, epc_budget=budget,
+                       tx_capacity=64)
+    run = TaskRun(cfg)
+    declare = run.ledger.set_expected_chunks
+    monkeypatch.setattr(
+        run.ledger, "set_expected_chunks", lambda sender, taskid, n: declare(sender, taskid, n + 1)
+    )
+    report = run.run()  # no exception escapes
+    n = run.committee.chunk_bases[-1]
+    assert len(run.committee.conf.slots) > (strategy != "single")
+    assert not report.ok and not report.stalled
+    assert report.rounds == [] and report.verification == {}
+    assert report.events[-1] == f"round 0: failed: LedgerIncomplete: round 0 has {n} of {n + 1} chunks"
 
 
 def test_dropped_frame_event_names_the_frame():

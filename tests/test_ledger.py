@@ -207,6 +207,7 @@ def test_incomplete_read_reports_present_indices():
     with pytest.raises(LedgerIncomplete) as exc:
         led.read(TASKID, 0)
     assert exc.value.present == [0, 2]
+    assert str(exc.value) == "round 0 has 2 of 3 chunks"
 
 
 def test_final_state_independent_of_upload_order():

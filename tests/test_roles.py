@@ -4,6 +4,7 @@ import pytest
 
 from conftest import tap_bytes
 from fedtee import crypto, model, transport
+from fedtee.committee import RunFailed
 from fedtee.config import RunConfig, FaultEvent
 from fedtee.harness import TaskRun, run_task
 from fedtee.ledger import Ledger
@@ -159,8 +160,22 @@ def test_clientmax_slicing_sends_disjoint_layer_payloads():
 def test_client_round_lockstep_guard():
     run = TaskRun(small_config())
     run.setup()
-    with pytest.raises(RuntimeError, match="round"):
+    run.run_round(0)
+    run.run_round(1)  # every client read round 0 and is at round 1
+    with pytest.raises(RuntimeError, match="^client 0 is at round 1, not 0$"):
+        run.clients[0].client_round(0)
+
+
+def test_client_round_whose_previous_round_is_refused_ends_the_run():
+    run = TaskRun(small_config())
+    run.setup()
+    with pytest.raises(RunFailed) as exc:  # round 0 never reached the ledger
         run.clients[0].client_round(1)
+    assert str(exc.value) == (
+        "client 0 cannot start round 1: LedgerNotFound: no chunks for task b'roles-task' round 0"
+    )
+    assert isinstance(exc.value.__cause__, transport.RemoteError)
+    assert run.clients[0].round == 0
 
 
 def test_round_advances_only_after_chunks_accepted():
@@ -247,11 +262,25 @@ def test_node_reports_missing_senders():
 def test_only_nodes_answer_a_ping():
     run = TaskRun(small_config())
     ping = transport.pack(transport.PING)
-    _, reply, _ = run.router.call("committee", "node:0", MessageKind.Ping, ping)
-    assert transport.check_reply(reply) == b""
-    _, reply, _ = run.router.call("committee", "client:0", MessageKind.Ping, ping)
-    with pytest.raises(transport.RemoteError, match="client cannot handle Ping"):
-        transport.check_reply(reply)
+    kind, reply, _ = run.router.call("committee", "node:0", MessageKind.Ping, ping)
+    assert (kind, reply) == (MessageKind.Ack, b"")
+    assert transport.check_reply(kind, reply) == ()
+    kind, reply, _ = run.router.call("committee", "client:0", MessageKind.Ping, ping)
+    assert kind == MessageKind.Nack
+    assert transport.unpack(transport.NACK, reply) == ("RemoteError: client cannot handle Ping",)
+    with pytest.raises(transport.RemoteError, match="^RemoteError: client cannot handle Ping$"):
+        transport.check_reply(kind, reply)
+
+
+@pytest.mark.parametrize("party", ["owner", "committee", "ledger", "client:0", "node:0"])
+def test_a_kind_a_party_cannot_handle_gets_a_nack_naming_it(party):
+    run = TaskRun(small_config())
+    kind, reply, _ = run.router.call("node:1", party, MessageKind.Heartbeat, b"")
+    role = party.partition(":")[0]
+    assert kind == MessageKind.Nack
+    assert transport.unpack(transport.NACK, reply) == (
+        f"RemoteError: {role} cannot handle Heartbeat",
+    )
 
 
 def test_killed_node_sends_no_heartbeat():
@@ -317,12 +346,17 @@ def test_chunks_larger_than_half_run_bytes_go_one_per_frame():
 def test_chunk_upload_with_ragged_columns_is_refused():
     run = TaskRun(small_config())
     body = transport.pack(transport.CHUNK_UPLOAD, b"roles-task", 0, [0, 1], [b"p0"], [b"s0", b"s1"])
-    with pytest.raises(ValueError, match="columns differ"):
-        run.router.call("node:0", "ledger", MessageKind.ChunkUpload, body)
+    kind, reply, _ = run.router.call("node:0", "ledger", MessageKind.ChunkUpload, body)
+    assert kind == MessageKind.Nack
+    with pytest.raises(
+        transport.RemoteError, match="^ValueError: ChunkUpload columns differ in length$"
+    ):
+        transport.check_reply(kind, reply, transport.RECEIPT)
+    assert not run.ledger.by_round
 
 
 def test_client_read_of_half_uploaded_round_is_incomplete():
-    from fedtee.roles import Incomplete, read_round_chunks
+    from fedtee.roles import read_round_chunks
 
     run = TaskRun(small_config())
     run.setup()
@@ -335,7 +369,10 @@ def test_client_read_of_half_uploaded_round_is_incomplete():
         run.clients[uid].client_round(0)
     for slot in run.committee.conf.slots:
         run.nodes[slot.node].compute(run.cfg.taskid_bytes, 0)
-    with pytest.raises(Incomplete):
+    n = run.committee.chunk_bases[-1]
+    with pytest.raises(
+        transport.RemoteError, match=f"^LedgerIncomplete: round 0 has {n} of {n + 1} chunks$"
+    ):
         read_round_chunks(run.router, "client:0", run.cfg.taskid_bytes, 0)
 
 
@@ -459,7 +496,7 @@ def test_readers_of_a_closed_round_share_one_ledger_read(monkeypatch):
 
 
 def test_read_of_an_incomplete_round_is_not_kept(monkeypatch):
-    from fedtee.roles import Incomplete, decode_round_chunks, read_round_chunks
+    from fedtee.roles import decode_round_chunks, read_round_chunks
 
     run = TaskRun(small_config(strategy="layermax", epc_budget=400, tx_capacity=64))
     run.setup()
@@ -471,8 +508,12 @@ def test_read_of_an_incomplete_round_is_not_kept(monkeypatch):
     first, *rest = conf.slots
     assert rest
     run.nodes[first.node].compute(taskid, 0)
+    present, n = run.committee.chunk_bases[1], run.committee.chunk_bases[-1]
     for _ in range(2):
-        with pytest.raises(Incomplete):
+        with pytest.raises(
+            transport.RemoteError,
+            match=f"^LedgerIncomplete: round 0 has {present} of {n} chunks$",
+        ):
             read_round_chunks(run.router, "client:0", taskid, 0)
     for slot in rest:
         run.nodes[slot.node].compute(taskid, 0)

@@ -244,11 +244,33 @@ def test_trailing_bytes_are_rejected(schema, values):
 
 
 def test_reply_maps_known_errors_and_passes_results():
-    _, body = transport.ok(b"result")
-    assert transport.check_reply(body) == b"result"
-    _, body = transport.err(crypto.AuthFailure("tampered"))
+    answers = {
+        "ok": lambda: (MessageKind.Ack, transport.pack(transport.INSTALLED, 7)),
+        "empty": lambda: None,
+        "tampered": lambda: _raise(crypto.AuthFailure("tampered")),
+        "unknown": lambda: _raise(KeyError("no enclave 9")),
+    }
+    router = Router()
+    router.register("caller")
+    for name, answer in answers.items():
+        router.register(name, handler=lambda s, k, p, answer=answer: answer())
+
+    def call(dest):
+        kind, body, _ = router.call("caller", dest, MessageKind.InstallProg, b"")
+        return kind, body
+
+    assert transport.check_reply(*call("ok"), transport.INSTALLED) == (7,)
+    assert call("empty") == (MessageKind.Ack, b"")
+    assert transport.check_reply(*call("empty")) == ()
+    kind, body = call("tampered")
+    assert (kind, body) == (MessageKind.Nack, transport.pack(transport.NACK, "AuthFailure: tampered"))
     with pytest.raises(crypto.AuthFailure, match="^tampered$"):
-        transport.check_reply(body)
-    _, body = transport.err(KeyError("no enclave 9"))
-    with pytest.raises(transport.RemoteError, match="KeyError"):
-        transport.check_reply(body)
+        transport.check_reply(kind, body, transport.INSTALLED)
+    with pytest.raises(transport.RemoteError, match="^KeyError: 'no enclave 9'$"):
+        transport.check_reply(*call("unknown"), transport.INSTALLED)
+    with pytest.raises(ValueError):  # a success reply must be its schema's fields
+        transport.check_reply(*call("empty"), transport.INSTALLED)
+
+
+def _raise(exc):
+    raise exc
