@@ -64,22 +64,22 @@ CONFIGS = {
 }
 
 GOLDEN = {
-    "chunks-64": "85736e5e5d68eef35c9e905dd1149dfc282f62ec1ef50135da66bd114ff965b7",
-    "clientmax-float": "43e72078ece756c6b832a6dd14c42cc1f6562328def5671fe131843b4e8beecb",
-    "clientmax-int": "172fcc6dfc3e88abcd0576b35e2c6ea6d726aff8ae7a3c419a8791544583e613",
-    "drop": "2082a3bf8123ef5f4e5af1b3d8bce31871e62b72b0065f6d59cb3cccbfba055f",
-    "kill-between": "715de813d864d2cb2828e0859b68699f3a108d6a25d8d6f47f4845aa454fb807",
-    "kill-collect": "0e3aba20318e85b22403cbccc12a4c6b3b658ddee5fa2225f210ca0957ecf690",
-    "layermax-float": "70661a37232ee7272f69d5dad9b50301be279933cf045be6b93ceba14adeb07b",
-    "layermax-int": "0b436c4ff37295cdb8e04df096a4ed5e8ac9e0ec0632dd669a3b46ec0f6fe26d",
-    "paging": "b8348a3eb0bf78b7ffa7e4f08395ffb926afa324f0f47038e3bffc84451ad875",
-    "sentinel-taps": "d7e212f9a836a04a908a5b7a10527fbcda2d2521646b020dbe2aa7356b12b75e",
-    "single-float": "560c15b80f01ba93883ad0dd0e803c907e71d3dfb9d63f26ea77ff7eadcbf2ef",
-    "single-int": "b7521beb1b8b0b94a41c56211ed484782daac40ad7091b020d9dcd8042520ff4",
-    "straggler-exclude": "53e0254873674c26d95384c1b13f0fb976ceb249a89bcbbefc510c9dddfe368a",
-    "tamper-chunk": "13a802489c8fc7719d56f72825f3c454e365b5adab3cc4ba5391d506c87ed623",
-    "tamper-install": "4e5e293b19138a1f28aeb930912e4f15dacc5c28e3c99f8e5ea25c042deb0de1",
-    "uniform-tendermint": "44e19ac9f03f8f6ceaab4e809ec9c0aa3e00d557424c808bbdcd666c1732b6e2",
+    "chunks-64": "fe343cf3c8481adff9aa79acc2b1141d3c5b806eea1ed89a875d80fca2427ef6",
+    "clientmax-float": "4b882fb72e2c10485ec824f3594863afeff7a210536720fdc592762adb6f4504",
+    "clientmax-int": "ec887e17d5d8eebd90bd34952f808863d819708eae843b217242b9a3717e11ce",
+    "drop": "8186dc72fcde4633845f54c795d7c2ab622142e0add084a7e60f47bb0956dd92",
+    "kill-between": "9e9388a08636ac8c54376182a7fbbe28cabb93af808e286da5537e80135ae737",
+    "kill-collect": "78a5956e1da0df6e6eaabc6c4389352d85d47c59e9e193c67c464d2c18a5238c",
+    "layermax-float": "4bb2ee4897e690f757142725cf6473a42ba4805d22b48023ea3f959af7d59082",
+    "layermax-int": "9bd4e04b60a2801bde5aa0c63b27ab672bcd2b8f4de78ee0c50b4c2936b857e9",
+    "paging": "efdbee926afd043938032c9c6b25ff5ca23d4f833dba4f193553496d65e6e1af",
+    "sentinel-taps": "7e5d8d89b7e83c2cdf5e22c93480e575c011dfcb1cba57f23220b83ba911811b",
+    "single-float": "0db6ec8e688e4fae86a8b37d2e691b373d1d605b03553550ed5c1abe9f7effb8",
+    "single-int": "61bc7bc29f38a80347623699da11138b9d7e1cdc6dd05bc9a43227505bf72d2f",
+    "straggler-exclude": "47ada853166c2bf3778ee756b41e60310a78c004e26c0520e55e33099447d094",
+    "tamper-chunk": "03803c70b7c3102645bac8c50c873e8b19d81adbb61d6b4814bc6c665d634770",
+    "tamper-install": "6dd6583522aaa182b05ebb8051fdef42c440fd8a03106dcb8ccaffa9b2f7c5b7",
+    "uniform-tendermint": "8f696ca65c9e067c46a8abd4be8bbe60ecdce76d2ac2003ec2e154ed137ec9e1",
 }
 
 MASKED = {
