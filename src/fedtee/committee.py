@@ -22,11 +22,7 @@ from random import Random
 from . import crypto, enclave, model, transport
 from .crypto import envelope_encoded_size
 from .enclave import EnclaveProgram
-from .transport import COMMITTEE, MessageKind, pack, unpack
-
-
-class RunFailed(Exception):
-    """The task cannot go on; the run ends in a failed report."""
+from .transport import COMMITTEE, MessageKind, RunFailed, pack, unpack
 
 
 class NoNodes(RunFailed):
@@ -401,7 +397,7 @@ class Committee:
         reply_kind, reply, _ = self.router.call(COMMITTEE, party, kind, body)
         try:
             return transport.check_reply(reply_kind, reply, schema)
-        except Exception as exc:
+        except (transport.RemoteError, ValueError) as exc:
             role, _, n = party.partition(":")
             raise RunFailed(f"{kind.name} failed on {role} {n}: {exc}") from exc
 
@@ -470,7 +466,7 @@ class Committee:
         body = pack(transport.RESEND_REQUEST, slot.index, round_index)
         try:
             self._call(f"client:{uid}", MessageKind.ResendRequest, body)
-        except (transport.DeliveryDropped, RunFailed):
+        except RunFailed:
             pass
 
     def collect(self, round_index: int) -> None:

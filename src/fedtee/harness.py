@@ -17,12 +17,12 @@ import numpy as np
 
 from . import committee as committee_mod
 from . import crypto, model, transport
-from .committee import Committee, RunFailed, TaskSpec
+from .committee import Committee, TaskSpec
 from .config import SENTINEL, RunConfig, initial_model, plant_sentinel
 from .enclave import EnclaveProgram, make_eid_allocator
 from .ledger import CHAIN_PRESETS, Ledger, apply_chain_model
 from .roles import Client, LedgerParty, Node, TaskOwner
-from .transport import MessageKind, Router
+from .transport import MessageKind, Router, RunFailed
 
 PHASE_SEND = "SendModeltoSGX"
 PHASE_AGG = "Aggregate"
@@ -371,7 +371,7 @@ class TaskRun:
             client.cached_updates.clear()
         try:  # the owner's read reports a round the ledger cannot serve
             global_model = self.owner.get_global_model(conf, round_index)
-        except (transport.RemoteError, crypto.AuthFailure, ValueError, model.MalformedModel) as exc:
+        except (crypto.AuthFailure, ValueError, model.MalformedModel) as exc:
             raise RunFailed(str(exc)) from exc
         self.report.round_models.append(global_model)
         self.report.round_model_digests.append(global_model.digest())

@@ -16,12 +16,12 @@ import itertools
 from random import Random
 
 from . import crypto, model, transport
-from .committee import Conf, RunFailed, Slot, derive_seed
+from .committee import Conf, Slot, derive_seed
 from .config import plant_sentinel
 from .crypto import AuthFailure, Envelope, SymKey
 from .enclave import EnclaveProgram, SgxHost, SignedChunk, attest
 from .ledger import Ledger
-from .transport import MessageKind, RemoteError, Router, check_reply, pack, unpack
+from .transport import MessageKind, RemoteError, Router, RunFailed, check_reply, pack, unpack
 
 
 class DeliveryFailure(RunFailed):
@@ -146,7 +146,7 @@ class Node:
         kind, reply, _ = self.router.call(self.party, "ledger", MessageKind.ChunkUpload, body)
         (reasons,) = check_reply(kind, reply, transport.RECEIPT)
         if len(reasons) != len(run):
-            raise ValueError(f"{len(reasons)} receipts for a run of {len(run)} chunks")
+            raise RunFailed(f"node {self.node_id}: {len(reasons)} receipts for a run of {len(run)} chunks")
         return [
             dict(outcome="rejected" if reason else "accepted", round=c.round, index=c.index,
                  reason=str(reason, "utf-8") or None)

@@ -11,7 +11,12 @@ schema and nothing else, under its success kind (``Ack``, ``LedgerReply`` or
 ``RaHandshake2``). On failure it is a ``Nack`` whose body, ``NACK``, is the
 text ``"Type: message"``. Handlers raise; :meth:`Router.call` is the only
 place a handler's exception becomes a ``Nack``, and every caller reads its
-reply through :func:`check_reply`.
+reply through :func:`check_reply`, which raises a ``Nack`` as a
+:class:`RemoteError`.
+
+:class:`RunFailed` is the one failure type of a run: a refused call
+(:class:`RemoteError`) and a lost one (:class:`DeliveryDropped`) are both
+one, and every ``RunFailed`` ends the run in a report.
 """
 
 from __future__ import annotations
@@ -32,8 +37,16 @@ class UnknownParty(Exception):
     pass
 
 
-class DeliveryDropped(Exception):
+class RunFailed(Exception):
+    """The task cannot go on; the run ends in a failed report."""
+
+
+class DeliveryDropped(RunFailed):
     """The fault plan refused the frame; no reply will come."""
+
+
+class RemoteError(RunFailed):
+    """An rpc peer refused the call; the text is its ``Nack``'s, ``"Type: message"``."""
 
 
 class MessageKind(IntEnum):
@@ -408,22 +421,9 @@ ENCLAVE_OUTPUT = Schema(ENVELOPE)
 # RPC replies
 # ---------------------------------------------------------------------------
 
-class RemoteError(Exception):
-    """An rpc peer reported a protocol error it could not map locally."""
-
-
-_REMOTE_ERRORS = {
-    "AuthFailure": crypto.AuthFailure,
-    "MeasurementMismatch": crypto.MeasurementMismatch,
-}
-
-
 def check_reply(kind: MessageKind, body: bytes, schema: Schema = ACK) -> tuple:
     """The fields of a successful reply under ``schema``; a ``Nack`` raises
-    the peer's error, as its local type when it has one."""
+    a RemoteError holding its text."""
     if kind == MessageKind.Nack:
-        (error,) = unpack(NACK, body)
-        name, _, msg = error.partition(": ")
-        exc_type = _REMOTE_ERRORS.get(name)
-        raise exc_type(msg) if exc_type is not None else RemoteError(error)
+        raise RemoteError(*unpack(NACK, body))
     return unpack(schema, body)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import ledger_storage, stub_sealed_model_envelopes, tap_bytes, use_leaky_cipher
 from fedtee import crypto, model, transport
 from fedtee.cli import main as cli_main
-from fedtee.committee import _per_client_bytes
+from fedtee.committee import Committee, _per_client_bytes
 from fedtee.config import SENTINEL, FaultEvent, MODEL_PRESETS, RunConfig, preset_layer_meta
 from fedtee.harness import (
     PHASE_AGG,
@@ -30,7 +30,7 @@ from fedtee.harness import (
 )
 from fedtee.enclave import EnclaveProgram
 from fedtee.ledger import Ledger
-from fedtee.roles import Client, Node
+from fedtee.roles import Client, LedgerParty, Node
 from fedtee.transport import Frame, MessageKind
 
 
@@ -683,6 +683,57 @@ def test_an_install_the_node_refuses_ends_the_run():
     assert report.events == [
         "setup: failed: InstallProg failed on node 0: ValueError: unknown aggregation hook 'nope'"
     ]
+
+
+@pytest.mark.parametrize(
+    "cls, kind, event",
+    [
+        (Ledger, MessageKind.ChunkUpload, "round 0: failed: ValueError: store refused"),
+        (Node, MessageKind.ModelEnvelope, "round 0: failed: ValueError: refused ModelEnvelope"),
+        (Node, MessageKind.RaHandshake1, "setup: failed: ValueError: refused RaHandshake1"),
+        (Client, MessageKind.InitModel, "setup: failed: ValueError: refused InitModel"),
+        (Client, MessageKind.KeyDeliver, "setup: failed: ValueError: refused KeyDeliver"),
+        (Committee, MessageKind.SubmitTask, "setup: failed: ValueError: refused SubmitTask"),
+    ],
+    ids=["ChunkUpload", "ModelEnvelope", "RaHandshake1", "InitModel", "KeyDeliver", "SubmitTask"],
+)
+def test_every_refused_call_ends_in_a_report(cls, kind, event, monkeypatch):
+    # a Nack is a RemoteError, which is a RunFailed, whichever call it answers
+    if cls is Ledger:  # the storage contract refuses the run; its party answers a Nack
+        def refusing(self, sender, run):
+            raise ValueError("store refused")
+
+        monkeypatch.setattr(Ledger, "upload_run", refusing)
+    else:
+        handle = cls.handle
+
+        def refusing(self, src, got, payload):
+            if got == kind:
+                raise ValueError(f"refused {kind.name}")
+            return handle(self, src, got, payload)
+
+        monkeypatch.setattr(cls, "handle", refusing)
+    report = run_task(small_config(rounds=1))
+    assert not report.ok and not report.stalled
+    assert report.verification == {}
+    assert report.events[-1] == event
+
+
+def test_a_receipt_count_that_disagrees_with_the_run_ends_in_a_report(monkeypatch):
+    handle = LedgerParty.handle
+
+    def one_reason_short(self, src, kind, payload):
+        reply = handle(self, src, kind, payload)
+        if kind == MessageKind.ChunkUpload:
+            (reasons,) = transport.unpack(transport.RECEIPT, reply[1])
+            reply = reply[0], transport.pack(transport.RECEIPT, reasons[1:])
+        return reply
+
+    monkeypatch.setattr(LedgerParty, "handle", one_reason_short)
+    report = run_task(small_config(rounds=1))
+    assert not report.ok and not report.stalled
+    assert report.rounds == [] and report.verification == {}
+    assert report.events == ["round 0: failed: node 0: 0 receipts for a run of 1 chunks"]
 
 
 @pytest.mark.parametrize("strategy", ["single", "clientmax", "layermax"])

@@ -96,8 +96,9 @@ def test_call_roundtrip_and_drop():
     router = Router(faults=FaultPlan([_drop(dest="svc", count=1)]))
     router.register("caller")
     router.register("svc", handler=lambda src, kind, payload: (MessageKind.Ack, payload[::-1]))
-    with pytest.raises(DeliveryDropped, match="^LedgerRead caller->svc$"):
+    with pytest.raises(DeliveryDropped, match="^LedgerRead caller->svc$") as lost:
         router.call("caller", "svc", MessageKind.LedgerRead, b"abc")
+    assert isinstance(lost.value, transport.RunFailed)  # a lost call ends a run like a refused one
     # rule consumed; next call goes through
     kind, reply, _ = router.call("caller", "svc", MessageKind.LedgerRead, b"xy")
     assert (kind, reply) == (MessageKind.Ack, b"yx")
@@ -243,7 +244,7 @@ def test_trailing_bytes_are_rejected(schema, values):
         transport.unpack(schema, transport.pack(schema, *values) + b"x")
 
 
-def test_reply_maps_known_errors_and_passes_results():
+def test_reply_raises_every_nack_as_a_run_failure_and_passes_results():
     answers = {
         "ok": lambda: (MessageKind.Ack, transport.pack(transport.INSTALLED, 7)),
         "empty": lambda: None,
@@ -264,10 +265,13 @@ def test_reply_maps_known_errors_and_passes_results():
     assert transport.check_reply(*call("empty")) == ()
     kind, body = call("tampered")
     assert (kind, body) == (MessageKind.Nack, transport.pack(transport.NACK, "AuthFailure: tampered"))
-    with pytest.raises(crypto.AuthFailure, match="^tampered$"):
+    with pytest.raises(transport.RemoteError, match="^AuthFailure: tampered$") as refused:
         transport.check_reply(kind, body, transport.INSTALLED)
-    with pytest.raises(transport.RemoteError, match="^KeyError: 'no enclave 9'$"):
+    assert isinstance(refused.value, transport.RunFailed)
+    assert not isinstance(refused.value, crypto.AuthFailure)  # a peer's refusal, not a local tag check
+    with pytest.raises(transport.RemoteError, match="^KeyError: 'no enclave 9'$") as refused:
         transport.check_reply(*call("unknown"), transport.INSTALLED)
+    assert isinstance(refused.value, transport.RunFailed)
     with pytest.raises(ValueError):  # a success reply must be its schema's fields
         transport.check_reply(*call("empty"), transport.INSTALLED)
 
